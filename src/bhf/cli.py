@@ -8,17 +8,12 @@ text.
 
 Exit codes: 0 success, 1 invalid input, 2 internal mathematical gate
 failure (a structure equation or a bundled check tripping).
-
-The environment variable BHF_THREADS caps kernel parallelism; all kernels
-here run sequentially, which complies with any cap, but the value is
-validated for interface stability.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .pmc import PMCError
@@ -62,19 +57,6 @@ USER_ERRORS = (
     CapExceeded, FileNotFoundError, KeyError,
 )
 GATE_ERRORS = (ConstraintSearchFailed,)
-
-
-def _threads_cap():
-    raw = os.environ.get("BHF_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        raise ValidationError(f"BHF_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _emit(args, doc, text_fn=None):
@@ -334,7 +316,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()
         code = args.fn(args)
         return 0 if code is None else code
     except GATE_ERRORS as e:

@@ -95,10 +95,6 @@ class TensorElement:
                 acc ^= {(a1, s)}
         return TensorElement(self.n1, self.n2, acc)
 
-    def left(self) -> AlgebraElement:
-        """Left factors (only meaningful for pure-tensor-with-common-right sets)."""
-        return AlgebraElement(self.n1, {a for a, _ in self.terms})
-
     def decompose(self, alg1: SurfaceAlgebra, alg2: SurfaceAlgebra):
         """Write the element in the product basis key1 (x) key2.
 

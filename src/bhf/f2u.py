@@ -11,6 +11,7 @@ differentials, which forces every matrix entry to be a monomial.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .gf2 import F2ChainComplex, NotAComplex
@@ -110,14 +111,6 @@ class _Mat:
         self.n = cols
         self.a = [[0] * cols for _ in range(rows)]
 
-    @classmethod
-    def from_rows(cls, rows):
-        m = len(rows)
-        n = len(rows[0]) if m else 0
-        out = cls(m, n)
-        out.a = [list(r) for r in rows]
-        return out
-
     def copy(self):
         out = _Mat(self.m, self.n)
         out.a = [row[:] for row in self.a]
@@ -166,23 +159,15 @@ def smith_normal_form(mat: _Mat, col_gradings=None):
     """Diagonalize over F2[U] with the divisibility chain.
 
     Pivot rule: minimal degree, ties broken by (row, col) position.  Returns
-    (diagonal entries, Q, q_gradings) where Q is the accumulated column
-    transform (new columns in terms of old) and q_gradings tracks the
-    homogeneous grading of each column of Q when col_gradings is given.
+    (diagonal entries, q_gradings) where q_gradings, when col_gradings is
+    given, is the homogeneous grading of each column after the column
+    operations.
     """
     A = mat.copy()
-    Q = _Mat(A.n, A.n)
-    for i in range(A.n):
-        Q.a[i][i] = 1
     q_gr = list(col_gradings) if col_gradings is not None else None
-
-    def col_op(dst, src, q):
-        A.add_col(dst, src, q)
-        Q.add_col(dst, src, q)
 
     def col_swap(i, j):
         A.swap_cols(i, j)
-        Q.swap_cols(i, j)
         if q_gr is not None:
             q_gr[i], q_gr[j] = q_gr[j], q_gr[i]
 
@@ -210,7 +195,7 @@ def smith_normal_form(mat: _Mat, col_gradings=None):
             for j in range(t + 1, A.n):
                 if A.a[t][j]:
                     q, r = poly_divmod(A.a[t][j], A.a[t][t])
-                    col_op(j, t, q)
+                    A.add_col(j, t, q)
                     if r:
                         col_swap(j, t)
                         dirty = True
@@ -242,7 +227,7 @@ def smith_normal_form(mat: _Mat, col_gradings=None):
         t += 1
 
     diag = [A.a[i][i] for i in range(limit)]
-    return diag, Q, q_gr
+    return diag, q_gr
 
 
 @dataclass(frozen=True)
@@ -341,153 +326,47 @@ def specialize_u0(complex_: F2UComplex) -> F2ChainComplex:
 def f2u_homology(complex_: F2UComplex) -> F2UDecomposition:
     """Decompose ker d / im d into free and U-torsion summands.
 
-    Kernel and image are extracted from one Smith normal form of d; the
-    quotient structure comes from a second Smith normal form of the
-    coordinates of the image inside the kernel.  With gradings present all
-    operations are homogeneous and per-summand gradings are returned.
+    A free chain complex over the PID F2[U] splits into copies of F2[U] and
+    two-term pieces F2[U] --d_i--> F2[U], where d_1, ..., d_r are the
+    nonzero invariant factors of the differential D.  So one Smith normal
+    form of D gives the whole decomposition: the free rank is n - 2r, and
+    each d_i = U^v g with g(0) = 1 adds U-torsion F2[U]/U^v when v >= 1 and
+    unit torsion F2[U]/g when g != 1.
+
+    With gradings present every operation is homogeneous and d preserves
+    the grading.  The piece of invariant factor U^v in column j has its
+    source in grading q_gr[j] and its target, which generates the torsion
+    summand, in grading q_gr[j] + v.  The free summands sit in the gradings
+    left when all sources and targets are removed from the multiset of
+    generator gradings.
     """
-    n = len(complex_.generators)
     graded = complex_.graded
-    if n == 0:
-        return F2UDecomposition(
-            0,
-            (),
-            free_gradings=() if graded else None,
-            torsion_gradings=() if graded else None,
-        )
-    D = complex_.matrix()
-    col_gr = None
-    if complex_.graded:
-        col_gr = [complex_.gradings[g] for g in complex_.generators]
-    diag, Q, q_gr = smith_normal_form(D, col_gradings=col_gr)
-
-    kernel_idx = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    kernel_cols = [[Q.a[i][j] for i in range(n)] for j in kernel_idx]
-    kernel_grs = [q_gr[j] for j in kernel_idx] if q_gr is not None else None
-
-    image_cols = []
-    for j, dval in enumerate(diag):
-        if dval == 0:
-            continue
-        # image generator D * (Q e_j)
-        col = [0] * n
-        for i in range(n):
-            acc = 0
-            for k in range(n):
-                if D.a[i][k] and Q.a[k][j]:
-                    acc ^= poly_mul(D.a[i][k], Q.a[k][j])
-            col[i] = acc
-        image_cols.append(col)
-    if not kernel_cols:
-        return F2UDecomposition(
-            0,
-            (),
-            free_gradings=() if graded else None,
-            torsion_gradings=() if graded else None,
-        )
-
-    # coordinates of image generators in the kernel basis
-    K = _Mat.from_rows([[kernel_cols[j][i] for j in range(len(kernel_cols))] for i in range(n)])
-    coords = _Mat(len(kernel_cols), len(image_cols))
-    for cidx, col in enumerate(image_cols):
-        x = _solve_coordinates(K, col)
-        for r in range(len(kernel_cols)):
-            coords.a[r][cidx] = x[r]
-
-    # row gradings of coords = kernel vector gradings; SNF of the transpose
-    # tracks them as column gradings.
-    coords_t = _Mat.from_rows([[coords.a[r][c] for r in range(coords.m)] for c in range(coords.n)])
-    diag2, Q2, q2_gr = smith_normal_form(coords_t, col_gradings=kernel_grs)
-
-    free = 0
-    free_grs = []
+    col_gr = [complex_.gradings[g] for g in complex_.generators] if graded else None
+    diag, q_gr = smith_normal_form(complex_.matrix(), col_gradings=col_gr)
+    free_grs = Counter(col_gr or ())
     torsion = []
     torsion_grs = []
     unit_torsion = []
-    used = len(diag2)
-    for j in range(coords.m):
-        val = diag2[j] if j < used else 0
-        gr = q2_gr[j] if q2_gr is not None else None
+    r = 0
+    for j, val in enumerate(diag):
         if val == 0:
-            free += 1
-            if gr is not None:
-                free_grs.append(gr)
             continue
+        r += 1
         v, g = poly_unit_part(val)
         if v >= 1:
             torsion.append(v)
-            if gr is not None:
-                torsion_grs.append((v, gr))
+            if graded:
+                torsion_grs.append((v, q_gr[j] + v))
         if g != 1:
             unit_torsion.append(poly_str(g))
-        # v == 0 and g == 1: generator dies entirely
+        if graded:
+            free_grs[q_gr[j]] -= 1
+            free_grs[q_gr[j] + v] -= 1
 
     return F2UDecomposition(
-        free_rank=free,
+        free_rank=len(complex_.generators) - 2 * r,
         torsion=tuple(sorted(torsion, reverse=True)),
-        free_gradings=tuple(sorted(free_grs, reverse=True)) if graded else None,
+        free_gradings=tuple(sorted(free_grs.elements(), reverse=True)) if graded else None,
         torsion_gradings=tuple(sorted(torsion_grs, reverse=True)) if graded else None,
         unit_torsion=tuple(sorted(unit_torsion)),
     )
-
-
-def _solve_coordinates(K: _Mat, w: list[int]) -> list[int]:
-    """Coordinates of w in the column span of K, exact over F2[U]."""
-    m, r = K.m, K.n
-    work = [[K.a[i][j] for j in range(r)] for i in range(m)]
-    # T maps reduced columns back to combinations of original columns
-    T = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def add_col(dst, src, q):
-        for i in range(m):
-            if work[i][src]:
-                work[i][dst] ^= poly_mul(q, work[i][src])
-        for i in range(r):
-            if T[i][src]:
-                T[i][dst] ^= poly_mul(q, T[i][src])
-
-    rhs = list(w)
-    x_reduced = [0] * r
-    used = [False] * r
-    while True:
-        best = None
-        for i in range(m):
-            for j in range(r):
-                if used[j] or work[i][j] == 0:
-                    continue
-                key = (poly_degree(work[i][j]), i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, pi, pj = best
-        again = True
-        while again:
-            again = False
-            for j in range(r):
-                if j == pj or used[j] or work[pi][j] == 0:
-                    continue
-                q, rem = poly_divmod(work[pi][j], work[pi][pj])
-                add_col(j, pj, q)
-                if rem:
-                    pj = j
-                    again = True
-                    break
-        q, rem = poly_divmod(rhs[pi], work[pi][pj])
-        if rem:
-            raise ArithmeticError("image vector not in kernel span")
-        if q:
-            for i in range(m):
-                if work[i][pj]:
-                    rhs[i] ^= poly_mul(q, work[i][pj])
-        x_reduced[pj] = q
-        used[pj] = True
-    if any(rhs):
-        raise ArithmeticError("image vector not in kernel span")
-    x = [0] * r
-    for j in range(r):
-        if x_reduced[j]:
-            for i in range(r):
-                if T[i][j]:
-                    x[i] ^= poly_mul(x_reduced[j], T[i][j])
-    return x

@@ -1,68 +1,50 @@
-"""Dense GF(2) linear algebra and plain F2 chain complexes."""
+"""GF(2) linear algebra on bitset vectors, and plain F2 chain complexes.
+
+A vector over F2 is a Python int whose bit i is its i-th coordinate, so
+XOR adds vectors; a matrix is a list of such ints (its rows or columns).
+"""
 
 from __future__ import annotations
 
-import numpy as np
+
+def _bits(v: int):
+    """Indices of the set bits of v, ascending."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
 
 
-def gf2_row_echelon(M, n_pivot_cols=None):
-    """Row-reduce a binary matrix over GF(2) with XOR row operations.
+def _insert(basis: dict, v: int) -> int:
+    """Reduce v against an echelon basis keyed by lowest set bit.
 
-    Returns (R, pivot_cols) where pivot_cols has length equal to the rank.
+    A nonzero remainder joins the basis and is returned; 0 means v was
+    already in the span.
     """
-    R = (np.asarray(M, dtype=np.uint8) % 2).copy()
-    if R.ndim != 2:
-        R = R.reshape(1, -1)
-    m, n = R.shape
-    if n_pivot_cols is None:
-        n_pivot_cols = n
-    pivot_cols = []
-    pivot_row = 0
-    for col in range(n_pivot_cols):
-        found = -1
-        for row in range(pivot_row, m):
-            if R[row, col]:
-                found = row
-                break
-        if found == -1:
-            continue
-        if found != pivot_row:
-            R[[pivot_row, found]] = R[[found, pivot_row]]
-        for row in range(m):
-            if row != pivot_row and R[row, col]:
-                R[row] ^= R[pivot_row]
-        pivot_cols.append(col)
-        pivot_row += 1
-    return R, pivot_cols
+    while v:
+        low = v & -v
+        pivot = basis.get(low)
+        if pivot is None:
+            basis[low] = v
+            break
+        v ^= pivot
+    return v
 
 
-def gf2_rank(M) -> int:
-    M = np.asarray(M, dtype=np.uint8)
-    if M.size == 0:
-        return 0
-    return len(gf2_row_echelon(M)[1])
+def gf2_rank(rows) -> int:
+    """Rank of the matrix whose rows (or columns) are the given bitsets."""
+    basis: dict = {}
+    for row in rows:
+        _insert(basis, row)
+    return len(basis)
 
 
-def gf2_kernel_basis(M) -> list[np.ndarray]:
-    """Basis of the right kernel, deterministic via lexicographic pivots."""
-    M = np.asarray(M, dtype=np.uint8)
-    if M.size == 0:
-        n = M.shape[1] if M.ndim == 2 else 0
-        return [np.eye(n, dtype=np.uint8)[i] for i in range(n)]
-    R, pivots = gf2_row_echelon(M)
-    m, n = R.shape
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = np.zeros(n, dtype=np.uint8)
-        v[free] = 1
-        for r, pc in enumerate(pivots):
-            if R[r, free]:
-                v[pc] = 1
-        basis.append(v)
-    return basis
+def gf2_apply(cols, v: int) -> int:
+    """Image of v under the matrix whose j-th column is cols[j]."""
+    out = 0
+    for j in _bits(v):
+        out ^= cols[j]
+    return out
 
 
 class NotAComplex(ValueError):
@@ -81,49 +63,58 @@ class F2ChainComplex:
         for s, t in entries:
             acc ^= {(s, t)}  # arrows are F2 coefficients: duplicates cancel
         self.entries = frozenset(acc)
+        n = len(self.generators)
+        # D[i, j] = 1 iff generator j maps onto generator i
+        self._cols = [0] * n
+        self._rows = [0] * n
         for s, t in self.entries:
             if s not in self.index or t not in self.index:
                 raise ValueError(f"entry ({s},{t}) uses unknown generator")
+            i, j = self.index[t], self.index[s]
+            self._cols[j] |= 1 << i
+            self._rows[i] |= 1 << j
         if check:
             self.validate()
 
-    def matrix(self) -> np.ndarray:
-        """D[i, j] = 1 iff generator j maps onto generator i."""
-        n = len(self.generators)
-        D = np.zeros((n, n), dtype=np.uint8)
-        for s, t in self.entries:
-            D[self.index[t], self.index[s]] ^= 1
-        return D
-
     def validate(self):
-        D = self.matrix()
-        if D.size and ((D @ D) % 2).any():
+        if any(gf2_apply(self._cols, col) for col in self._cols):
             raise NotAComplex("differential does not square to zero")
 
     def homology_rank(self) -> int:
-        n = len(self.generators)
-        if n == 0:
-            return 0
-        r = gf2_rank(self.matrix())
-        return n - 2 * r
+        return len(self.generators) - 2 * gf2_rank(self._cols)
 
     def homology_representatives(self) -> list[dict]:
-        """Deterministic cycle representatives of a homology basis."""
-        D = self.matrix()
-        n = len(self.generators)
-        if n == 0:
-            return []
-        kernel = gf2_kernel_basis(D)
-        span = [D[:, j] for j in range(n) if D[:, j].any()]
-        rank = gf2_rank(np.array(span, dtype=np.uint8)) if span else 0
+        """Cycle representatives of a homology basis, in a deterministic order.
+
+        The kernel basis comes from the reduced row echelon form of d: one
+        vector per free column, taken in ascending generator order, equal to
+        that generator plus the pivot generators whose rows meet the column.
+        Each kernel vector that is independent of the image of d and of the
+        vectors picked before it is kept.
+        """
+        rref: dict = {}
+        for row in self._rows:
+            _insert(rref, row)
+        pivots = sorted(rref, reverse=True)
+        for k, p in enumerate(pivots):
+            for q in pivots[k + 1:]:
+                if rref[q] & p:
+                    rref[q] ^= rref[p]
+        free = (1 << len(self.generators)) - 1
+        for p in pivots:
+            free ^= p
+        kernel = {1 << j: 1 << j for j in _bits(free)}
+        for p, row in rref.items():
+            for j in _bits(row ^ p):
+                kernel[1 << j] |= p
+        span: dict = {}
+        for col in self._cols:
+            _insert(span, col)
         reps = []
-        for v in kernel:
-            stacked = np.array(span + [v], dtype=np.uint8)
-            new_rank = gf2_rank(stacked)
-            if new_rank > rank:
-                span.append(v)
-                rank = new_rank
-                reps.append({self.generators[i]: 1 for i in range(n) if v[i]})
+        for f in sorted(kernel):
+            v = kernel[f]
+            if _insert(span, v):
+                reps.append({self.generators[i]: 1 for i in _bits(v)})
         return reps
 
     def __repr__(self):

@@ -123,12 +123,6 @@ class CFKComplex:
         return f"CFKComplex({len(self.alexander)} generators, {len(self.entries())} entries)"
 
 
-def validate_cfk(complex_: CFKComplex):
-    """Re-run all structural checks; returns [] or raises."""
-    complex_.validate()
-    return []
-
-
 # ---------------------------------------------------------------------------
 # arrow classification
 

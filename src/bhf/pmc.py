@@ -181,10 +181,6 @@ def reverse(circle: PointedMatchedCircle) -> PointedMatchedCircle:
     return make_pmc(circle.genus, table)
 
 
-def reverse_point(circle: PointedMatchedCircle, i: int) -> int:
-    return circle.n_points + 1 - i
-
-
 def connected_sum(z1: PointedMatchedCircle, z2: PointedMatchedCircle) -> PointedMatchedCircle:
     """Connected sum: Z1 keeps points 1..4k1, Z2 is shifted past the seam."""
     shift = z1.n_points

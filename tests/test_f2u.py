@@ -15,7 +15,7 @@ from bhf.f2u import (
     poly_valuation,
 )
 from bhf.gf2 import NotAComplex
-from bhf.checks import check_snf_oracle, random_f2u_complex
+from bhf.checks import check_snf_oracle, random_f2u_complex, random_graded_f2u_complex
 
 
 def test_poly_arithmetic():
@@ -127,3 +127,10 @@ def test_decomposition_invariant_under_basis_change():
 def test_snf_oracle_sample():
     ok, detail = check_snf_oracle(samples=200, seed=12)
     assert ok, detail
+
+
+def test_graded_decomposition_matches_construction():
+    rng = random.Random(3)
+    for _ in range(300):
+        C, want = random_graded_f2u_complex(rng)
+        assert C.homology() == want

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bhf
 from bhf.pmc import standard_pmc
 from bhf.strands import torus_element
 from bhf.dmodules import TypeDDModule, TypeDModule, UTypeDModule, iso_check
@@ -208,10 +213,8 @@ def test_cli_homology_of_dumped_complex(capsys, tmp_path):
     assert json.loads(out)["rank"] == 2
 
 
-def test_cli_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("BHF_THREADS", "quick")
-    code, _, err = run_cli(capsys, "hf3m", "--word", "Tm")
-    assert code == 1 and "BHF_THREADS" in err
-    monkeypatch.setenv("BHF_THREADS", "2")
-    code, out, _ = run_cli(capsys, "hf3m", "--word", "Tm")
-    assert code == 0
+def test_import_does_not_load_numpy():
+    src = str(Path(bhf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import bhf, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
