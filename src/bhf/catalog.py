@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .pmc import PointedMatchedCircle, make_pmc, standard_pmc, reverse, PMCError
-from .strands import AlgebraElement, algebra_of, torus_element
+from .strands import AlgebraElement, algebra_of, diagram_support, torus_element
 from .dmodules import TypeDModule, TypeDDModule, TensorElement, ModuleError
 from .pairing import mor_d_d, mor_dd_d, homology_f2
 from .gf2 import gf2_apply, gf2_rank
@@ -188,10 +188,9 @@ def handlebody(k: int) -> TypeDModule:
     circle = reverse(standard_pmc("split", k))
     alg = algebra_of(circle)
     idem = tuple(4 * j - 2 for j in range(1, k + 1))
-    unit = alg.idempotent(idem)
     total = AlgebraElement.zero(alg.n)
     for j in range(1, k + 1):
-        total = total + unit * alg.chord_element((4 * j - 2, 4 * j)) * unit
+        total = total + alg.sandwich(idem, alg.chord_element((4 * j - 2, 4 * j)), idem)
     return TypeDModule(alg, {"x": idem}, {("x", "x"): total})
 
 
@@ -214,7 +213,10 @@ def dd_identity(circle: PointedMatchedCircle) -> TypeDDModule:
 
     Generators are the complementary idempotent pairs; the arrow from
     (s, s^c) to (s', s'^c) carries, for every chord, the sandwiched product
-    of the chord element on the circle and on its reverse.
+    of the chord element on the circle and on its reverse.  Each chord
+    element's terms are bucketed once by their (start pairs, end pairs): the
+    bucket (s, s') on the circle pairs with the bucket (s^c, s'^c) on the
+    reverse, and no idempotent is multiplied.
     """
     alg1 = algebra_of(circle)
     rev_circle, pimg = _pair_map_to_reverse(circle)
@@ -222,37 +224,29 @@ def dd_identity(circle: PointedMatchedCircle) -> TypeDDModule:
     pairs = circle.pairs
     n = circle.n_points
 
-    gens = {}
+    complement = {}  # first idempotent of each generator -> its second
     for r in range(0, len(pairs) + 1):
         for s in itertools.combinations(pairs, r):
-            t = tuple(sorted(pimg(p) for p in pairs if p not in s))
-            gens[_dd_gen_name(s, t)] = (s, t)
+            complement[s] = tuple(sorted(pimg(p) for p in pairs if p not in s))
+    name = {s: _dd_gen_name(s, t) for s, t in complement.items()}
+    gens = {name[s]: (s, t) for s, t in complement.items()}
 
-    chord_pairs = []
+    def buckets(alg, elt):
+        out: dict[tuple, list] = {}
+        for diag in elt.terms:
+            out.setdefault(alg.diagram_corner(diag), []).append(diag)
+        return out
+
+    terms: dict[tuple[str, str], set] = {}
     for ch in circle.chords():
         i, j = ch.as_pair()
-        a1 = alg1.chord_element((i, j))
-        a2 = alg2.chord_element((n + 1 - j, n + 1 - i))
-        chord_pairs.append((a1, a2))
-
-    delta = {}
-    for src, (s1, t1) in gens.items():
-        i1 = alg1.idempotent(s1)
-        i2 = alg2.idempotent(t1)
-        for dst, (s2, t2) in gens.items():
-            j1 = alg1.idempotent(s2)
-            j2 = alg2.idempotent(t2)
-            total = TensorElement(alg1.n, alg2.n)
-            for a1, a2 in chord_pairs:
-                c1 = i1 * a1 * j1
-                if c1.is_zero():
-                    continue
-                c2 = i2 * a2 * j2
-                if c2.is_zero():
-                    continue
-                total = total + TensorElement.from_elements(c1, c2)
-            if not total.is_zero():
-                delta[(src, dst)] = total
+        by_corner2 = buckets(alg2, alg2.chord_element((n + 1 - j, n + 1 - i)))
+        for (s1, s2), diags1 in buckets(alg1, alg1.chord_element((i, j))).items():
+            diags2 = by_corner2.get((complement[s1], complement[s2]))
+            if diags2:
+                terms.setdefault((name[s1], name[s2]), set()).symmetric_difference_update(
+                    itertools.product(diags1, diags2))
+    delta = {key: TensorElement(alg1.n, alg2.n, tt) for key, tt in terms.items()}
 
     out = TypeDDModule(alg1, alg2, gens, delta, provenance=f"dd_identity({circle!r})")
     bad = out.verify_d2()
@@ -519,74 +513,57 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
     src_iv = [i for i in range(1, n) if i != slide.u_interval]
     tgt_iv = [i for i in range(1, n) if i != slide.u_prime_interval]
 
-    def restricted1(key):
-        from .strands import diagram_support
-
-        sup = diagram_support(n, min(alg1.expand(key).terms))
-        return tuple(sup[i - 1] for i in src_iv)
-
-    def restricted2(key):
-        from .strands import diagram_support
-
-        suprev = diagram_support(n, min(alg2.expand(key).terms))
-        # interval i of the target circle is interval n - i of its reverse
-        return tuple(suprev[(n - i) - 1] for i in tgt_iv)
-
-    def side2_pairs_as_z(pairs2):
-        return frozenset(rev_to_z[q] for q in pairs2)
-
-    # bucket the second-side keys by restricted support
+    # Per key: (left pairs, right pairs, support away from the slide
+    # interval), the second side's pairs named by the source pairs they
+    # correspond to.  Horizontal strands have no support, so the support of
+    # a key is that of its moving strands.
+    info1 = {}
+    for k1 in (k for w in range(0, 2 * alg1.k + 1) for k in alg1.basis_keys(w)):
+        sup = diagram_support(n, k1[0])
+        info1[k1] = (frozenset(alg1.key_left_pairs(k1)), frozenset(alg1.key_right_pairs(k1)),
+                     tuple(sup[i - 1] for i in src_iv))
+    info2 = {}
     keys2_by_sup: dict[tuple, list] = {}
-    all_keys2 = [k for w in range(0, 2 * alg2.k + 1) for k in alg2.basis_keys(w)]
-    for k2 in all_keys2:
-        keys2_by_sup.setdefault(restricted2(k2), []).append(k2)
+    for k2 in (k for w in range(0, 2 * alg2.k + 1) for k in alg2.basis_keys(w)):
+        sup = diagram_support(n, k2[0])
+        # interval i of the target circle is interval n - i of its reverse
+        restricted = tuple(sup[(n - i) - 1] for i in tgt_iv)
+        info2[k2] = (frozenset(rev_to_z[q] for q in alg2.key_left_pairs(k2)),
+                     frozenset(rev_to_z[q] for q in alg2.key_right_pairs(k2)), restricted)
+        keys2_by_sup.setdefault(restricted, []).append(k2)
 
     basics = []
-    all_keys1 = [k for w in range(0, 2 * alg1.k + 1) for k in alg1.basis_keys(w)]
-    for k1 in all_keys1:
-        left1 = frozenset(alg1.key_left_pairs(k1))
-        right1 = frozenset(alg1.key_right_pairs(k1))
-        for k2 in keys2_by_sup.get(restricted1(k1), []):
-            left2 = side2_pairs_as_z(alg2.key_left_pairs(k2))
-            right2 = side2_pairs_as_z(alg2.key_right_pairs(k2))
+    for k1, (left1, right1, restricted) in info1.items():
+        for k2 in keys2_by_sup.get(restricted, []):
+            left2, right2, _ = info2[k2]
             if near_complementary(left1, left2) and near_complementary(right1, right2):
                 basics.append((k1, k2))
 
     def is_idem(pair):
         return not pair[0][0] and not pair[1][0]  # no moving strands on either side
 
+    @cache
+    def product_keys(alg, a, b):
+        prod = alg.expand(a) * alg.expand(b)
+        return alg.decompose(prod) if prod else []
+
     nonidem = [p for p in basics if not is_idem(p)]
-    basic_set = set(basics)
     reducible = set()
     by_left: dict[tuple, list] = {}
     for (k1, k2) in nonidem:
-        key = (frozenset(alg1.key_left_pairs(k1)),
-               frozenset(alg2.key_left_pairs(k2)))
-        by_left.setdefault(key, []).append((k1, k2))
+        by_left.setdefault((info1[k1][0], info2[k2][0]), []).append((k1, k2))
     for (k1, k2) in nonidem:
-        chain = (frozenset(alg1.key_right_pairs(k1)),
-                 frozenset(alg2.key_right_pairs(k2)))
-        for (l1, l2) in by_left.get(chain, []):
-            e1 = alg1.expand(k1) * alg1.expand(l1)
-            if e1.is_zero():
-                continue
-            e2 = alg2.expand(k2) * alg2.expand(l2)
-            if e2.is_zero():
-                continue
-            for d1 in alg1.decompose(e1):
-                for d2 in alg2.decompose(e2):
-                    reducible.add((d1, d2))
+        for (l1, l2) in by_left.get((info1[k1][1], info2[k2][1]), []):
+            keys1 = product_keys(alg1, k1, l1)
+            if keys1:
+                reducible.update(itertools.product(keys1, product_keys(alg2, k2, l2)))
 
     near_chords = [p for p in nonidem if p not in reducible]
 
     delta: dict[tuple[str, str], TensorElement] = {}
     for (k1, k2) in near_chords:
-        src = gen_lookup.get(
-            (frozenset(alg1.key_left_pairs(k1)), side2_pairs_as_z(alg2.key_left_pairs(k2)))
-        )
-        dst = gen_lookup.get(
-            (frozenset(alg1.key_right_pairs(k1)), side2_pairs_as_z(alg2.key_right_pairs(k2)))
-        )
+        src = gen_lookup.get((info1[k1][0], info2[k2][0]))
+        dst = gen_lookup.get((info1[k1][1], info2[k2][1]))
         if src is None or dst is None:
             raise ConstraintSearchFailed("near-chord endpoints miss a generator")
         term = TensorElement.from_elements(alg1.expand(k1), alg2.expand(k2))

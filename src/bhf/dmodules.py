@@ -10,13 +10,21 @@ the one-step coefficient to vanish.
 DD bimodules carry two commuting algebra coefficients; their arithmetic is
 done on F2 sets of diagram pairs.  U-weighted type D modules attach a
 nonnegative U power to every arrow.
+
+``validate`` checks I(src) * coeff * I(dst) = coeff as a filter on terms,
+with no products.  It is exact: a horizontal section of I(S) composed with
+a diagram d returns d when its points are the starts of d and kills d
+otherwise, so the sandwich keeps exactly the terms whose starts lie one on
+each pair of S and whose ends lie one on each pair of the target idempotent
+(``SurfaceAlgebra.sandwich``).  A DD coefficient is checked on both
+diagrams of every tensor term.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .strands import AlgebraElement, SurfaceAlgebra
+from .strands import AlgebraElement, StrandError, SurfaceAlgebra
 
 
 class ModuleError(ValueError):
@@ -31,10 +39,10 @@ Idempotent = tuple[int, ...]  # matched pairs by smaller foot, sorted
 
 
 def _norm_idem(algebra: SurfaceAlgebra, pairs) -> Idempotent:
-    out = tuple(sorted(algebra.circle.pair_of(p) for p in pairs))
-    if len(set(out)) != len(out):
-        raise ModuleError(f"repeated pair in idempotent {pairs}")
-    return out
+    try:
+        return algebra.idempotent_pairs(pairs)
+    except StrandError as e:
+        raise ModuleError(str(e))
 
 
 class TensorElement:
@@ -158,7 +166,7 @@ class TypeDModule:
         for (s, t), coeff in self.delta.items():
             if s not in self.generators or t not in self.generators:
                 raise ModuleError(f"arrow ({s},{t}) uses unknown generator")
-            sandwich = self.idempotent_element(s) * coeff * self.idempotent_element(t)
+            sandwich = self.algebra.sandwich(self.generators[s], coeff, self.generators[t])
             if sandwich != coeff:
                 raise ModuleError(f"coefficient of {s}->{t} not idempotent-compatible")
 
@@ -227,7 +235,7 @@ class UTypeDModule:
             for m, e in coeff.items():
                 if m < 0:
                     raise ModuleError(f"negative U power on {s}->{t}")
-                if self.idempotent_element(s) * e * self.idempotent_element(t) != e:
+                if self.algebra.sandwich(self.generators[s], e, self.generators[t]) != e:
                     raise ModuleError(f"coefficient of {s}->{t} (U^{m}) not compatible")
 
     def verify_d2(self):
@@ -296,20 +304,21 @@ class TypeDDModule:
         if check:
             self.validate()
 
-    def idempotent_elements(self, name):
-        i1, i2 = self.generators[name]
-        return self.algebra1.idempotent(i1), self.algebra2.idempotent(i2)
-
     def unit_tensor(self, name) -> TensorElement:
-        e1, e2 = self.idempotent_elements(name)
+        i1, i2 = self.generators[name]
+        e1, e2 = self.algebra1.idempotent(i1), self.algebra2.idempotent(i2)
         return TensorElement.from_elements(e1, e2)
 
     def validate(self):
+        alg1, alg2 = self.algebra1, self.algebra2
         for (s, t), coeff in self.delta.items():
             if s not in self.generators or t not in self.generators:
                 raise ModuleError(f"arrow ({s},{t}) uses unknown generator")
-            sandwich = self.unit_tensor(s) * coeff * self.unit_tensor(t)
-            if sandwich != coeff:
+            (s1, s2), (t1, t2) = self.generators[s], self.generators[t]
+            if (coeff.n1, coeff.n2) != (alg1.n, alg2.n) or any(
+                alg1.diagram_corner(d1) != (s1, t1) or alg2.diagram_corner(d2) != (s2, t2)
+                for d1, d2 in coeff.terms
+            ):
                 raise ModuleError(f"coefficient of {s}->{t} not idempotent-compatible")
 
     def verify_d2(self):
@@ -450,29 +459,31 @@ def iso_check(m1, m2, cap: int = 10**6):
                 return False
         return True
 
-    def search(i):
-        nonlocal nodes
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in candidates[x]:
+    # Depth-first over ``order`` with an explicit stack: stack[i] iterates
+    # the candidates of order[i], and order[:len(stack) - 1] are assigned.
+    if not order:
+        return {}
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        x = order[len(stack) - 1]
+        for y in stack[-1]:
             if y in used:
                 continue
             nodes += 1
             if nodes > cap:
                 raise CapExceeded(f"isomorphism search exceeded {cap} nodes")
-            if not consistent(x, y):
-                continue
-            assign[x] = y
-            used.add(y)
-            if search(i + 1):
-                return True
-            del assign[x]
-            used.remove(y)
-        return False
-
-    if search(0):
-        return dict(assign)
+            if consistent(x, y):
+                assign[x] = y
+                used.add(y)
+                break
+        else:  # no candidate left: backtrack into the previous generator
+            stack.pop()
+            if stack:
+                used.remove(assign.pop(order[len(stack) - 1]))
+            continue
+        if len(stack) == len(order):
+            return dict(assign)
+        stack.append(iter(candidates[order[len(stack)]]))
     return None
 
 
@@ -494,8 +505,7 @@ def induced_complex(module: TypeDModule):
     for name, idem in module.generators.items():
         for w in range(0, 2 * alg.k + 1):
             for key in alg.basis_keys(w):
-                elt = alg.expand(key)
-                if alg.right_idempotent_pairs(elt) == idem:
+                if alg.key_right_pairs(key) == idem:
                     basis.append((key, name))
     entries: set = set()
     for (key, name) in basis:

@@ -17,10 +17,10 @@ import os
 
 from .pmc import PointedMatchedCircle, make_pmc, standard_pmc, PMCError
 from .strands import AlgebraElement, SurfaceAlgebra, algebra_of, make_diagram, torus_element
-from .dmodules import TypeDModule, TypeDDModule, UTypeDModule, TensorElement, ModuleError
+from .dmodules import TypeDModule, TypeDDModule, UTypeDModule, TensorElement
 from .f2u import F2UComplex, poly_exponents, poly_from_exponents
 from .gf2 import F2ChainComplex
-from .knots import CFKComplex, CFKError
+from .knots import CFKComplex
 from . import catalog as _catalog
 from . import knots as _knots
 
@@ -160,6 +160,54 @@ def dumps(obj) -> str:
 # parsing
 
 
+_REQUIRED = object()
+
+
+def _field(doc, key: str, kind, default=_REQUIRED):
+    """``doc[key]`` checked against a type; SchemaError when absent or mistyped.
+
+    Booleans are not accepted where an int is asked for.
+    """
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise SchemaError(f"missing field {key!r}")
+        return default
+    value = doc[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is int):
+        names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
+        raise SchemaError(f"field {key!r} must be {names}, got {type(value).__name__}")
+    return value
+
+
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(type(v) is int for v in value):
+        raise SchemaError(f"{what} must be a list of integers")
+    return value
+
+
+def _idempotent(generator: dict, key: str) -> tuple[int, ...]:
+    return tuple(_int_list(_field(generator, key, list), key))
+
+
+def _objects(doc, key: str) -> list[dict]:
+    items = _field(doc, key, list)
+    if not all(isinstance(item, dict) for item in items):
+        raise SchemaError(f"every entry of {key!r} must be a JSON object")
+    return items
+
+
+def _int_pairs(value, what: str) -> list[tuple[int, int]]:
+    try:
+        pairs = [(a, b) for a, b in value] if isinstance(value, list) else None
+    except (TypeError, ValueError):  # an entry that is not a pair
+        pairs = None
+    if pairs is None or not all(type(a) is type(b) is int for a, b in pairs):
+        raise SchemaError(f"{what} must be a list of integer pairs")
+    return pairs
+
+
 def _coeff_from(doc, algebra: SurfaceAlgebra) -> AlgebraElement:
     if isinstance(doc, str):
         if algebra.circle != standard_pmc("torus"):
@@ -167,26 +215,19 @@ def _coeff_from(doc, algebra: SurfaceAlgebra) -> AlgebraElement:
         return torus_element(doc)
     if not isinstance(doc, dict):
         raise SchemaError(f"bad coefficient {doc!r}")
-    n = doc.get("n", algebra.n)
+    n = _field(doc, "n", int, algebra.n)
     elt = AlgebraElement(n, [])
-    for diag in doc["terms"]:
-        if isinstance(diag, dict):
-            strands = [tuple(s) for s in diag["strands"]]
-        else:
-            strands = [tuple(s) for s in diag]
-        elt = elt + AlgebraElement(n, [make_diagram(n, strands)])
+    for diag in _field(doc, "terms", list):
+        raw = _field(diag, "strands", list) if isinstance(diag, dict) else diag
+        elt = elt + AlgebraElement(n, [make_diagram(n, _int_pairs(raw, "a diagram"))])
     return elt
 
 
 def _deserialize_pmc(doc) -> PointedMatchedCircle:
     if isinstance(doc, str):
         return parse_circle_name(doc)
-    try:
-        return make_pmc(doc["genus"], [tuple(p) for p in doc["matching"]])
-    except PMCError as e:
-        raise ValidationError(str(e))
-    except KeyError as e:
-        raise SchemaError(f"pmc document missing field {e}")
+    matching = _int_pairs(_field(doc, "matching", list), "matching")
+    return make_pmc(_field(doc, "genus", int), matching)
 
 
 def parse_circle_name(name: str) -> PointedMatchedCircle:
@@ -202,91 +243,114 @@ def parse_circle_name(name: str) -> PointedMatchedCircle:
     raise SchemaError(f"unknown circle name {name!r}")
 
 
+def _algebra_from(doc, key: str) -> SurfaceAlgebra:
+    return algebra_of(_deserialize_pmc(_field(doc, key, (str, dict))))
+
+
 def deserialize(doc: dict):
-    schema = doc.get("schema")
+    """The typed object of a parsed document.
+
+    A missing or mistyped field raises SchemaError.  Content that the
+    object's own checks reject (a bad matching, an off-corner coefficient, a
+    differential that does not square to zero) raises ValidationError.
+    """
+    schema = _field(doc, "schema", str, None)
     if schema is None:
         raise SchemaError("document has no schema field")
+    try:
+        return _deserialize(schema, doc)
+    except (SchemaError, ValidationError):
+        raise
+    except ValueError as e:
+        raise ValidationError(str(e))
+
+
+def _deserialize(schema: str, doc: dict):
     if schema == SCHEMAS["pmc"]:
         return _deserialize_pmc(doc)
     if schema == SCHEMAS["element"]:
         return _coeff_from(doc, algebra_of(standard_pmc("torus")))  # n from doc
-    if schema == SCHEMAS["dmodule"]:
-        circle = _deserialize_pmc(doc["algebra"])
-        alg = algebra_of(circle)
-        gens = {g["name"]: tuple(g["idempotent"]) for g in doc["generators"]}
-        delta: dict = {}
-        for e in doc["delta"]:
-            key = (e["src"], e["dst"])
-            c = _coeff_from(e["coeff"], alg)
-            delta[key] = delta.get(key, AlgebraElement.zero(alg.n)) + c
-        try:
-            return TypeDModule(alg, gens, delta)
-        except ModuleError as e:
-            raise ValidationError(str(e))
-    if schema == SCHEMAS["udmodule"]:
-        circle = _deserialize_pmc(doc["algebra"])
-        alg = algebra_of(circle)
-        gens = {g["name"]: tuple(g["idempotent"]) for g in doc["generators"]}
-        delta: dict = {}
-        for e in doc["delta"]:
-            key = (e["src"], e["dst"])
-            m = int(e.get("upower", 0))
-            c = _coeff_from(e["coeff"], alg)
-            cur = delta.setdefault(key, {})
-            cur[m] = cur.get(m, AlgebraElement.zero(alg.n)) + c
-        try:
-            return UTypeDModule(alg, gens, delta)
-        except ModuleError as e:
-            raise ValidationError(str(e))
-    if schema == SCHEMAS["ddmodule"]:
-        alg1 = algebra_of(_deserialize_pmc(doc["algebra1"]))
-        alg2 = algebra_of(_deserialize_pmc(doc["algebra2"]))
+    if schema in (SCHEMAS["dmodule"], SCHEMAS["udmodule"]):
+        alg = _algebra_from(doc, "algebra")
         gens = {
-            g["name"]: (tuple(g["idempotent1"]), tuple(g["idempotent2"]))
-            for g in doc["generators"]
+            _field(g, "name", str): _idempotent(g, "idempotent")
+            for g in _objects(doc, "generators")
         }
         delta: dict = {}
-        for e in doc["delta"]:
-            key = (e["src"], e["dst"])
+        for e in _objects(doc, "delta"):
+            key = (_field(e, "src", str), _field(e, "dst", str))
+            c = _coeff_from(_field(e, "coeff", (str, dict)), alg)
+            if schema == SCHEMAS["dmodule"]:
+                delta[key] = delta.get(key, AlgebraElement.zero(alg.n)) + c
+            else:
+                m = _upower(e)
+                cur = delta.setdefault(key, {})
+                cur[m] = cur.get(m, AlgebraElement.zero(alg.n)) + c
+        if schema == SCHEMAS["dmodule"]:
+            return TypeDModule(alg, gens, delta)
+        return UTypeDModule(alg, gens, delta)
+    if schema == SCHEMAS["ddmodule"]:
+        alg1 = _algebra_from(doc, "algebra1")
+        alg2 = _algebra_from(doc, "algebra2")
+        gens = {
+            _field(g, "name", str): (_idempotent(g, "idempotent1"), _idempotent(g, "idempotent2"))
+            for g in _objects(doc, "generators")
+        }
+        delta: dict = {}
+        for e in _objects(doc, "delta"):
+            key = (_field(e, "src", str), _field(e, "dst", str))
             terms = set()
-            for d1, d2 in e["terms"]:
+            for term in _field(e, "terms", list):
+                if not isinstance(term, list) or len(term) != 2:
+                    raise SchemaError("a tensor term must be a [left, right] pair of diagrams")
                 terms ^= {
                     (
-                        make_diagram(alg1.n, [tuple(s) for s in d1]),
-                        make_diagram(alg2.n, [tuple(s) for s in d2]),
+                        make_diagram(alg1.n, _int_pairs(term[0], "a diagram")),
+                        make_diagram(alg2.n, _int_pairs(term[1], "a diagram")),
                     )
                 }
             t = TensorElement(alg1.n, alg2.n, terms)
             delta[key] = delta.get(key, TensorElement(alg1.n, alg2.n)) + t
-        try:
-            return TypeDDModule(alg1, alg2, gens, delta)
-        except ModuleError as e:
-            raise ValidationError(str(e))
+        return TypeDDModule(alg1, alg2, gens, delta)
     if schema == SCHEMAS["cfk"]:
-        gens = {g["name"]: int(g["alexander"]) for g in doc["generators"]}
+        generators = _objects(doc, "generators")
+        gens = {_field(g, "name", str): _field(g, "alexander", int) for g in generators}
         parities = None
-        if all("parity" in g for g in doc["generators"]) and doc["generators"]:
-            parities = {g["name"]: int(g["parity"]) for g in doc["generators"]}
-        entries = [(e["src"], int(e.get("upower", 0)), e["dst"]) for e in doc["differential"]]
-        try:
-            return CFKComplex(gens, entries, parities=parities)
-        except CFKError as e:
-            raise ValidationError(str(e))
+        if all("parity" in g for g in generators) and generators:
+            parities = {g["name"]: _field(g, "parity", int) for g in generators}
+        entries = [
+            (_field(e, "src", str), _upower(e), _field(e, "dst", str))
+            for e in _objects(doc, "differential")
+        ]
+        return CFKComplex(gens, entries, parities=parities)
     if schema == SCHEMAS["f2u"]:
-        gens = [g["name"] for g in doc["generators"]]
+        generators = _objects(doc, "generators")
+        gens = [_field(g, "name", str) for g in generators]
         gradings = None
-        if all("grading" in g for g in doc["generators"]) and doc["generators"]:
-            gradings = {g["name"]: int(g["grading"]) for g in doc["generators"]}
-        diff = {
-            (e["src"], e["dst"]): poly_from_exponents(e["exponents"])
-            for e in doc["differential"]
-        }
+        if all("grading" in g for g in generators) and generators:
+            gradings = {g["name"]: _field(g, "grading", int) for g in generators}
+        diff = {}
+        for e in _objects(doc, "differential"):
+            exps = _int_list(_field(e, "exponents", list), "exponents")
+            if any(x < 0 for x in exps):
+                raise ValidationError(f"negative U exponent in {exps}")
+            diff[(_field(e, "src", str), _field(e, "dst", str))] = poly_from_exponents(exps)
         return F2UComplex(gens, diff, gradings=gradings)
     if schema == SCHEMAS["f2chain"]:
-        return F2ChainComplex(
-            doc["generators"], [(e["src"], e["dst"]) for e in doc["differential"]]
-        )
+        gens = _field(doc, "generators", list)
+        if not all(isinstance(g, str) for g in gens):
+            raise SchemaError("generators must be a list of names")
+        entries = [(_field(e, "src", str), _field(e, "dst", str))
+                   for e in _objects(doc, "differential")]
+        return F2ChainComplex(gens, entries)
     raise SchemaError(f"unknown schema {schema!r}")
+
+
+def _upower(entry) -> int:
+    m = _field(entry, "upower", int, 0)
+    if m < 0:
+        raise ValidationError(f"negative U power {m}")
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,7 @@ class SurfaceAlgebra:
         self.k = circle.genus
         self._basis_cache: dict[int, list[BasisKey]] = {}
         self._expand_cache: dict[BasisKey, AlgebraElement] = {}
+        self._pair_of = {i: circle.pair_of(i) for i in range(1, self.n + 1)}
 
     def __eq__(self, other):
         return isinstance(other, SurfaceAlgebra) and self.circle == other.circle
@@ -247,19 +248,37 @@ class SurfaceAlgebra:
         return out
 
     def basis_keys(self, weight: int) -> list[BasisKey]:
-        """All basis keys whose diagrams have the given strand count."""
+        """All basis keys whose diagrams have the given strand count.
+
+        Moving strands are chosen in order of their start points, and a
+        strand is only tried when its start lies on a pair no earlier start
+        uses and its end on a pair no earlier end uses; every branch of the
+        search is an admissible set of moving strands.
+        """
         if weight in self._basis_cache:
             return self._basis_cache[weight]
         keys: list[BasisKey] = []
-        if 0 <= weight <= 2 * self.k:
-            all_strands = [(s, t) for s in range(1, self.n) for t in range(s + 1, self.n + 1)]
-            for m in range(0, weight + 1):
-                for moving in itertools.combinations(all_strands, m):
-                    if not self._moving_ok(moving):
+        pair_of, n = self._pair_of, self.n
+        feet = [self.circle.pair_feet(p) for p in self.circle.pairs]
+
+        def extend(moving, start_pairs, end_pairs, points):
+            free = [p for p, q in feet if p not in points and q not in points]
+            keys.extend((moving, pairs)
+                        for pairs in itertools.combinations(free, weight - len(moving)))
+            if len(moving) == weight:
+                return
+            first = moving[-1][0] + 1 if moving else 1
+            for s in range(first, n):
+                if pair_of[s] in start_pairs:
+                    continue
+                for t in range(s + 1, n + 1):
+                    if pair_of[t] in end_pairs:
                         continue
-                    free = self._free_pairs(moving)
-                    for pairs in itertools.combinations(free, weight - m):
-                        keys.append((moving, pairs))
+                    extend(moving + ((s, t),), start_pairs | {pair_of[s]},
+                           end_pairs | {pair_of[t]}, points | {s, t})
+
+        if 0 <= weight <= 2 * self.k:
+            extend((), frozenset(), frozenset(), frozenset())
         keys.sort()
         self._basis_cache[weight] = keys
         return keys
@@ -329,12 +348,45 @@ class SurfaceAlgebra:
 
     # -- distinguished elements
 
+    def idempotent_pairs(self, pairs) -> tuple[int, ...]:
+        """Matched pairs, each given by either foot, as sorted pair names."""
+        try:
+            out = tuple(sorted(self._pair_of[p] for p in pairs))
+        except (KeyError, TypeError):
+            raise StrandError(f"idempotent {pairs!r} names a point outside 1..{self.n}")
+        if len(set(out)) != len(out):
+            raise StrandError(f"repeated pair in {out}")
+        return out
+
     def idempotent(self, pairs) -> AlgebraElement:
         """I(s): the sum over all sections of the given set of matched pairs."""
-        pairs = tuple(sorted(self.circle.pair_of(p) for p in pairs))
-        if len(set(pairs)) != len(pairs):
-            raise StrandError(f"repeated pair in {pairs}")
-        return self.expand(((), pairs))
+        return self.expand(((), self.idempotent_pairs(pairs)))
+
+    def diagram_corner(self, diag: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(pairs under the start points, pairs under the end points), sorted.
+
+        A pair under two starts (or two ends) is listed twice and a point
+        outside 1..n reads as pair 0, so such a diagram lies in no corner.
+        """
+        pair = self._pair_of.get
+        return (tuple(sorted(pair(s, 0) for s, _ in diag)),
+                tuple(sorted(pair(t, 0) for _, t in diag)))
+
+    def sandwich(self, left, x: AlgebraElement, right) -> AlgebraElement:
+        """I(left) * x * I(right), computed as a filter on the terms of x.
+
+        I(S) is the sum of the horizontal sections of S, and a horizontal
+        diagram h composed with a diagram d is d itself (no new crossing)
+        when the points of h are the starts of d, and 0 otherwise.  At most
+        one section of S has that property, and one exists exactly when the
+        starts of d lie one on each pair of S.  So the sandwich keeps the
+        terms whose starts sit one on each pair of ``left`` and whose ends
+        sit one on each pair of ``right``, and drops the rest.
+        """
+        if x.n != self.n:
+            raise AmbientMismatch(f"ambient {x.n} != {self.n}")
+        corner = (self.idempotent_pairs(left), self.idempotent_pairs(right))
+        return AlgebraElement(self.n, [d for d in x.terms if self.diagram_corner(d) == corner])
 
     def indecomposable_idempotents(self, weight: int | None = None):
         out = []
@@ -417,19 +469,6 @@ class SurfaceAlgebra:
         if len(sups) != 1:
             raise StrandError("element terms have mixed support")
         return next(iter(sups))
-
-    def left_idempotent_pairs(self, element: AlgebraElement) -> tuple[int, ...]:
-        """Pairs occupied on the source side (terms must agree)."""
-        outs = {tuple(sorted({self.circle.pair_of(s) for s, _ in t})) for t in element.terms}
-        if len(outs) != 1:
-            raise StrandError("element terms have mixed source idempotents")
-        return next(iter(outs))
-
-    def right_idempotent_pairs(self, element: AlgebraElement) -> tuple[int, ...]:
-        outs = {tuple(sorted({self.circle.pair_of(e) for _, e in t})) for t in element.terms}
-        if len(outs) != 1:
-            raise StrandError("element terms have mixed target idempotents")
-        return next(iter(outs))
 
 
 @lru_cache(maxsize=None)

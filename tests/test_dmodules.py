@@ -6,6 +6,7 @@ from bhf.dmodules import (
     CapExceeded,
     ModuleError,
     TensorElement,
+    TypeDDModule,
     TypeDModule,
     UTypeDModule,
     induced_complex,
@@ -63,6 +64,42 @@ def test_verify_d2_violation():
 def test_idempotent_compatibility_enforced():
     with pytest.raises(ModuleError):
         TypeDModule(ALG, {"x": (1,), "y": (1,)}, {("x", "y"): torus_element("rho1")})
+
+
+# rho1 + rho3 lies in I(1) A I(2); rho12 leaves it on the right end only and
+# rho23 on the left end only, so either one breaks the coefficient
+CORNER_OK = torus_element("rho1") + torus_element("rho3")
+OFF_CORNER = ("rho12", "rho23")
+
+
+@pytest.mark.parametrize("stray", OFF_CORNER)
+def test_single_off_corner_term_rejected(stray):
+    gens = {"x": (1,), "y": (2,)}
+    TypeDModule(ALG, gens, {("x", "y"): CORNER_OK})
+    with pytest.raises(ModuleError):
+        TypeDModule(ALG, gens, {("x", "y"): CORNER_OK + torus_element(stray)})
+    UTypeDModule(ALG, gens, {("x", "y"): {0: CORNER_OK, 1: CORNER_OK}})
+    with pytest.raises(ModuleError):
+        UTypeDModule(ALG, gens, {("x", "y"): {0: CORNER_OK, 1: CORNER_OK + torus_element(stray)}})
+
+
+@pytest.mark.parametrize("side", (0, 1))
+@pytest.mark.parametrize("stray", OFF_CORNER)
+def test_single_off_corner_tensor_term_rejected(side, stray):
+    twist = dehn_twist_dd("Tm")
+    good = twist.delta[("p", "q")]  # rho1 x rho3 + rho123 x rho123, from (1|1) to (2|2)
+    pair = [torus_element("rho1"), torus_element("rho3")]
+    pair[side] = torus_element(stray)
+    delta = dict(twist.delta)
+    delta[("p", "q")] = good + TensorElement.from_elements(*pair)
+    with pytest.raises(ModuleError):
+        TypeDDModule(ALG, ALG, twist.generators, delta)
+
+
+def test_idempotent_outside_the_circle_rejected():
+    for idem in ((7,), (0,), (1, 3)):
+        with pytest.raises(ModuleError):
+            TypeDModule(ALG, {"x": idem}, {})
 
 
 def test_reduce_unit_pair_to_empty():
@@ -147,6 +184,18 @@ def test_iso_cap():
     m2 = TypeDModule(ALG, gens, {})
     with pytest.raises(CapExceeded):
         iso_check(m1, m2, cap=10)
+
+
+def test_iso_check_deeper_than_the_recursion_limit():
+    # a 1,500-generator chain g0000 -rho1-> g0001 -rho2-> g0002 ... and a renamed copy
+    gens = {f"g{i:04d}": (1,) if i % 2 == 0 else (2,) for i in range(1500)}
+    delta = {
+        (f"g{i:04d}", f"g{i + 1:04d}"): torus_element("rho1" if i % 2 == 0 else "rho2")
+        for i in range(1499)
+    }
+    m = TypeDModule(ALG, gens, delta)
+    witness = iso_check(m, m.rename(lambda name: "h" + name[1:]))
+    assert witness == {name: "h" + name[1:] for name in gens}
 
 
 def test_tensor_element_algebra():

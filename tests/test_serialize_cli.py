@@ -218,3 +218,73 @@ def test_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import bhf, sys; assert 'numpy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# ---------------------------------------------------------------------------
+# documents that break the idempotent corners, and malformed documents
+
+
+def _with_stray_term(obj, add):
+    """The dump of obj with one more term added to its first arrow by ``add``."""
+    doc = json.loads(dumps(obj))
+    add(doc["delta"][0])
+    return json.dumps(doc)
+
+
+STRAY_TERMS = {
+    # h_minus1: a -> b carries rho1 + rho3; rho12 ends on the wrong pair
+    "dmodule": (solid_torus("minus1"),
+                lambda e: e["coeff"]["terms"].append({"n": 4, "strands": [[1, 3]]})),
+    "udmodule": (cable21_pattern(),  # x -> x carries U^2 rho23; rho12 starts on pair 1
+                 lambda e: e["coeff"]["terms"].append({"n": 4, "strands": [[1, 3]]})),
+    # Tm: p -> q from (1|1) to (2|2); rho23 starts on the wrong pair on each side
+    "ddmodule_left": (dehn_twist_dd("Tm"), lambda e: e["terms"].append([[[2, 4]], [[3, 4]]])),
+    "ddmodule_right": (dehn_twist_dd("Tm"), lambda e: e["terms"].append([[[1, 2]], [[2, 4]]])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STRAY_TERMS))
+def test_off_corner_term_in_document_rejected(kind):
+    obj, add = STRAY_TERMS[kind]
+    parse_document(dumps(obj))
+    with pytest.raises(ValidationError):
+        parse_document(_with_stray_term(obj, add))
+
+
+def _torus_dmodule(generators):
+    return {"schema": "bhf/dmodule@1", "algebra": "torus", "generators": generators,
+            "delta": []}
+
+
+MALFORMED = {
+    "generators_not_a_list": (["dmod", "verify"], _torus_dmodule(5)),
+    "dmodule_point_outside": (
+        ["dmod", "verify"], _torus_dmodule([{"name": "x", "idempotent": [7]}])),
+    "ddmodule_point_outside": (["dmod", "verify"], {
+        "schema": "bhf/ddmodule@1", "algebra1": "torus", "algebra2": "torus",
+        "generators": [{"name": "x", "idempotent1": [1], "idempotent2": [9]}], "delta": [],
+    }),
+    "cfk_alexander_not_int": (["knot", "tau"], {
+        "schema": "bhf/cfk@1", "generators": [{"name": "a", "alexander": "x"}],
+        "differential": [],
+    }),
+    "f2u_negative_exponent": (["homology"], {
+        "schema": "bhf/f2u@1", "generators": [{"name": "a"}, {"name": "b"}],
+        "differential": [{"src": "a", "dst": "b", "exponents": [-1]}],
+    }),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(MALFORMED))
+def test_malformed_document_exits_1_without_traceback(probe, tmp_path):
+    argv, doc = MALFORMED[probe]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(bhf.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bhf.cli", *argv, "--in", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

@@ -1,16 +1,19 @@
 import itertools
+import random
 
 import pytest
 
-from bhf.pmc import standard_pmc, reverse, connected_sum
+from bhf.pmc import DisconnectedSurgery, connected_sum, make_pmc, reverse, standard_pmc
 from bhf.strands import (
     AlgebraElement,
+    AmbientMismatch,
     IncompatibleChordSet,
     NotAdmissible,
     algebra_of,
     drop_w_projection,
     inversions,
     make_diagram,
+    StrandError,
     to_opposite,
     torus_element,
     TORUS_NAMES,
@@ -219,3 +222,110 @@ def test_drop_w_is_multiplicative_on_samples():
                     if l is not None and r is not None:
                         prods ^= {(l, r)}
             assert prods == image_prod
+
+
+# ---------------------------------------------------------------------------
+# idempotent sandwiches and the basis enumeration
+
+
+def _matchings(points):
+    if not points:
+        yield ()
+        return
+    for other in points[1:]:
+        rest = [p for p in points if p not in (points[0], other)]
+        for tail in _matchings(rest):
+            yield ((points[0], other),) + tail
+
+
+def _genus2_circles():
+    out = []
+    for matching in _matchings(list(range(1, 9))):
+        try:
+            out.append(make_pmc(2, matching))
+        except DisconnectedSurgery:
+            continue
+    return out
+
+
+CIRCLES = [standard_pmc("torus")] + _genus2_circles()
+
+
+def test_all_genus2_circles_enumerated():
+    assert len(CIRCLES) == 1 + 21
+
+
+@pytest.mark.parametrize("circle", CIRCLES, ids=repr)
+def test_sandwich_matches_idempotent_products(circle):
+    """The term filter against the two strand products it replaces."""
+    rng = random.Random(f"sandwich/{circle!r}")
+    alg = algebra_of(circle)
+    keys = [k for w in range(0, 2 * alg.k + 1) for k in alg.basis_keys(w)]
+
+    def idempotent_near(pairs):
+        # mostly the corner of a term of x, sometimes any set of pairs; each
+        # pair named by a random foot
+        if rng.random() < 0.25:
+            pairs = rng.sample(circle.pairs, rng.randint(0, len(circle.pairs)))
+        return [rng.choice(circle.pair_feet(p)) for p in pairs]
+
+    nonzero = 0
+    for _ in range(40):
+        chosen = rng.sample(keys, rng.randint(1, 6))
+        x = AlgebraElement.zero(alg.n)
+        for key in chosen:
+            x = x + alg.expand(key)
+        anchor = rng.choice(chosen)
+        left = idempotent_near(alg.key_left_pairs(anchor))
+        right = idempotent_near(alg.key_right_pairs(anchor))
+        got = alg.sandwich(left, x, right)
+        assert got == alg.idempotent(left) * x * alg.idempotent(right)
+        nonzero += not got.is_zero()
+    assert nonzero >= 10  # the oracle is exercised on nonzero corners too
+
+
+def test_sandwich_rejects_wrong_ambient_and_repeated_pairs():
+    alg = algebra_of(standard_pmc("torus"))
+    with pytest.raises(AmbientMismatch):
+        alg.sandwich([1], AlgebraElement.zero(8), [2])
+    with pytest.raises(StrandError):
+        alg.sandwich([1, 3], torus_element("rho1"), [2])
+    with pytest.raises(StrandError):
+        alg.sandwich([5], torus_element("rho1"), [2])
+
+
+def _basis_keys_by_combinations(circle, weights):
+    """The enumerator basis_keys replaced: all strand sets, then a filter."""
+    n, partner = circle.n_points, circle.partner
+    all_strands = [(s, t) for s in range(1, n) for t in range(s + 1, n + 1)]
+    out = {w: [] for w in weights}
+    for m in range(0, max(weights) + 1):
+        for moving in itertools.combinations(all_strands, m):
+            starts = [s for s, _ in moving]
+            ends = [t for _, t in moving]
+            if len(set(starts)) != m or len(set(ends)) != m:
+                continue
+            if any(partner(s) in starts for s in starts) or any(partner(t) in ends for t in ends):
+                continue
+            used = set(starts) | set(ends)
+            free = [p for p in circle.pairs if p not in used and partner(p) not in used]
+            for w in weights:
+                if w >= m:
+                    out[w].extend((moving, pairs) for pairs in itertools.combinations(free, w - m))
+    return {w: sorted(keys) for w, keys in out.items()}
+
+
+@pytest.mark.parametrize("circle", CIRCLES, ids=repr)
+def test_basis_keys_match_combinations_enumerator(circle):
+    alg = algebra_of(circle)
+    weights = list(range(0, 2 * alg.k + 1))
+    want = _basis_keys_by_combinations(circle, weights)
+    for w in weights:
+        assert alg.basis_keys(w) == want[w]
+
+
+def test_split3_summand_dimensions():
+    # computed once with the combinations enumerator (59,648 keys in all)
+    alg = algebra_of(standard_pmc("split", 3))
+    dims = [alg.dim_summand(i) for i in range(-3, 4)]
+    assert dims == [1, 72, 1589, 12448, 30451, 14744, 343]
