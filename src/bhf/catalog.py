@@ -15,7 +15,7 @@ from functools import cache, lru_cache
 
 from .pmc import PointedMatchedCircle, make_pmc, standard_pmc, reverse, PMCError
 from .strands import AlgebraElement, algebra_of, diagram_support, torus_element
-from .dmodules import TypeDModule, TypeDDModule, TensorElement, ModuleError
+from .dmodules import GateFailure, TypeDModule, TypeDDModule, TensorElement
 from .pairing import mor_d_d, mor_dd_d, homology_f2
 from .gf2 import gf2_apply, gf2_rank
 
@@ -251,7 +251,7 @@ def dd_identity(circle: PointedMatchedCircle) -> TypeDDModule:
     out = TypeDDModule(alg1, alg2, gens, delta, provenance=f"dd_identity({circle!r})")
     bad = out.verify_d2()
     if bad:
-        raise ModuleError(f"identity bimodule fails d^2=0: {bad[:3]}")
+        raise GateFailure(f"identity bimodule fails d^2=0: {bad[:3]}")
     return out
 
 
@@ -324,7 +324,7 @@ def dehn_twist_dd(which: str) -> TypeDDModule:
     out = TypeDDModule(alg, alg, gens, delta, provenance=f"dehn_twist_dd({which})")
     bad = out.verify_d2()
     if bad:
-        raise ModuleError(f"twist bimodule {which} fails d^2=0: {bad[:3]}")
+        raise GateFailure(f"twist bimodule {which} fails d^2=0: {bad[:3]}")
     return out
 
 
@@ -579,9 +579,7 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
     )
     bad = out.verify_d2()
     if bad:
-        raise ConstraintSearchFailed(
-            f"underslide bimodule fails d^2=0 on {len(bad)} pairs: {bad[:2]}"
-        )
+        raise GateFailure(f"underslide bimodule fails d^2=0 on {len(bad)} pairs: {bad[:2]}")
     return out
 
 

@@ -276,6 +276,43 @@ def check_genus1_pipeline():
     return not problems, "; ".join(problems) or "S^3, S^2xS^1 and L(p,1) ranks for p in 2..7"
 
 
+def twist_word_matrix(word):
+    """The word's action on the homology lattice of the torus, as (a, b, c, d).
+
+    Gluing two zero-framed solid tori through the word gives a lens space
+    (or S^1 x S^2) whose homology rank is |c| for the lower-left entry c,
+    or 2 when c = 0.
+    """
+    mats = {
+        "Tm": ((1, 0), (1, 1)), "Tm'": ((1, 0), (-1, 1)),
+        "Tl": ((1, -1), (0, 1)), "Tl'": ((1, 1), (0, 1)),
+    }
+    a, b, c, d = 1, 0, 0, 1
+    for tok in word:
+        (p, q), (r, s) = mats[tok]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+    return a, b, c, d
+
+
+def lattice_rank(word) -> int:
+    """The SL2(Z) lattice oracle for ``catalog.hf_genus1(word)``."""
+    c = twist_word_matrix(word)[2]
+    return abs(c) if c else 2
+
+
+def check_genus1_lattice(samples: int = 60, max_length: int = 12, seed: int = 11):
+    rng = random.Random(seed)
+    words = [["Tm"] * 32, ["Tm", "Tl'"] * 5]
+    words += [[rng.choice(catalog.TWIST_NAMES) for _ in range(rng.randint(0, max_length))]
+              for _ in range(samples)]
+    for word in words:
+        rank = catalog.hf_genus1(word)
+        if rank != lattice_rank(word):
+            return False, f"{' '.join(word)}: rank {rank}, lattice oracle {lattice_rank(word)}"
+    return True, (f"Tm^32, (Tm Tl')^5 and {samples} random words of length <= {max_length} "
+                  "match the lattice oracle")
+
+
 def check_knot_invariants():
     problems = []
     if tau(trefoil_cfk()) != -1:
@@ -524,6 +561,7 @@ ALL_CHECKS = [
     ("dd_identity", check_dd_identity, {}),
     ("dehn_twists", check_dehn_twists, {}),
     ("genus1_pipeline", check_genus1_pipeline, {}),
+    ("genus1_lattice", check_genus1_lattice, {}),
     ("knot_invariants", check_knot_invariants, {}),
     ("cfk_to_cfd", check_cfk_to_cfd, {}),
     ("satellite", check_satellite, {}),
@@ -536,6 +574,7 @@ FAST_OVERRIDES = {
     "strand_properties": {"samples": 1500},
     "snf_oracle": {"samples": 150},
     "underslides": {"genus2": False},
+    "genus1_lattice": {"samples": 10},
 }
 
 

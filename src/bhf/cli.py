@@ -20,6 +20,7 @@ from .pmc import PMCError
 from .strands import StrandError, algebra_of, torus_element, torus_element_name
 from .dmodules import (
     CapExceeded,
+    GateFailure,
     ModuleError,
     TypeDDModule,
     TypeDModule,
@@ -56,7 +57,7 @@ USER_ERRORS = (
     CFKError, CatalogError, AlgebraMismatch, NotAComplex, InhomogeneousInput,
     CapExceeded, FileNotFoundError, KeyError,
 )
-GATE_ERRORS = (ConstraintSearchFailed,)
+GATE_ERRORS = (ConstraintSearchFailed, GateFailure)
 
 
 def _emit(args, doc, text_fn=None):

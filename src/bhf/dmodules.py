@@ -11,18 +11,27 @@ DD bimodules carry two commuting algebra coefficients; their arithmetic is
 done on F2 sets of diagram pairs.  U-weighted type D modules attach a
 nonnegative U power to every arrow.
 
+``reduce`` cancels unit arrows (coefficient equal to the idempotent of
+both ends) in the order of the least (src, dst), so its output is a
+function of the module alone.  ``verify_d2`` multiplies raw diagrams and
+never consults the key-level product tables of ``SurfaceAlgebra``, so it
+checks pairings built from those tables independently.
+
 ``validate`` checks I(src) * coeff * I(dst) = coeff as a filter on terms,
 with no products.  It is exact: a horizontal section of I(S) composed with
 a diagram d returns d when its points are the starts of d and kills d
 otherwise, so the sandwich keeps exactly the terms whose starts lie one on
 each pair of S and whose ends lie one on each pair of the target idempotent
-(``SurfaceAlgebra.sandwich``).  A DD coefficient is checked on both
+(``SurfaceAlgebra.sandwich``, ``_off_corner``).  A DD coefficient is checked on both
 diagrams of every tensor term.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import defaultdict
+from functools import lru_cache
 
 from .strands import AlgebraElement, StrandError, SurfaceAlgebra
 
@@ -31,11 +40,25 @@ class ModuleError(ValueError):
     pass
 
 
+class GateFailure(ModuleError):
+    """An internally built object fails its structure equation (d^2 = 0)."""
+
+
 class CapExceeded(RuntimeError):
     pass
 
 
 Idempotent = tuple[int, ...]  # matched pairs by smaller foot, sorted
+
+
+def _off_corner(algebra: SurfaceAlgebra, coeff: AlgebraElement, corner) -> bool:
+    """Whether I(src) * coeff * I(dst) != coeff, for corner = (src, dst) idempotents.
+
+    The sandwich keeps exactly the terms whose ``diagram_corner`` is the
+    corner (``SurfaceAlgebra.sandwich``), so it is coeff itself when no
+    term lies elsewhere.
+    """
+    return coeff.n != algebra.n or any(algebra.diagram_corner(d) != corner for d in coeff.terms)
 
 
 def _norm_idem(algebra: SurfaceAlgebra, pairs) -> Idempotent:
@@ -159,15 +182,11 @@ class TypeDModule:
         if check:
             self.validate()
 
-    def idempotent_element(self, name: str) -> AlgebraElement:
-        return self.algebra.idempotent(self.generators[name])
-
     def validate(self):
         for (s, t), coeff in self.delta.items():
             if s not in self.generators or t not in self.generators:
                 raise ModuleError(f"arrow ({s},{t}) uses unknown generator")
-            sandwich = self.algebra.sandwich(self.generators[s], coeff, self.generators[t])
-            if sandwich != coeff:
+            if _off_corner(self.algebra, coeff, (self.generators[s], self.generators[t])):
                 raise ModuleError(f"coefficient of {s}->{t} not idempotent-compatible")
 
     def arrows(self):
@@ -175,15 +194,14 @@ class TypeDModule:
 
     def verify_d2(self) -> list[tuple[str, str, AlgebraElement]]:
         """Nonzero residual terms of the structure equation, per (src, tgt)."""
-        residual: dict[tuple[str, str], AlgebraElement] = {}
-        zero = AlgebraElement.zero(self.algebra.n)
+        residual: dict[tuple[str, str], set] = defaultdict(set)
+        outgoing, _ = _adjacency(self.generators, self.delta)
         for (x, y), c in self.delta.items():
-            residual[(x, y)] = residual.get((x, y), zero) + c.d()
-            for (y2, z), c2 in self.delta.items():
-                if y2 != y:
-                    continue
-                residual[(x, z)] = residual.get((x, z), zero) + c * c2
-        return sorted((x, z, r) for (x, z), r in residual.items() if not r.is_zero())
+            residual[(x, y)].symmetric_difference_update(c.d().terms)
+            for z, c2 in outgoing[y].items():
+                residual[(x, z)].symmetric_difference_update((c * c2).terms)
+        n = self.algebra.n
+        return sorted((x, z, AlgebraElement(n, r)) for (x, z), r in residual.items() if r)
 
     def is_reduced(self) -> bool:
         return not any(
@@ -191,7 +209,8 @@ class TypeDModule:
         )
 
     def _unit_arrow(self, s, t, coeff) -> bool:
-        return self.generators[s] == self.generators[t] and coeff == self.idempotent_element(s)
+        idem = self.generators[s]
+        return idem == self.generators[t] and coeff == self.algebra.expand(((), idem))
 
     def reduce(self) -> "TypeDModule":
         gens, delta = _cancel_all(
@@ -225,9 +244,6 @@ class UTypeDModule:
         if check:
             self.validate()
 
-    def idempotent_element(self, name):
-        return self.algebra.idempotent(self.generators[name])
-
     def validate(self):
         for (s, t), coeff in self.delta.items():
             if s not in self.generators or t not in self.generators:
@@ -235,32 +251,28 @@ class UTypeDModule:
             for m, e in coeff.items():
                 if m < 0:
                     raise ModuleError(f"negative U power on {s}->{t}")
-                if self.algebra.sandwich(self.generators[s], e, self.generators[t]) != e:
+                if _off_corner(self.algebra, e, (self.generators[s], self.generators[t])):
                     raise ModuleError(f"coefficient of {s}->{t} (U^{m}) not compatible")
 
     def verify_d2(self):
-        residual: dict[tuple[str, str, int], AlgebraElement] = {}
-        zero = AlgebraElement.zero(self.algebra.n)
-
-        def bump(key, val):
-            residual[key] = residual.get(key, zero) + val
-
+        residual: dict[tuple[str, str, int], set] = defaultdict(set)
+        outgoing, _ = _adjacency(self.generators, self.delta)
         for (x, y), c in self.delta.items():
             for m, e in c.items():
-                bump((x, y, m), e.d())
-            for (y2, z), c2 in self.delta.items():
-                if y2 != y:
-                    continue
+                residual[(x, y, m)].symmetric_difference_update(e.d().terms)
+            for z, c2 in outgoing[y].items():
                 for m1, e1 in c.items():
                     for m2, e2 in c2.items():
-                        bump((x, z, m1 + m2), e1 * e2)
-        return sorted((x, z, m, r) for (x, z, m), r in residual.items() if not r.is_zero())
+                        residual[(x, z, m1 + m2)].symmetric_difference_update((e1 * e2).terms)
+        n = self.algebra.n
+        return sorted((x, z, m, AlgebraElement(n, r)) for (x, z, m), r in residual.items() if r)
 
     def _unit_arrow(self, s, t, coeff) -> bool:
+        idem = self.generators[s]
         return (
-            self.generators[s] == self.generators[t]
-            and set(coeff) == {0}
-            and coeff[0] == self.idempotent_element(s)
+            idem == self.generators[t]
+            and coeff.keys() == {0}
+            and coeff[0] == self.algebra.expand(((), idem))
         )
 
     def reduce(self) -> "UTypeDModule":
@@ -305,9 +317,7 @@ class TypeDDModule:
             self.validate()
 
     def unit_tensor(self, name) -> TensorElement:
-        i1, i2 = self.generators[name]
-        e1, e2 = self.algebra1.idempotent(i1), self.algebra2.idempotent(i2)
-        return TensorElement.from_elements(e1, e2)
+        return _unit_tensor(self.algebra1, self.algebra2, *self.generators[name])
 
     def validate(self):
         alg1, alg2 = self.algebra1, self.algebra2
@@ -322,15 +332,14 @@ class TypeDDModule:
                 raise ModuleError(f"coefficient of {s}->{t} not idempotent-compatible")
 
     def verify_d2(self):
-        residual: dict[tuple[str, str], TensorElement] = {}
-        zero = TensorElement(self.algebra1.n, self.algebra2.n)
+        residual: dict[tuple[str, str], set] = defaultdict(set)
+        outgoing, _ = _adjacency(self.generators, self.delta)
         for (x, y), c in self.delta.items():
-            residual[(x, y)] = residual.get((x, y), zero) + c.d()
-            for (y2, z), c2 in self.delta.items():
-                if y2 != y:
-                    continue
-                residual[(x, z)] = residual.get((x, z), zero) + c * c2
-        return sorted((x, z, r) for (x, z), r in residual.items() if not r.is_zero())
+            residual[(x, y)].symmetric_difference_update(c.d().terms)
+            for z, c2 in outgoing[y].items():
+                residual[(x, z)].symmetric_difference_update((c * c2).terms)
+        n1, n2 = self.algebra1.n, self.algebra2.n
+        return sorted((x, z, TensorElement(n1, n2, r)) for (x, z), r in residual.items() if r)
 
     def _unit_arrow(self, s, t, coeff) -> bool:
         return self.generators[s] == self.generators[t] and coeff == self.unit_tensor(s)
@@ -353,6 +362,20 @@ class TypeDDModule:
 
     def __repr__(self):
         return f"TypeDDModule({len(self.generators)} generators, {len(self.delta)} arrows)"
+
+
+@lru_cache(maxsize=None)
+def _unit_tensor(alg1: SurfaceAlgebra, alg2: SurfaceAlgebra, i1, i2) -> TensorElement:
+    return TensorElement.from_elements(alg1.expand(((), i1)), alg2.expand(((), i2)))
+
+
+def _adjacency(gens, delta):
+    """(src -> {dst: coeff}, dst -> {src: coeff}), with an entry per generator."""
+    out = {g: {} for g in gens}
+    into = {g: {} for g in gens}
+    for (s, t), c in delta.items():
+        out[s][t] = into[t][s] = c
+    return out, into
 
 
 # ---------------------------------------------------------------------------
@@ -381,49 +404,62 @@ def _add_ucoeff(c1, c2):
 def _cancel_all(gens, delta, unit, mul, add=_add_default, is_zero=_is_zero_default):
     """Cancel unit arrows until none remain; deterministic order.
 
-    Each round removes the lexicographically least (src, dst) with a unit
-    coefficient and rewires w -> dst, src -> t into w -> t with the product
-    coefficient, mod 2.
+    Each round removes the lexicographically least (src, dst), src != dst,
+    with a unit coefficient and rewires w -> dst, src -> t into w -> t with
+    the product coefficient, mod 2.  Arrows live in out- and in-adjacency
+    maps, so a round touches only the arrows at src and dst.
+
+    Heap invariant: every arrow whose current coefficient is a unit is on
+    the heap, because an arrow is pushed whenever it is created or changed
+    into a unit.  The heap may also hold stale pairs (cancelled ends, or a
+    coefficient no longer a unit); each pop is checked again and stale ones
+    are dropped.  So the first live pop is the least unit arrow, the one a
+    full re-sort of the arrows would pick.
     """
-    while True:
-        cancelable = sorted(k for k, c in delta.items() if k[0] != k[1] and unit(*k, c))
-        if not cancelable:
-            return gens, delta
-        s0, t0 = cancelable[0]
-        into = [(w, c) for (w, t), c in delta.items() if t == t0 and w not in (s0, t0)]
-        outof = [(t, c) for (s, t), c in delta.items() if s == s0 and t not in (s0, t0)]
-        newdelta = {
-            (s, t): c
-            for (s, t), c in delta.items()
-            if s not in (s0, t0) and t not in (s0, t0)
-        }
-        for w, cw in into:
-            for t, ct in outof:
+    out, into = _adjacency(gens, delta)
+    heap = [k for k, c in delta.items() if k[0] != k[1] and unit(*k, c)]
+    heapq.heapify(heap)
+    while heap:
+        s0, t0 = heapq.heappop(heap)
+        c0 = out.get(s0, {}).get(t0)
+        if c0 is None or not unit(s0, t0, c0):
+            continue
+        zig = [(w, c) for w, c in into[t0].items() if w not in (s0, t0)]
+        zag = [(t, c) for t, c in out[s0].items() if t not in (s0, t0)]
+        for g in (s0, t0):
+            del gens[g]
+            for t in out.pop(g):
+                if t in into:
+                    del into[t][g]
+            for w in into.pop(g):
+                if w in out:
+                    del out[w][g]
+        for w, cw in zig:
+            row = out[w]
+            for t, ct in zag:
                 prod = mul(cw, ct)
                 if is_zero(prod):
                     continue
-                key = (w, t)
-                if key in newdelta:
-                    tot = add(newdelta[key], prod)
-                    if is_zero(tot):
-                        del newdelta[key]
-                    else:
-                        newdelta[key] = tot
+                cur = row.get(t)
+                tot = prod if cur is None else add(cur, prod)
+                if is_zero(tot):
+                    del row[t]
+                    del into[t][w]
                 else:
-                    newdelta[key] = prod
-        del gens[s0]
-        del gens[t0]
-        delta = newdelta
+                    row[t] = into[t][w] = tot
+                    if w != t and unit(w, t, tot):
+                        heapq.heappush(heap, (w, t))
+    return gens, {(s, t): c for s, row in out.items() for t, c in row.items()}
 
 
-def _signature(module, name):
-    outs = sorted((repr(c), _idem_key(module, t)) for (s, t), c in module.delta.items() if s == name)
-    ins = sorted((repr(c), _idem_key(module, s)) for (s, t), c in module.delta.items() if t == name)
-    return (_idem_key(module, name), tuple(outs), tuple(ins))
+def _signatures(module, out, into):
+    """Per generator: its idempotent and the sorted (coeff, idempotent) of its arrows."""
+    gens = module.generators
 
+    def ends(arrows):
+        return tuple(sorted((repr(c), gens[u]) for u, c in arrows.items()))
 
-def _idem_key(module, name):
-    return module.generators[name]
+    return {n: (gens[n], ends(out[n]), ends(into[n])) for n in gens}
 
 
 def iso_check(m1, m2, cap: int = 10**6):
@@ -437,53 +473,59 @@ def iso_check(m1, m2, cap: int = 10**6):
         return None
     if len(m1.generators) != len(m2.generators):
         return None
-    sig1 = {n: _signature(m1, n) for n in m1.generators}
-    sig2 = {n: _signature(m2, n) for n in m2.generators}
+    out1, in1 = _adjacency(m1.generators, m1.delta)
+    out2, in2 = _adjacency(m2.generators, m2.delta)
+    sig1 = _signatures(m1, out1, in1)
+    sig2 = _signatures(m2, out2, in2)
     if sorted(sig1.values()) != sorted(sig2.values()):
         return None
     order = sorted(m1.generators, key=lambda n: (sig1[n], n))
-    candidates = {
-        n: sorted(y for y in m2.generators if sig2[y] == sig1[n]) for n in order
-    }
+    candidates: dict[tuple, list[str]] = {}  # signature -> generators of m2, sorted
+    for y in sorted(m2.generators):
+        candidates.setdefault(sig2[y], []).append(y)
     nodes = 0
     assign: dict[str, str] = {}
-    used: set[str] = set()
+    inverse: dict[str, str] = {}
 
     def consistent(x, y):
-        if m1.delta.get((x, x)) != m2.delta.get((y, y)):
-            return False
-        for t, yt in assign.items():
-            if m1.delta.get((x, t)) != m2.delta.get((y, yt)):
-                return False
-            if m1.delta.get((t, x)) != m2.delta.get((yt, y)):
-                return False
+        """Every arrow between x and itself or an assigned generator has its
+        image at y, and every such arrow at y has its preimage at x."""
+        for arrows1, arrows2 in ((out1[x], out2[y]), (in1[x], in2[y])):
+            for t, c in arrows1.items():
+                u = y if t == x else assign.get(t)
+                if u is not None and arrows2.get(u) != c:
+                    return False
+            for u, c in arrows2.items():
+                t = x if u == y else inverse.get(u)
+                if t is not None and arrows1.get(t) != c:
+                    return False
         return True
 
     # Depth-first over ``order`` with an explicit stack: stack[i] iterates
     # the candidates of order[i], and order[:len(stack) - 1] are assigned.
     if not order:
         return {}
-    stack = [iter(candidates[order[0]])]
+    stack = [iter(candidates[sig1[order[0]]])]
     while stack:
         x = order[len(stack) - 1]
         for y in stack[-1]:
-            if y in used:
+            if y in inverse:
                 continue
             nodes += 1
             if nodes > cap:
                 raise CapExceeded(f"isomorphism search exceeded {cap} nodes")
             if consistent(x, y):
                 assign[x] = y
-                used.add(y)
+                inverse[y] = x
                 break
         else:  # no candidate left: backtrack into the previous generator
             stack.pop()
             if stack:
-                used.remove(assign.pop(order[len(stack) - 1]))
+                del inverse[assign.pop(order[len(stack) - 1])]
             continue
         if len(stack) == len(order):
             return dict(assign)
-        stack.append(iter(candidates[order[len(stack)]]))
+        stack.append(iter(candidates[sig1[order[len(stack)]]]))
     return None
 
 

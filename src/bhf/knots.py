@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .f2u import F2UComplex, poly_exponents
 from .pmc import standard_pmc
 from .strands import AlgebraElement, algebra_of, torus_element
-from .dmodules import TypeDModule, UTypeDModule
+from .dmodules import GateFailure, TypeDModule, UTypeDModule
 from .pairing import mor_d_ud
 
 
@@ -423,7 +423,7 @@ def cfk_to_cfd(complex_: CFKComplex, framing: int, simplify: bool = True) -> Typ
     out = TypeDModule(alg, gens, delta, provenance=f"cfk_to_cfd(framing={framing})")
     bad = out.verify_d2()
     if bad:
-        raise CFKError(f"translated module fails d^2=0: {bad[:3]}")
+        raise GateFailure(f"translated module fails d^2=0: {bad[:3]}")
     return out
 
 
@@ -466,8 +466,9 @@ def cable21_pattern() -> UTypeDModule:
         ("y2", "x"): {1: torus_element("rho123")},
     }
     out = UTypeDModule(alg, gens, delta)
-    if out.verify_d2():
-        raise CFKError("pattern module fails d^2=0")
+    bad = out.verify_d2()
+    if bad:
+        raise GateFailure(f"pattern module fails d^2=0: {bad[:3]}")
     return out
 
 

@@ -16,7 +16,11 @@ the unused algebra.  Two variants exist and are both provided:
 * ``mor_d_dd(M, B)``: morphisms into the bimodule.  The retained action is
   already a left action and no conversion occurs.
 
-All outputs are verified to square to zero before being returned.
+Every builder walks the basis triples once and reads each term of the
+differential off ``SurfaceAlgebra.key_d`` and ``key_mul`` through the
+arrows at the triple's two ends; arrow coefficients are split into basis
+keys once per call.  The type D outputs are verified to square to zero on
+raw-diagram products before being returned.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .gf2 import F2ChainComplex
 from .f2u import F2UComplex
 from .pmc import reverse
 from .strands import AlgebraElement, BasisKey, SurfaceAlgebra, algebra_of, to_opposite
-from .dmodules import TypeDModule, TypeDDModule, UTypeDModule, ModuleError
+from .dmodules import GateFailure, TypeDModule, TypeDDModule, UTypeDModule
 
 
 class AlgebraMismatch(ValueError):
@@ -53,6 +57,64 @@ def _mor_basis(M, N):
     return out
 
 
+def _keyed_arrows(module, split, by_target: bool) -> dict[str, list]:
+    """A module's arrows grouped by one end, coefficients split into keys once.
+
+    ``split(coeff)`` yields the (key, tag) pairs of a coefficient.  Grouped
+    by target the result maps dst -> [(src, key, tag)], by source it maps
+    src -> [(dst, key, tag)].
+    """
+    out: dict[str, list] = {}
+    for (s, t), coeff in module.delta.items():
+        end, other = (t, s) if by_target else (s, t)
+        row = out.setdefault(end, [])
+        row.extend((other, key, tag) for key, tag in split(coeff))
+    return out
+
+
+def _untagged(alg: SurfaceAlgebra):
+    return lambda coeff: ((key, None) for key in alg.decompose(coeff))
+
+
+def _bimodule_split(B: TypeDDModule, side: int, coeff_of):
+    """Split DD coefficients into (shared key, coeff_of(other key)) pairs.
+
+    ``coeff_of`` runs once per distinct key of the other side.
+    """
+    coeffs: dict[BasisKey, AlgebraElement] = {}
+
+    def split(tc):
+        for k1, k2 in tc.decompose(B.algebra1, B.algebra2):
+            k_shared, k_other = (k1, k2) if side == 1 else (k2, k1)
+            if k_other not in coeffs:
+                coeffs[k_other] = coeff_of(k_other)
+            yield k_shared, coeffs[k_other]
+
+    return split
+
+
+def _mor_terms(alg: SurfaceAlgebra, basis, incoming, outgoing):
+    """Terms (source triple, target triple, tag) of the Mor differential.
+
+    For each basis triple (x, a, y): the keys of d(a), the keys of a * c
+    for each arrow y -> y2 of the target module in ``outgoing``, and of
+    c * a for each arrow x1 -> x of the source module in ``incoming``.  The
+    tag is None for d(a) and the arrow's tag otherwise.  A term may repeat;
+    callers add the terms mod 2 (``SurfaceAlgebra.key_mul`` says why that
+    is exact).
+    """
+    for src in basis:
+        x, a, y = src
+        for k in alg.key_d(a):
+            yield src, (x, k, y), None
+        for y2, c, tag in outgoing.get(y, ()):
+            for k in alg.key_mul(a, c):
+                yield src, (x, k, y2), tag
+        for x1, c, tag in incoming.get(x, ()):
+            for k in alg.key_mul(c, a):
+                yield src, (x1, k, y), tag
+
+
 def mor_d_d(M: TypeDModule, N: TypeDModule) -> F2ChainComplex:
     """Morphism complex of two type D modules over the same algebra."""
     if M.algebra != N.algebra:
@@ -60,30 +122,11 @@ def mor_d_d(M: TypeDModule, N: TypeDModule) -> F2ChainComplex:
     alg = M.algebra
     basis = _mor_basis(M, N)
     names = {b: mor_generator_name(*b) for b in basis}
+    incoming = _keyed_arrows(M, _untagged(alg), by_target=True)
+    outgoing = _keyed_arrows(N, _untagged(alg), by_target=False)
     entries: set = set()
-    for (x, key, y) in basis:
-        a = alg.expand(key)
-        src = names[(x, key, y)]
-        da = a.d()
-        if not da.is_zero():
-            for k2 in alg.decompose(da):
-                entries ^= {(src, names[(x, k2, y)])}
-        for (y1, y2), c in N.delta.items():
-            if y1 != y:
-                continue
-            prod = a * c
-            if prod.is_zero():
-                continue
-            for k2 in alg.decompose(prod):
-                entries ^= {(src, names[(x, k2, y2)])}
-        for (x1, x2), c in M.delta.items():
-            if x2 != x:
-                continue
-            prod = c * a
-            if prod.is_zero():
-                continue
-            for k2 in alg.decompose(prod):
-                entries ^= {(src, names[(x1, k2, y)])}
+    for src, dst, _ in _mor_terms(alg, basis, incoming, outgoing):
+        entries ^= {(names[src], names[dst])}
     return F2ChainComplex([names[b] for b in basis], entries)
 
 
@@ -118,6 +161,30 @@ def _pair_bijection_to_reverse(circle):
     return rev, image
 
 
+def _paired_module(shared, basis, names, gens, out_alg, incoming, outgoing, provenance):
+    """The type D module of a bimodule pairing, gated on d^2 = 0.
+
+    A term tagged None carries the idempotent of its source generator;
+    any other tag is the term's coefficient.
+    """
+    units: dict[tuple, AlgebraElement] = {}
+    terms: dict[tuple[str, str], set] = {}
+    for src, dst, coeff in _mor_terms(shared, basis, incoming, outgoing):
+        name = names[src]
+        if coeff is None:
+            idem = gens[name]
+            coeff = units.get(idem)
+            if coeff is None:
+                coeff = units[idem] = out_alg.idempotent(idem)
+        terms.setdefault((name, names[dst]), set()).symmetric_difference_update(coeff.terms)
+    delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items() if t}
+    out = TypeDModule(out_alg, gens, delta, provenance=provenance)
+    bad = out.verify_d2()
+    if bad:
+        raise GateFailure(f"pairing output fails d^2=0: {bad[:3]}")
+    return out
+
+
 def mor_dd_d(B: TypeDDModule, M: TypeDModule, side: int = 1) -> TypeDModule:
     """Pair a DD bimodule against a type D module along one action.
 
@@ -150,55 +217,18 @@ def mor_dd_d(B: TypeDDModule, M: TypeDModule, side: int = 1) -> TypeDModule:
         _, ib_other = b_idems(b)
         gens[names[(b, key, m)]] = tuple(sorted(pair_image(p) for p in ib_other))
 
-    delta: dict[tuple[str, str], AlgebraElement] = {}
+    def opposite(k_other):
+        return to_opposite(other.expand(k_other), other.circle)
 
-    def add(src, dst, coeff: AlgebraElement):
-        if coeff.is_zero():
-            return
-        cur = delta.get((src, dst))
-        tot = coeff if cur is None else cur + coeff
-        if tot.is_zero():
-            delta.pop((src, dst), None)
-        else:
-            delta[(src, dst)] = tot
-
-    for (b, key, m) in basis:
-        a = shared.expand(key)
-        src = names[(b, key, m)]
-        unit = out_alg.idempotent(gens[src])
-        da = a.d()
-        if not da.is_zero():
-            for k2 in shared.decompose(da):
-                add(src, names[(b, k2, m)], unit)
-        for (m1, m2), c in M.delta.items():
-            if m1 != m:
-                continue
-            prod = a * c
-            for k2 in shared.decompose(prod):
-                add(src, names[(b, k2, m2)], unit)
-        for (b1, b2), tc in B.delta.items():
-            if b2 != b:
-                continue
-            for (k_1, k_2) in tc.decompose(B.algebra1, B.algebra2):
-                k_shared, k_other = (k_1, k_2) if side == 1 else (k_2, k_1)
-                prod = shared.expand(k_shared) * a
-                if prod.is_zero():
-                    continue
-                coeff = to_opposite(other.expand(k_other), other.circle)
-                for k2 in shared.decompose(prod):
-                    add(src, names[(b1, k2, m)], coeff)
-
-    out = TypeDModule(
-        out_alg, gens, delta,
+    return _paired_module(
+        shared, basis, names, gens, out_alg,
+        incoming=_keyed_arrows(B, _bimodule_split(B, side, opposite), by_target=True),
+        outgoing=_keyed_arrows(M, _untagged(shared), by_target=False),
         provenance=(
             f"mor_dd_d(side={side}; second action rewritten over reversed circle "
             f"{rev_circle!r} via the opposite-algebra map)"
         ),
     )
-    bad = out.verify_d2()
-    if bad:
-        raise ModuleError(f"pairing output fails d^2=0: {bad[:3]}")
-    return out
 
 
 def mor_d_dd(M: TypeDModule, B: TypeDDModule, side: int = 1) -> TypeDModule:
@@ -227,52 +257,12 @@ def mor_d_dd(M: TypeDModule, B: TypeDDModule, side: int = 1) -> TypeDModule:
     names = {t: mor_generator_name(*t) for t in basis}
     gens = {names[(x, key, b)]: b_idems(b)[1] for (x, key, b) in basis}
 
-    delta: dict[tuple[str, str], AlgebraElement] = {}
-
-    def add(src, dst, coeff: AlgebraElement):
-        if coeff.is_zero():
-            return
-        cur = delta.get((src, dst))
-        tot = coeff if cur is None else cur + coeff
-        if tot.is_zero():
-            delta.pop((src, dst), None)
-        else:
-            delta[(src, dst)] = tot
-
-    for (x, key, b) in basis:
-        a = shared.expand(key)
-        src = names[(x, key, b)]
-        unit = other.idempotent(gens[src])
-        da = a.d()
-        if not da.is_zero():
-            for k2 in shared.decompose(da):
-                add(src, names[(x, k2, b)], unit)
-        for (x1, x2), c in M.delta.items():
-            if x2 != x:
-                continue
-            prod = c * a
-            for k2 in shared.decompose(prod):
-                add(src, names[(x1, k2, b)], unit)
-        for (b1, b2), tc in B.delta.items():
-            if b1 != b:
-                continue
-            for (k_1, k_2) in tc.decompose(B.algebra1, B.algebra2):
-                k_shared, k_other = (k_1, k_2) if side == 1 else (k_2, k_1)
-                prod = a * shared.expand(k_shared)
-                if prod.is_zero():
-                    continue
-                coeff = other.expand(k_other)
-                for k2 in shared.decompose(prod):
-                    add(src, names[(x, k2, b2)], coeff)
-
-    out = TypeDModule(
-        other, gens, delta,
+    return _paired_module(
+        shared, basis, names, gens, other,
+        incoming=_keyed_arrows(M, _untagged(shared), by_target=True),
+        outgoing=_keyed_arrows(B, _bimodule_split(B, side, other.expand), by_target=False),
         provenance=f"mor_d_dd(side={side}; no opposite-algebra conversion)",
     )
-    bad = out.verify_d2()
-    if bad:
-        raise ModuleError(f"pairing output fails d^2=0: {bad[:3]}")
-    return out
 
 
 def mor_d_ud(M: TypeDModule, P: UTypeDModule) -> F2UComplex:
@@ -282,40 +272,20 @@ def mor_d_ud(M: TypeDModule, P: UTypeDModule) -> F2UComplex:
     alg = M.algebra
     basis = _mor_basis(M, P)
     names = {b: mor_generator_name(*b) for b in basis}
-    diff: dict[tuple[str, str], int] = {}
 
-    def add(src, dst, upower):
-        key = (src, dst)
-        cur = diff.get(key, 0) ^ (1 << upower)
+    def u_split(coeff):
+        return ((key, m) for m, e in coeff.items() for key in alg.decompose(e))
+
+    incoming = _keyed_arrows(M, _untagged(alg), by_target=True)
+    outgoing = _keyed_arrows(P, u_split, by_target=False)
+    diff: dict[tuple[str, str], int] = {}
+    for src, dst, upower in _mor_terms(alg, basis, incoming, outgoing):
+        key = (names[src], names[dst])
+        cur = diff.get(key, 0) ^ (1 << (upower or 0))
         if cur:
             diff[key] = cur
         else:
             diff.pop(key, None)
-
-    for (x, key, y) in basis:
-        a = alg.expand(key)
-        src = names[(x, key, y)]
-        da = a.d()
-        if not da.is_zero():
-            for k2 in alg.decompose(da):
-                add(src, names[(x, k2, y)], 0)
-        for (y1, y2), c in P.delta.items():
-            if y1 != y:
-                continue
-            for m, e in c.items():
-                prod = a * e
-                if prod.is_zero():
-                    continue
-                for k2 in alg.decompose(prod):
-                    add(src, names[(x, k2, y2)], m)
-        for (x1, x2), c in M.delta.items():
-            if x2 != x:
-                continue
-            prod = c * a
-            if prod.is_zero():
-                continue
-            for k2 in alg.decompose(prod):
-                add(src, names[(x1, k2, y)], 0)
     return F2UComplex([names[b] for b in basis], diff)
 
 

@@ -212,6 +212,9 @@ class SurfaceAlgebra:
         self.k = circle.genus
         self._basis_cache: dict[int, list[BasisKey]] = {}
         self._expand_cache: dict[BasisKey, AlgebraElement] = {}
+        self._mul_cache: dict[tuple[BasisKey, BasisKey], tuple[BasisKey, ...]] = {}
+        self._d_cache: dict[BasisKey, tuple[BasisKey, ...]] = {}
+        self._corner_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[BasisKey, ...]] = {}
         self._pair_of = {i: circle.pair_of(i) for i in range(1, self.n + 1)}
 
     def __eq__(self, other):
@@ -451,17 +454,40 @@ class SurfaceAlgebra:
         occ = {self.circle.pair_of(t) for _, t in moving} | set(pairs)
         return tuple(sorted(occ))
 
-    def corner_keys(self, left_pairs, right_pairs) -> list[BasisKey]:
-        """Basis keys of the corner I(left) * A * I(right)."""
-        left = tuple(sorted(self.circle.pair_of(p) for p in left_pairs))
-        right = tuple(sorted(self.circle.pair_of(p) for p in right_pairs))
-        if len(left) != len(right):
-            return []
-        return [
-            key
-            for key in self.basis_keys(len(left))
-            if self.key_left_pairs(key) == left and self.key_right_pairs(key) == right
-        ]
+    def corner_keys(self, left_pairs, right_pairs) -> tuple[BasisKey, ...]:
+        """Basis keys of the corner I(left) * A * I(right), computed once per corner."""
+        corner = (self.idempotent_pairs(left_pairs), self.idempotent_pairs(right_pairs))
+        keys = self._corner_cache.get(corner)
+        if keys is None:
+            left, right = corner
+            keys = self._corner_cache[corner] = tuple(
+                key
+                for key in (self.basis_keys(len(left)) if len(left) == len(right) else ())
+                if self.key_left_pairs(key) == left and self.key_right_pairs(key) == right
+            )
+        return keys
+
+    def key_mul(self, k1: BasisKey, k2: BasisKey) -> tuple[BasisKey, ...]:
+        """Basis keys of expand(k1) * expand(k2), computed once per pair.
+
+        The expansions of distinct keys are linearly independent (each has
+        a least term that no other expansion contains), so ``decompose`` is
+        linear: the keys of a sum of products are the mod-2 sum of the
+        products' keys, and callers may XOR looked-up tuples.
+        """
+        keys = self._mul_cache.get((k1, k2))
+        if keys is None:
+            prod = self.expand(k1) * self.expand(k2)
+            keys = self._mul_cache[(k1, k2)] = tuple(self.decompose(prod)) if prod else ()
+        return keys
+
+    def key_d(self, key: BasisKey) -> tuple[BasisKey, ...]:
+        """Basis keys of expand(key).d(), computed once per key."""
+        keys = self._d_cache.get(key)
+        if keys is None:
+            de = self.expand(key).d()
+            keys = self._d_cache[key] = tuple(self.decompose(de)) if de else ()
+        return keys
 
     def support(self, element: AlgebraElement) -> tuple[int, ...]:
         """Common interval support of the terms (they all agree)."""

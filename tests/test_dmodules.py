@@ -198,6 +198,19 @@ def test_iso_check_deeper_than_the_recursion_limit():
     assert witness == {name: "h" + name[1:] for name in gens}
 
 
+def test_iso_check_sees_an_arrow_only_one_side_has():
+    # a 4-cycle against two 2-cycles: every generator has one rho12 arrow in
+    # and one out, so the signatures agree, but assigning a -> a and b -> b
+    # meets the arrow b -> a that only the second module has
+    gens = {g: (1,) for g in "abcd"}
+    rho12 = torus_element("rho12")
+    cycle = TypeDModule(ALG, gens, {(s, t): rho12 for s, t in ("ab", "bc", "cd", "da")})
+    pairs = TypeDModule(ALG, gens, {(s, t): rho12 for s, t in ("ab", "ba", "cd", "dc")})
+    assert iso_check(cycle, pairs) is None
+    assert iso_check(pairs, cycle) is None
+    assert iso_check(pairs, pairs.rename(str.upper)) == {g: g.upper() for g in gens}
+
+
 def test_tensor_element_algebra():
     t1 = TensorElement.from_elements(torus_element("rho1"), torus_element("rho3"))
     t2 = TensorElement.from_elements(torus_element("rho2"), torus_element("rho2"))

@@ -9,7 +9,7 @@ import pytest
 import bhf
 from bhf.pmc import standard_pmc
 from bhf.strands import torus_element
-from bhf.dmodules import TypeDDModule, TypeDModule, UTypeDModule, iso_check
+from bhf.dmodules import GateFailure, TypeDDModule, TypeDModule, UTypeDModule, iso_check
 from bhf.f2u import F2UComplex
 from bhf.gf2 import F2ChainComplex
 from bhf.knots import CFKComplex, figure8_cfk, trefoil_cfk, cable21_pattern
@@ -23,6 +23,7 @@ from bhf.serialize import (
     serialize,
 )
 from bhf.cli import main
+from bhf.pairing import mor_dd_d
 
 
 ROUNDTRIP_OBJECTS = [
@@ -191,6 +192,27 @@ def test_cli_gate_failure_exit2(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "dmod", "verify", "--in", str(path))
     assert code == 2
     assert json.loads(out)["ok"] is False
+
+
+def test_pairing_gate_failure_exits_2_without_traceback(tmp_path):
+    # Tm without its arrow r -> p fails d^2 = 0, and so does its pairing
+    # with the infinity-framed solid torus
+    B = dehn_twist_dd("Tm")
+    broken = TypeDDModule(B.algebra1, B.algebra2, B.generators,
+                          {k: c for k, c in B.delta.items() if k != ("r", "p")})
+    assert broken.verify_d2()
+    with pytest.raises(GateFailure):
+        mor_dd_d(broken, solid_torus("inf"))
+    path = tmp_path / "broken.json"
+    path.write_text(dumps(serialize(broken)))
+    src = str(Path(bhf.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bhf.cli", "pair", "--dd", str(path), "--left", "h_inf"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("internal verification failure:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_pair_through_dd(capsys):
