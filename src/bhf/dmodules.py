@@ -22,7 +22,7 @@ with no products.  It is exact: a horizontal section of I(S) composed with
 a diagram d returns d when its points are the starts of d and kills d
 otherwise, so the sandwich keeps exactly the terms whose starts lie one on
 each pair of S and whose ends lie one on each pair of the target idempotent
-(``SurfaceAlgebra.sandwich``, ``_off_corner``).  A DD coefficient is checked on both
+(``SurfaceAlgebra.sandwich``).  A DD coefficient is checked on both
 diagrams of every tensor term.
 """
 
@@ -49,16 +49,6 @@ class CapExceeded(RuntimeError):
 
 
 Idempotent = tuple[int, ...]  # matched pairs by smaller foot, sorted
-
-
-def _off_corner(algebra: SurfaceAlgebra, coeff: AlgebraElement, corner) -> bool:
-    """Whether I(src) * coeff * I(dst) != coeff, for corner = (src, dst) idempotents.
-
-    The sandwich keeps exactly the terms whose ``diagram_corner`` is the
-    corner (``SurfaceAlgebra.sandwich``), so it is coeff itself when no
-    term lies elsewhere.
-    """
-    return coeff.n != algebra.n or any(algebra.diagram_corner(d) != corner for d in coeff.terms)
 
 
 def _norm_idem(algebra: SurfaceAlgebra, pairs) -> Idempotent:
@@ -186,7 +176,8 @@ class TypeDModule:
         for (s, t), coeff in self.delta.items():
             if s not in self.generators or t not in self.generators:
                 raise ModuleError(f"arrow ({s},{t}) uses unknown generator")
-            if _off_corner(self.algebra, coeff, (self.generators[s], self.generators[t])):
+            sandwich = self.algebra.sandwich(self.generators[s], coeff, self.generators[t])
+            if sandwich != coeff:
                 raise ModuleError(f"coefficient of {s}->{t} not idempotent-compatible")
 
     def arrows(self):
@@ -251,7 +242,7 @@ class UTypeDModule:
             for m, e in coeff.items():
                 if m < 0:
                     raise ModuleError(f"negative U power on {s}->{t}")
-                if _off_corner(self.algebra, e, (self.generators[s], self.generators[t])):
+                if self.algebra.sandwich(self.generators[s], e, self.generators[t]) != e:
                     raise ModuleError(f"coefficient of {s}->{t} (U^{m}) not compatible")
 
     def verify_d2(self):

@@ -167,15 +167,11 @@ def _paired_module(shared, basis, names, gens, out_alg, incoming, outgoing, prov
     A term tagged None carries the idempotent of its source generator;
     any other tag is the term's coefficient.
     """
-    units: dict[tuple, AlgebraElement] = {}
     terms: dict[tuple[str, str], set] = {}
     for src, dst, coeff in _mor_terms(shared, basis, incoming, outgoing):
         name = names[src]
         if coeff is None:
-            idem = gens[name]
-            coeff = units.get(idem)
-            if coeff is None:
-                coeff = units[idem] = out_alg.idempotent(idem)
+            coeff = out_alg.idempotent(gens[name])
         terms.setdefault((name, names[dst]), set()).symmetric_difference_update(coeff.terms)
     delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items() if t}
     out = TypeDModule(out_alg, gens, delta, provenance=provenance)

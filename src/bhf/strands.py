@@ -214,7 +214,6 @@ class SurfaceAlgebra:
         self._expand_cache: dict[BasisKey, AlgebraElement] = {}
         self._mul_cache: dict[tuple[BasisKey, BasisKey], tuple[BasisKey, ...]] = {}
         self._d_cache: dict[BasisKey, tuple[BasisKey, ...]] = {}
-        self._corner_cache: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[BasisKey, ...]] = {}
         self._pair_of = {i: circle.pair_of(i) for i in range(1, self.n + 1)}
 
     def __eq__(self, other):
@@ -454,18 +453,17 @@ class SurfaceAlgebra:
         occ = {self.circle.pair_of(t) for _, t in moving} | set(pairs)
         return tuple(sorted(occ))
 
-    def corner_keys(self, left_pairs, right_pairs) -> tuple[BasisKey, ...]:
-        """Basis keys of the corner I(left) * A * I(right), computed once per corner."""
-        corner = (self.idempotent_pairs(left_pairs), self.idempotent_pairs(right_pairs))
-        keys = self._corner_cache.get(corner)
-        if keys is None:
-            left, right = corner
-            keys = self._corner_cache[corner] = tuple(
-                key
-                for key in (self.basis_keys(len(left)) if len(left) == len(right) else ())
-                if self.key_left_pairs(key) == left and self.key_right_pairs(key) == right
-            )
-        return keys
+    def corner_keys(self, left_pairs, right_pairs) -> list[BasisKey]:
+        """Basis keys of the corner I(left) * A * I(right)."""
+        left = tuple(sorted(self.circle.pair_of(p) for p in left_pairs))
+        right = tuple(sorted(self.circle.pair_of(p) for p in right_pairs))
+        if len(left) != len(right):
+            return []
+        return [
+            key
+            for key in self.basis_keys(len(left))
+            if self.key_left_pairs(key) == left and self.key_right_pairs(key) == right
+        ]
 
     def key_mul(self, k1: BasisKey, k2: BasisKey) -> tuple[BasisKey, ...]:
         """Basis keys of expand(k1) * expand(k2), computed once per pair.
