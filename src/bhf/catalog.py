@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .pmc import PointedMatchedCircle, make_pmc, standard_pmc, reverse, PMCError
 from .strands import AlgebraElement, algebra_of, diagram_support, torus_element
@@ -486,7 +486,6 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
 
     c_pair = Z.pair_of(slide.c1)
     b_pair = Z.pair_of(slide.b1)
-    all_pairs = set(Z.pairs)
 
     pair_bij = slide.pair_bijection()  # Z pairs -> Zp pairs
     rev_of_zp_pair = {}
@@ -496,19 +495,15 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
     z_to_rev = {p: rev_of_zp_pair[pair_bij[p]] for p in Z.pairs}
     rev_to_z = {v: k for k, v in z_to_rev.items()}
 
-    def near_complementary(su: frozenset, tu: frozenset) -> bool:
-        inter, union = su & tu, su | tu
-        if not inter and union == all_pairs:
-            return True
-        return inter == {c_pair} and union == all_pairs - {b_pair}
-
     gens = {}
     gen_lookup = {}
+    partners: dict[frozenset, list] = {}  # s -> every t near-complementary to it
     for s, t in _near_complementary_sets(Z, c_pair, b_pair):
         name = _dd_gen_name(s, t)
         idem2 = tuple(sorted(z_to_rev[p] for p in t))
         gens[name] = (s, idem2)
         gen_lookup[(frozenset(s), frozenset(t))] = name
+        partners.setdefault(frozenset(s), []).append(frozenset(t))
 
     src_iv = [i for i in range(1, n) if i != slide.u_interval]
     tgt_iv = [i for i in range(1, n) if i != slide.u_prime_interval]
@@ -523,29 +518,35 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
         info1[k1] = (frozenset(alg1.key_left_pairs(k1)), frozenset(alg1.key_right_pairs(k1)),
                      tuple(sup[i - 1] for i in src_iv))
     info2 = {}
-    keys2_by_sup: dict[tuple, list] = {}
+    keys2_by_info: dict[tuple, list] = {}
     for k2 in (k for w in range(0, 2 * alg2.k + 1) for k in alg2.basis_keys(w)):
         sup = diagram_support(n, k2[0])
         # interval i of the target circle is interval n - i of its reverse
         restricted = tuple(sup[(n - i) - 1] for i in tgt_iv)
         info2[k2] = (frozenset(rev_to_z[q] for q in alg2.key_left_pairs(k2)),
                      frozenset(rev_to_z[q] for q in alg2.key_right_pairs(k2)), restricted)
-        keys2_by_sup.setdefault(restricted, []).append(k2)
+        keys2_by_info.setdefault(info2[k2], []).append(k2)
 
+    # pairs of keys with the same restricted support whose left pairs and
+    # whose right pairs are near-complementary
     basics = []
     for k1, (left1, right1, restricted) in info1.items():
-        for k2 in keys2_by_sup.get(restricted, []):
-            left2, right2, _ = info2[k2]
-            if near_complementary(left1, left2) and near_complementary(right1, right2):
-                basics.append((k1, k2))
+        for left2 in partners.get(left1, ()):
+            for right2 in partners.get(right1, ()):
+                basics.extend((k1, k2) for k2 in keys2_by_info.get((left2, right2, restricted), ()))
 
     def is_idem(pair):
         return not pair[0][0] and not pair[1][0]  # no moving strands on either side
 
-    @cache
-    def product_keys(alg, a, b):
-        prod = alg.expand(a) * alg.expand(b)
-        return alg.decompose(prod) if prod else []
+    # key products per side, kept for this call only
+    products1: dict[tuple, tuple] = {}
+    products2: dict[tuple, tuple] = {}
+
+    def product_keys(alg, products, a, b):
+        keys = products.get((a, b))
+        if keys is None:
+            keys = products[(a, b)] = alg.key_product(a, b)
+        return keys
 
     nonidem = [p for p in basics if not is_idem(p)]
     reducible = set()
@@ -554,9 +555,10 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
         by_left.setdefault((info1[k1][0], info2[k2][0]), []).append((k1, k2))
     for (k1, k2) in nonidem:
         for (l1, l2) in by_left.get((info1[k1][1], info2[k2][1]), []):
-            keys1 = product_keys(alg1, k1, l1)
+            keys1 = product_keys(alg1, products1, k1, l1)
             if keys1:
-                reducible.update(itertools.product(keys1, product_keys(alg2, k2, l2)))
+                reducible.update(itertools.product(
+                    keys1, product_keys(alg2, products2, k2, l2)))
 
     near_chords = [p for p in nonidem if p not in reducible]
 

@@ -33,7 +33,14 @@ import itertools
 from collections import defaultdict
 from functools import lru_cache
 
-from .strands import AlgebraElement, StrandError, SurfaceAlgebra
+from .strands import (
+    AlgebraElement,
+    StrandError,
+    SurfaceAlgebra,
+    compose_diagrams,
+    diagram_ends,
+    diagram_starts,
+)
 
 
 class ModuleError(ValueError):
@@ -91,15 +98,17 @@ class TensorElement:
         return TensorElement(self.n1, self.n2, self.terms ^ other.terms)
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
-        from .strands import multiply_diagrams
-
+        # a term of self meets only the terms of other that start at its ends
+        right: dict[tuple, list] = {}
+        for b1, b2 in other.terms:
+            right.setdefault((diagram_starts(b1), diagram_starts(b2)), []).append((b1, b2))
         acc = set()
         for a1, a2 in self.terms:
-            for b1, b2 in other.terms:
-                c1 = multiply_diagrams(a1, b1)
+            for b1, b2 in right.get((diagram_ends(a1), diagram_ends(a2)), ()):
+                c1 = compose_diagrams(a1, b1)
                 if c1 is None:
                     continue
-                c2 = multiply_diagrams(a2, b2)
+                c2 = compose_diagrams(a2, b2)
                 if c2 is None:
                     continue
                 acc ^= {(c1, c2)}
@@ -155,14 +164,20 @@ class TensorElement:
 
 
 class TypeDModule:
-    """Left type D module over a surface algebra."""
+    """Left type D module over a surface algebra.
+
+    With ``check=False`` the caller vouches for the module: generator
+    idempotents are taken as given, already normal (sorted pair names), and
+    nothing is validated.  ``reduce`` and ``rename`` build their outputs so.
+    """
 
     def __init__(self, algebra: SurfaceAlgebra, generators, delta, provenance: str = "",
                  check: bool = True):
         self.algebra = algebra
-        self.generators: dict[str, Idempotent] = {
-            name: _norm_idem(algebra, idem) for name, idem in dict(generators).items()
-        }
+        gens = dict(generators)
+        if check:
+            gens = {name: _norm_idem(algebra, idem) for name, idem in gens.items()}
+        self.generators: dict[str, Idempotent] = gens
         self.delta: dict[tuple[str, str], AlgebraElement] = {}
         for (s, t), coeff in dict(delta).items():
             if coeff.is_zero():
@@ -222,11 +237,17 @@ class TypeDModule:
 
 
 class UTypeDModule:
-    """Type D module whose arrows carry U powers: coeff is {upower: element}."""
+    """Type D module whose arrows carry U powers: coeff is {upower: element}.
+
+    ``check=False`` takes idempotents as given, as for ``TypeDModule``.
+    """
 
     def __init__(self, algebra: SurfaceAlgebra, generators, delta, check: bool = True):
         self.algebra = algebra
-        self.generators = {n: _norm_idem(algebra, i) for n, i in dict(generators).items()}
+        gens = dict(generators)
+        if check:
+            gens = {name: _norm_idem(algebra, idem) for name, idem in gens.items()}
+        self.generators = gens
         self.delta: dict[tuple[str, str], dict[int, AlgebraElement]] = {}
         for (s, t), coeff in dict(delta).items():
             coeff = {m: e for m, e in coeff.items() if not e.is_zero()}
@@ -289,15 +310,20 @@ class UTypeDModule:
 
 
 class TypeDDModule:
-    """Bimodule with two commuting left algebra coefficients."""
+    """Bimodule with two commuting left algebra coefficients.
+
+    ``check=False`` takes idempotent pairs as given, as for ``TypeDModule``.
+    """
 
     def __init__(self, algebra1: SurfaceAlgebra, algebra2: SurfaceAlgebra,
                  generators, delta, provenance: str = "", check: bool = True):
         self.algebra1 = algebra1
         self.algebra2 = algebra2
-        self.generators: dict[str, tuple[Idempotent, Idempotent]] = {}
-        for name, (i1, i2) in dict(generators).items():
-            self.generators[name] = (_norm_idem(algebra1, i1), _norm_idem(algebra2, i2))
+        gens = dict(generators)
+        if check:
+            gens = {name: (_norm_idem(algebra1, i1), _norm_idem(algebra2, i2))
+                    for name, (i1, i2) in gens.items()}
+        self.generators: dict[str, tuple[Idempotent, Idempotent]] = gens
         self.delta: dict[tuple[str, str], TensorElement] = {}
         for (s, t), coeff in dict(delta).items():
             if coeff.is_zero():
@@ -312,12 +338,21 @@ class TypeDDModule:
 
     def validate(self):
         alg1, alg2 = self.algebra1, self.algebra2
+        corners1: dict = {}  # diagram -> corner, once per distinct diagram
+        corners2: dict = {}
+
+        def corner(alg, corners, diag):
+            c = corners.get(diag)
+            if c is None:
+                c = corners[diag] = alg.diagram_corner(diag)
+            return c
+
         for (s, t), coeff in self.delta.items():
             if s not in self.generators or t not in self.generators:
                 raise ModuleError(f"arrow ({s},{t}) uses unknown generator")
             (s1, s2), (t1, t2) = self.generators[s], self.generators[t]
             if (coeff.n1, coeff.n2) != (alg1.n, alg2.n) or any(
-                alg1.diagram_corner(d1) != (s1, t1) or alg2.diagram_corner(d2) != (s2, t2)
+                corner(alg1, corners1, d1) != (s1, t1) or corner(alg2, corners2, d2) != (s2, t2)
                 for d1, d2 in coeff.terms
             ):
                 raise ModuleError(f"coefficient of {s}->{t} not idempotent-compatible")

@@ -16,7 +16,14 @@ import json
 import os
 
 from .pmc import PointedMatchedCircle, make_pmc, standard_pmc, PMCError
-from .strands import AlgebraElement, SurfaceAlgebra, algebra_of, make_diagram, torus_element
+from .strands import (
+    AlgebraElement,
+    Diagram,
+    SurfaceAlgebra,
+    algebra_of,
+    make_diagram,
+    torus_element,
+)
 from .dmodules import TypeDModule, TypeDDModule, UTypeDModule, TensorElement
 from .f2u import F2UComplex, poly_exponents, poly_from_exponents
 from .gf2 import F2ChainComplex
@@ -208,6 +215,24 @@ def _int_pairs(value, what: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _diagram_reader(n: int):
+    """Parse raw diagrams on n points; each distinct one is built once.
+
+    The key is the checked list of integer pairs, not the raw JSON, whose
+    ``true`` and ``1.0`` compare equal to ``1``.
+    """
+    seen: dict[tuple, Diagram] = {}
+
+    def read(raw) -> Diagram:
+        pairs = tuple(_int_pairs(raw, "a diagram"))
+        diag = seen.get(pairs)
+        if diag is None:
+            diag = seen[pairs] = make_diagram(n, pairs)
+        return diag
+
+    return read
+
+
 def _coeff_from(doc, algebra: SurfaceAlgebra) -> AlgebraElement:
     if isinstance(doc, str):
         if algebra.circle != standard_pmc("torus"):
@@ -297,18 +322,14 @@ def _deserialize(schema: str, doc: dict):
             for g in _objects(doc, "generators")
         }
         delta: dict = {}
+        read1, read2 = _diagram_reader(alg1.n), _diagram_reader(alg2.n)
         for e in _objects(doc, "delta"):
             key = (_field(e, "src", str), _field(e, "dst", str))
             terms = set()
             for term in _field(e, "terms", list):
                 if not isinstance(term, list) or len(term) != 2:
                     raise SchemaError("a tensor term must be a [left, right] pair of diagrams")
-                terms ^= {
-                    (
-                        make_diagram(alg1.n, _int_pairs(term[0], "a diagram")),
-                        make_diagram(alg2.n, _int_pairs(term[1], "a diagram")),
-                    )
-                }
+                terms ^= {(read1(term[0]), read2(term[1]))}
             t = TensorElement(alg1.n, alg2.n, terms)
             delta[key] = delta.get(key, TensorElement(alg1.n, alg2.n)) + t
         return TypeDDModule(alg1, alg2, gens, delta)

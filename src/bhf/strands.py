@@ -10,8 +10,12 @@ The algebra of a pointed matched circle Z with 4k points sits inside A(4k).
 Its canonical basis is indexed by a set of strictly moving strands plus a
 set of horizontal matched pairs disjoint from the strand endpoints; such a
 key expands to the F2-sum of raw diagrams obtained by placing one horizontal
-strand on either foot of each chosen pair.  All arithmetic happens on the
-raw-diagram representation, so equality is bit-exact.
+strand on either foot of each chosen pair.  Elements are F2 sets of raw
+diagrams, so equality is bit-exact.  A raw product groups the right
+factor's terms by their start points, so each left term meets only the
+terms that start at its ends.  The product of two basis keys is 0 or one
+key and is read off the keys (``SurfaceAlgebra.key_product``); raw
+products, which ``verify_d2`` uses, check those key products independently.
 """
 
 from __future__ import annotations
@@ -81,15 +85,31 @@ def diagram_inversions(diag: Diagram) -> list[tuple[int, int]]:
     return out
 
 
-def multiply_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
-    """Concatenation, or None when endpoints mismatch or strands double-cross."""
-    if tuple(sorted(t for _, t in a)) != tuple(sorted(s for s, _ in b)):
-        return None
+def diagram_starts(diag: Diagram) -> tuple[int, ...]:
+    """Start points in order (a diagram is sorted by start)."""
+    return tuple(s for s, _ in diag)
+
+
+def diagram_ends(diag: Diagram) -> tuple[int, ...]:
+    """End points, sorted."""
+    return tuple(sorted(t for _, t in diag))
+
+
+def compose_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
+    """Concatenation of a diagram with one starting at its ends; None when
+    strands double-cross."""
     nxt = dict(b)
     comp = tuple(sorted((s, nxt[t]) for s, t in a))
     if len(diagram_inversions(comp)) != len(diagram_inversions(a)) + len(diagram_inversions(b)):
         return None
     return comp
+
+
+def multiply_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
+    """Concatenation, or None when endpoints mismatch or strands double-cross."""
+    if diagram_ends(a) != tuple(sorted(diagram_starts(b))):
+        return None
+    return compose_diagrams(a, b)
 
 
 def differentiate_diagram(diag: Diagram) -> list[Diagram]:
@@ -152,10 +172,14 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.n != other.n:
             raise AmbientMismatch(f"ambient sizes {self.n} != {other.n}")
+        # a term of self meets only the terms of other that start at its ends
+        right: dict[tuple[int, ...], list[Diagram]] = {}
+        for b in other.terms:
+            right.setdefault(diagram_starts(b), []).append(b)
         acc = set()
         for a in self.terms:
-            for b in other.terms:
-                c = multiply_diagrams(a, b)
+            for b in right.get(diagram_ends(a), ()):
+                c = compose_diagrams(a, b)
                 if c is not None:
                     acc ^= {c}
         return AlgebraElement(self.n, acc)
@@ -214,7 +238,9 @@ class SurfaceAlgebra:
         self._expand_cache: dict[BasisKey, AlgebraElement] = {}
         self._mul_cache: dict[tuple[BasisKey, BasisKey], tuple[BasisKey, ...]] = {}
         self._d_cache: dict[BasisKey, tuple[BasisKey, ...]] = {}
-        self._pair_of = {i: circle.pair_of(i) for i in range(1, self.n + 1)}
+        self._partner = {i: circle.partner(i) for i in range(1, self.n + 1)}
+        self._pair_of = {i: min(i, j) for i, j in self._partner.items()}
+        self._pairs = tuple(sorted(set(self._pair_of.values())))
 
     def __eq__(self, other):
         return isinstance(other, SurfaceAlgebra) and self.circle == other.circle
@@ -232,22 +258,18 @@ class SurfaceAlgebra:
         ends = [t for _, t in strands]
         if len(set(starts)) != len(starts) or len(set(ends)) != len(ends):
             return False
-        M = self.circle.partner
+        M = self._partner
         sset, eset = set(starts), set(ends)
-        if any(M(s) in sset for s in starts):
+        if any(M[s] in sset for s in starts):
             return False
-        if any(M(t) in eset for t in ends):
+        if any(M[t] in eset for t in ends):
             return False
         return True
 
     def _free_pairs(self, strands: tuple[Strand, ...]) -> list[int]:
         used = {p for s in strands for p in s}
-        out = []
-        for p in self.circle.pairs:
-            f1, f2 = self.circle.pair_feet(p)
-            if f1 not in used and f2 not in used:
-                out.append(p)
-        return out
+        M = self._partner
+        return [p for p in self._pairs if p not in used and M[p] not in used]
 
     def basis_keys(self, weight: int) -> list[BasisKey]:
         """All basis keys whose diagrams have the given strand count.
@@ -261,7 +283,7 @@ class SurfaceAlgebra:
             return self._basis_cache[weight]
         keys: list[BasisKey] = []
         pair_of, n = self._pair_of, self.n
-        feet = [self.circle.pair_feet(p) for p in self.circle.pairs]
+        feet = [(p, self._partner[p]) for p in self._pairs]
 
         def extend(moving, start_pairs, end_pairs, points):
             free = [p for p, q in feet if p not in points and q not in points]
@@ -300,7 +322,7 @@ class SurfaceAlgebra:
             return self._expand_cache[key]
         moving, pairs = key
         terms = set()
-        feet = [self.circle.pair_feet(p) for p in pairs]
+        feet = [(p, self._partner[p]) for p in pairs]
         for choice in itertools.product(*feet) if feet else [()]:
             diag = tuple(sorted(moving + tuple((f, f) for f in choice)))
             terms.add(diag)
@@ -314,7 +336,7 @@ class SurfaceAlgebra:
         pairs = []
         for s, t in diag:
             if s == t:
-                if self.circle.pair_of(s) != s:
+                if self._pair_of.get(s) != s:
                     raise NotInSpan(f"diagram {diag} is not a leading term")
                 pairs.append(s)
         key = (moving, tuple(sorted(pairs)))
@@ -395,7 +417,7 @@ class SurfaceAlgebra:
         for r in range(0, 2 * self.k + 1):
             if weight is not None and r != weight:
                 continue
-            for pairs in itertools.combinations(self.circle.pairs, r):
+            for pairs in itertools.combinations(self._pairs, r):
                 out.append((pairs, self.idempotent(pairs)))
         return out
 
@@ -438,25 +460,26 @@ class SurfaceAlgebra:
         if any(M(s) in S for s in S) or any(M(t) in T for t in T):
             raise NotAdmissible("S or T meets its own matching image")
         moving = tuple(sorted((s, t) for s, t in phi.items() if s != t))
-        pairs = tuple(sorted(self.circle.pair_of(s) for s in S if phi[s] == s))
+        pairs = tuple(sorted(self._pair_of[s] for s in S if phi[s] == s))
         return self.expand((moving, pairs))
 
     # -- structure maps
 
     def key_left_pairs(self, key: BasisKey) -> tuple[int, ...]:
         moving, pairs = key
-        occ = {self.circle.pair_of(s) for s, _ in moving} | set(pairs)
-        return tuple(sorted(occ))
+        pair_of = self._pair_of
+        return tuple(sorted({pair_of[s] for s, _ in moving}.union(pairs)))
 
     def key_right_pairs(self, key: BasisKey) -> tuple[int, ...]:
         moving, pairs = key
-        occ = {self.circle.pair_of(t) for _, t in moving} | set(pairs)
-        return tuple(sorted(occ))
+        pair_of = self._pair_of
+        return tuple(sorted({pair_of[t] for _, t in moving}.union(pairs)))
 
     def corner_keys(self, left_pairs, right_pairs) -> list[BasisKey]:
         """Basis keys of the corner I(left) * A * I(right)."""
-        left = tuple(sorted(self.circle.pair_of(p) for p in left_pairs))
-        right = tuple(sorted(self.circle.pair_of(p) for p in right_pairs))
+        pair_of = self._pair_of
+        left = tuple(sorted(pair_of[p] for p in left_pairs))
+        right = tuple(sorted(pair_of[p] for p in right_pairs))
         if len(left) != len(right):
             return []
         return [
@@ -465,18 +488,65 @@ class SurfaceAlgebra:
             if self.key_left_pairs(key) == left and self.key_right_pairs(key) == right
         ]
 
+    def key_product(self, k1: BasisKey, k2: BasisKey) -> tuple[BasisKey, ...]:
+        """Basis keys of expand(k1) * expand(k2): () or one key, off the keys.
+
+        The product is 0 unless the right pairs of k1 are the left pairs of
+        k2.  At each shared pair a moving end of k1 must meet a moving start
+        of k2 on the same foot; a horizontal pair meeting a moving strand
+        has only one placement that survives, on that strand's foot, and
+        extends it; a pair horizontal on both sides stays a horizontal pair
+        of the product, summed over its two feet.  The product vanishes when
+        two strands cross in both factors.  A horizontal-on-both strand
+        never does: it crosses a strand s -> t -> u in the first factor
+        when its foot lies in (s, t) and in the second when it lies in
+        (t, u).  So the one check below, on the strands that move in either
+        factor, decides every placement.
+        """
+        (moving1, pairs1), (moving2, pairs2) = k1, k2
+        if len(moving1) + len(pairs1) != len(moving2) + len(pairs2):
+            return ()
+        # Both keys have one strand per pair on each side, so with equal
+        # weights the right pairs of k1 are the left pairs of k2 when each
+        # of them is found on k2 below.
+        pair_of = self._pair_of
+        starts2 = {pair_of[s]: (s, t) for s, t in moving2}  # pair -> strand
+        paths = []  # (start, middle, end) of each composite moving strand
+        for s, t in moving1:
+            p = pair_of[t]
+            if p in pairs2:
+                paths.append((s, t, t))
+                continue
+            strand = starts2.get(p)
+            if strand is None or strand[0] != t:
+                return ()
+            paths.append((s, t, strand[1]))
+        pairs = []
+        for p in pairs1:
+            if p in pairs2:
+                pairs.append(p)
+                continue
+            strand = starts2.get(p)
+            if strand is None:
+                return ()
+            g, u = strand
+            paths.append((g, g, u))
+        for (s1, t1, u1), (s2, t2, u2) in itertools.combinations(paths, 2):
+            if (s1 - s2) * (t1 - t2) < 0 and (t1 - t2) * (u1 - u2) < 0:
+                return ()
+        return ((tuple(sorted((s, u) for s, _, u in paths)), tuple(pairs)),)
+
     def key_mul(self, k1: BasisKey, k2: BasisKey) -> tuple[BasisKey, ...]:
-        """Basis keys of expand(k1) * expand(k2), computed once per pair.
+        """``key_product``, computed once per pair and kept.
 
         The expansions of distinct keys are linearly independent (each has
-        a least term that no other expansion contains), so ``decompose`` is
-        linear: the keys of a sum of products are the mod-2 sum of the
-        products' keys, and callers may XOR looked-up tuples.
+        a least term that no other expansion contains), so the keys of a
+        sum of products are the mod-2 sum of the products' keys, and
+        callers may XOR looked-up tuples.
         """
         keys = self._mul_cache.get((k1, k2))
         if keys is None:
-            prod = self.expand(k1) * self.expand(k2)
-            keys = self._mul_cache[(k1, k2)] = tuple(self.decompose(prod)) if prod else ()
+            keys = self._mul_cache[(k1, k2)] = self.key_product(k1, k2)
         return keys
 
     def key_d(self, key: BasisKey) -> tuple[BasisKey, ...]:

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from bhf.pmc import standard_pmc
-from bhf.strands import AlgebraElement, algebra_of, torus_element
+from bhf.strands import AlgebraElement, algebra_of, make_diagram, multiply_diagrams, torus_element
 from bhf.dmodules import (
     CapExceeded,
     ModuleError,
@@ -12,7 +14,8 @@ from bhf.dmodules import (
     induced_complex,
     iso_check,
 )
-from bhf.catalog import solid_torus, dehn_twist_dd
+from bhf.catalog import dd_identity, solid_torus, dehn_twist_dd
+from bhf.serialize import SchemaError, parse_document, serialize
 from bhf.checks import check_reduce_preserves_homology
 
 
@@ -221,6 +224,64 @@ def test_tensor_element_algebra():
     # rho3 * rho2 = 0, so the product vanishes
     assert prod.is_zero()
     assert (t1 + t1).is_zero()
+
+
+def _random_diagram(rng, n):
+    k = rng.randint(0, n)
+    return make_diagram(n, zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k)))
+
+
+def _pairwise_tensor_product(x, y):
+    """The product by trying every pair of terms."""
+    acc = set()
+    for a1, a2 in x.terms:
+        for b1, b2 in y.terms:
+            c1, c2 = multiply_diagrams(a1, b1), multiply_diagrams(a2, b2)
+            if c1 is not None and c2 is not None:
+                acc ^= {(c1, c2)}
+    return TensorElement(x.n1, x.n2, acc)
+
+
+def test_bucketed_tensor_product_matches_pairwise_product():
+    rng = random.Random("bucketed-tensor-mul")
+    n1, n2 = 4, 5
+    seen = {"nonzero": 0, "mismatched": 0, "double crossing": 0}
+    for _ in range(300):
+        x = TensorElement(n1, n2, [(_random_diagram(rng, n1), _random_diagram(rng, n2))
+                                   for _ in range(rng.randint(0, 6))])
+        # some terms of y start where terms of x end, on one side or both
+        ys = [(_random_diagram(rng, n1), _random_diagram(rng, n2)) for _ in range(2)]
+        for a1, a2 in rng.sample(sorted(x.terms), min(3, len(x.terms))):
+            b1, b2 = (make_diagram(n, zip([t for _, t in a], rng.sample(range(1, n + 1), len(a))))
+                      for n, a in ((n1, a1), (n2, a2)))
+            ys.append((b1, b2) if rng.random() < 0.8 else (b1, _random_diagram(rng, n2)))
+        y = TensorElement(n1, n2, ys)
+        got = x * y
+        assert got == _pairwise_tensor_product(x, y)
+        seen["nonzero"] += not got.is_zero()
+        for a1, a2 in x.terms:
+            for b1, b2 in y.terms:
+                for a, b in ((a1, b1), (a2, b2)):
+                    if sorted(t for _, t in a) != sorted(s for s, _ in b):
+                        seen["mismatched"] += 1
+                    elif multiply_diagrams(a, b) is None:
+                        seen["double crossing"] += 1
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("bad", [[[True, 2]], [[1.0, 2]], [[1, 2, 3]], [[1]], "12"])
+def test_ddmodule_document_with_repeated_and_malformed_diagrams(bad):
+    """Each distinct diagram of a document is parsed once; one that equals an
+    earlier valid diagram only as a Python value is still malformed."""
+    doc = serialize(dd_identity(standard_pmc("torus")))
+    terms = doc["delta"][0]["terms"]
+    assert terms[0][0] == [[1, 2]]
+    terms.append([[[1, 2]], [[1, 2]]])  # repeats diagrams on both sides
+    terms.append([[[1, 2]], [[1, 2]]])  # ... and cancels
+    assert parse_document(doc).delta == dd_identity(standard_pmc("torus")).delta
+    terms.append([bad, [[1, 2]]])
+    with pytest.raises(SchemaError, match="a diagram must be a list of integer pairs"):
+        parse_document(doc)
 
 
 def test_u_module_verify_and_reduce():

@@ -13,6 +13,7 @@ from bhf.strands import (
     drop_w_projection,
     inversions,
     make_diagram,
+    multiply_diagrams,
     StrandError,
     to_opposite,
     torus_element,
@@ -329,3 +330,93 @@ def test_split3_summand_dimensions():
     alg = algebra_of(standard_pmc("split", 3))
     dims = [alg.dim_summand(i) for i in range(-3, 4)]
     assert dims == [1, 72, 1589, 12448, 30451, 14744, 343]
+
+
+# ---------------------------------------------------------------------------
+# products: endpoint buckets and key products
+
+
+def random_diagram(rng, n):
+    """A partial permutation of 1..n, strands in either direction."""
+    k = rng.randint(0, n)
+    return make_diagram(n, zip(rng.sample(range(1, n + 1), k), rng.sample(range(1, n + 1), k)))
+
+
+def pairwise_product(x, y):
+    """The product by trying every pair of terms."""
+    acc = set()
+    for a in x.terms:
+        for b in y.terms:
+            c = multiply_diagrams(a, b)
+            if c is not None:
+                acc ^= {c}
+    return AlgebraElement(x.n, acc)
+
+
+def test_bucketed_product_matches_pairwise_product():
+    rng = random.Random("bucketed-mul")
+    n = 5
+    seen = {"nonzero": 0, "mismatched": 0, "double crossing": 0}
+    for _ in range(400):
+        x = AlgebraElement(n, [random_diagram(rng, n) for _ in range(rng.randint(0, 6))])
+        # some terms of y start where terms of x end, so endpoints often match
+        ys = [random_diagram(rng, n) for _ in range(rng.randint(0, 3))]
+        for a in rng.sample(sorted(x.terms), min(3, len(x.terms))):
+            ends = [t for _, t in a]
+            ys.append(make_diagram(n, zip(ends, rng.sample(range(1, n + 1), len(ends)))))
+        y = AlgebraElement(n, ys)
+        got = x * y
+        assert got == pairwise_product(x, y)
+        seen["nonzero"] += not got.is_zero()
+        for a in x.terms:
+            for b in y.terms:
+                if sorted(t for _, t in a) != sorted(s for s, _ in b):
+                    seen["mismatched"] += 1
+                elif multiply_diagrams(a, b) is None:
+                    seen["double crossing"] += 1
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def raw_key_product(alg, k1, k2):
+    prod = pairwise_product(alg.expand(k1), alg.expand(k2))
+    return tuple(alg.decompose(prod)) if prod else ()
+
+
+def all_keys(alg):
+    return [k for w in range(0, 2 * alg.k + 1) for k in alg.basis_keys(w)]
+
+
+def test_key_product_matches_raw_products_on_the_torus():
+    alg = algebra_of(standard_pmc("torus"))
+    keys = all_keys(alg)
+    nonzero = 0
+    for k1, k2 in itertools.product(keys, keys):
+        got = alg.key_product(k1, k2)
+        assert got == raw_key_product(alg, k1, k2), (k1, k2)
+        assert alg.key_mul(k1, k2) == got
+        nonzero += bool(got)
+    assert nonzero >= 30
+
+
+@pytest.mark.parametrize(
+    "circle", CIRCLES[1:] + [standard_pmc("split", 3)], ids=repr)
+def test_key_product_matches_raw_products(circle):
+    """Random pairs, and pairs whose shared pairs match (most products
+    live there)."""
+    rng = random.Random(f"key-product/{circle!r}")
+    alg = algebra_of(circle)
+    keys = all_keys(alg)
+    by_left = {}
+    for key in keys:
+        by_left.setdefault(alg.key_left_pairs(key), []).append(key)
+    pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(150)]
+    while len(pairs) < 600:
+        k1 = rng.choice(keys)
+        if alg.key_right_pairs(k1) in by_left:
+            pairs.append((k1, rng.choice(by_left[alg.key_right_pairs(k1)])))
+    nonzero = 0
+    for k1, k2 in pairs:
+        got = alg.key_product(k1, k2)
+        assert got == raw_key_product(alg, k1, k2), (k1, k2)
+        nonzero += bool(got)
+    assert nonzero >= 20
