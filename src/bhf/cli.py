@@ -17,7 +17,7 @@ import json
 import sys
 
 from .pmc import PMCError
-from .strands import StrandError, algebra_of, torus_element, torus_element_name
+from .strands import AlgebraElement, StrandError, algebra_of, torus_element, torus_element_name
 from .dmodules import (
     CapExceeded,
     GateFailure,
@@ -90,6 +90,8 @@ def cmd_algebra(args):
         elts = []
         for name in args.elements:
             obj = parse_document(name) if name.strip().startswith("{") else torus_element(name)
+            if not isinstance(obj, AlgebraElement):
+                raise ValidationError(f"{name[:40]!r} is not an algebra element")
             elts.append(obj)
         if args.action == "mul":
             if len(elts) < 2:
@@ -109,8 +111,18 @@ def cmd_algebra(args):
     return 0
 
 
+MODULE_TYPES = (TypeDModule, UTypeDModule, TypeDDModule)
+
+
+def _module(text, option: str):
+    obj = parse_document(text)
+    if not isinstance(obj, MODULE_TYPES):
+        raise ValidationError(f"{option} must be a type D module or DD bimodule")
+    return obj
+
+
 def cmd_dmod(args):
-    M = parse_document(args.input)
+    M = _module(args.input, "--in")
     if args.action == "verify":
         bad = M.verify_d2()
         doc = {"schema": "bhf/result@1", "ok": not bad, "violations": len(bad)}
@@ -120,7 +132,7 @@ def cmd_dmod(args):
         _emit(args, M.reduce())
         return 0
     if args.action == "iso":
-        N = parse_document(args.right)
+        N = _module(args.right, "--right")
         witness = iso_check(M.reduce(), N.reduce())
         doc = {"schema": "bhf/result@1", "isomorphic": witness is not None}
         if witness:
@@ -147,6 +159,8 @@ def cmd_pair(args):
     if args.right is None:
         raise ValidationError("pair needs --right (or --dd alone)")
     right = parse_document(args.right)
+    if not isinstance(right, (TypeDModule, UTypeDModule)):
+        raise ValidationError("--right must be a type D module")
     if isinstance(right, UTypeDModule):
         C = mor_d_ud(left, right)
         if args.homology:

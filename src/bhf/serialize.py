@@ -423,21 +423,21 @@ def parse_document(text):
         return deserialize(text)
     text = text.strip()
     if text.startswith("{") or text.startswith("["):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"JSON syntax error at line {e.lineno}, column {e.colno}: {e.msg}")
-        return deserialize(doc)
+        return deserialize(_loads(text, ""))
     if os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
             raw = fh.read()
-        try:
-            doc = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise SchemaError(
-                f"{text}: JSON syntax error at line {e.lineno}, column {e.colno}: {e.msg}"
-            )
-        return deserialize(doc)
+        return deserialize(_loads(raw, f"{text}: "))
     if text.startswith("catalog:"):
         return catalog_lookup(text[len("catalog:"):])
     return catalog_lookup(text)
+
+
+def _loads(raw: str, where: str):
+    """json.loads, with syntax errors and too-deep nesting as SchemaError."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"{where}JSON syntax error at line {e.lineno}, column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise SchemaError(f"{where}JSON nested too deeply")
