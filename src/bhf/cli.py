@@ -73,6 +73,25 @@ def _emit(args, doc, text_fn=None):
             print(repr(doc))
 
 
+_KINDS = {
+    AlgebraElement: "an algebra element",
+    TypeDModule: "a type D module",
+    UTypeDModule: "a type D module over F2[U]",
+    TypeDDModule: "a DD bimodule",
+    F2ChainComplex: "an F2 complex",
+    F2UComplex: "an F2[U] complex",
+    CFKComplex: "a knot complex",
+}
+
+
+def _document(text, types, what: str):
+    """Parse a document, rejecting one that is not of the given types."""
+    obj = parse_document(text)
+    if not isinstance(obj, types):
+        raise ValidationError(f"{what} must be {' or '.join(_KINDS[t] for t in types)}")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -89,10 +108,10 @@ def cmd_algebra(args):
     elif args.action in ("mul", "diff"):
         elts = []
         for name in args.elements:
-            obj = parse_document(name) if name.strip().startswith("{") else torus_element(name)
-            if not isinstance(obj, AlgebraElement):
-                raise ValidationError(f"{name[:40]!r} is not an algebra element")
-            elts.append(obj)
+            if name.strip().startswith("{"):
+                elts.append(_document(name, (AlgebraElement,), f"{name[:40]!r}"))
+            else:
+                elts.append(torus_element(name))
         if args.action == "mul":
             if len(elts) < 2:
                 raise ValidationError("mul needs at least two elements")
@@ -111,18 +130,8 @@ def cmd_algebra(args):
     return 0
 
 
-MODULE_TYPES = (TypeDModule, UTypeDModule, TypeDDModule)
-
-
-def _module(text, option: str):
-    obj = parse_document(text)
-    if not isinstance(obj, MODULE_TYPES):
-        raise ValidationError(f"{option} must be a type D module or DD bimodule")
-    return obj
-
-
 def cmd_dmod(args):
-    M = _module(args.input, "--in")
+    M = _document(args.input, (TypeDModule, UTypeDModule, TypeDDModule), "--in")
     if args.action == "verify":
         bad = M.verify_d2()
         doc = {"schema": "bhf/result@1", "ok": not bad, "violations": len(bad)}
@@ -132,7 +141,7 @@ def cmd_dmod(args):
         _emit(args, M.reduce())
         return 0
     if args.action == "iso":
-        N = _module(args.right, "--right")
+        N = _document(args.right, (TypeDModule, UTypeDModule, TypeDDModule), "--right")
         witness = iso_check(M.reduce(), N.reduce())
         doc = {"schema": "bhf/result@1", "isomorphic": witness is not None}
         if witness:
@@ -143,13 +152,9 @@ def cmd_dmod(args):
 
 
 def cmd_pair(args):
-    left = parse_document(args.left)
-    if not isinstance(left, TypeDModule):
-        raise ValidationError("--left must be a type D module")
+    left = _document(args.left, (TypeDModule,), "--left")
     if args.dd is not None:
-        B = parse_document(args.dd)
-        if not isinstance(B, TypeDDModule):
-            raise ValidationError("--dd must name a DD bimodule")
+        B = _document(args.dd, (TypeDDModule,), "--dd")
         side = 1 if args.side == "left" else 2
         paired = mor_dd_d(B, left, side=side).reduce()
         if args.right is None:
@@ -158,9 +163,7 @@ def cmd_pair(args):
         left = paired
     if args.right is None:
         raise ValidationError("pair needs --right (or --dd alone)")
-    right = parse_document(args.right)
-    if not isinstance(right, (TypeDModule, UTypeDModule)):
-        raise ValidationError("--right must be a type D module")
+    right = _document(args.right, (TypeDModule, UTypeDModule), "--right")
     if isinstance(right, UTypeDModule):
         C = mor_d_ud(left, right)
         if args.homology:
@@ -184,12 +187,12 @@ def cmd_pair(args):
 
 
 def cmd_homology(args):
-    C = parse_document(args.input)
+    C = _document(args.input, (F2ChainComplex, F2UComplex), "--in")
     if isinstance(C, F2ChainComplex):
         rank, reps = homology_f2(C)
         _emit(args, {"schema": "bhf/result@1", "rank": rank,
                      "representatives": [sorted(r) for r in reps]})
-    elif isinstance(C, F2UComplex):
+    else:
         dec = C.homology()
         doc = {
             "schema": "bhf/result@1",
@@ -202,15 +205,11 @@ def cmd_homology(args):
         if dec.unit_torsion:
             doc["unit_torsion"] = list(dec.unit_torsion)
         _emit(args, doc)
-    else:
-        raise ValidationError("homology expects an F2 or F2[U] complex document")
     return 0
 
 
 def cmd_knot(args):
-    C = parse_document(args.input)
-    if not isinstance(C, CFKComplex):
-        raise ValidationError("knot commands expect a knot complex document")
+    C = _document(args.input, (CFKComplex,), "--in")
     if args.action == "tau":
         _emit(args, {"schema": "bhf/result@1", "tau": tau(C)})
     elif args.action == "alexander":

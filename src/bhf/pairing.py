@@ -17,7 +17,7 @@ the unused algebra.  Two variants exist and are both provided:
   already a left action and no conversion occurs.
 
 Every builder walks the basis triples once and reads each term of the
-differential off ``SurfaceAlgebra.key_d`` and ``key_mul`` through the
+differential off ``SurfaceAlgebra.key_d`` and ``key_product`` through the
 arrows at the triple's two ends; arrow coefficients are split into basis
 keys once per call.  The type D outputs are verified to square to zero on
 raw-diagram products before being returned.
@@ -100,18 +100,18 @@ def _mor_terms(alg: SurfaceAlgebra, basis, incoming, outgoing):
     for each arrow y -> y2 of the target module in ``outgoing``, and of
     c * a for each arrow x1 -> x of the source module in ``incoming``.  The
     tag is None for d(a) and the arrow's tag otherwise.  A term may repeat;
-    callers add the terms mod 2 (``SurfaceAlgebra.key_mul`` says why that
-    is exact).
+    callers add the terms mod 2 (``SurfaceAlgebra.key_product`` says why
+    that is exact).
     """
     for src in basis:
         x, a, y = src
         for k in alg.key_d(a):
             yield src, (x, k, y), None
         for y2, c, tag in outgoing.get(y, ()):
-            for k in alg.key_mul(a, c):
+            for k in alg.key_product(a, c):
                 yield src, (x, k, y2), tag
         for x1, c, tag in incoming.get(x, ()):
-            for k in alg.key_mul(c, a):
+            for k in alg.key_product(c, a):
                 yield src, (x1, k, y), tag
 
 

@@ -14,6 +14,7 @@ after the basepoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class PMCError(ValueError):
@@ -68,14 +69,24 @@ class PointedMatchedCircle:
     def partner(self, i: int) -> int:
         return self.matching[i - 1]
 
+    @cached_property
+    def partners(self) -> dict[int, int]:
+        """Point -> partner, for the points 1..4k."""
+        return dict(enumerate(self.matching, 1))
+
+    @cached_property
+    def pair_names(self) -> dict[int, int]:
+        """Point -> canonical name (smaller foot) of its pair, for 1..4k."""
+        return {i: min(i, j) for i, j in self.partners.items()}
+
     def pair_of(self, i: int) -> int:
         """Canonical name (smaller foot) of the pair containing point i."""
-        return min(i, self.partner(i))
+        return self.pair_names[i]
 
-    @property
+    @cached_property
     def pairs(self) -> tuple[int, ...]:
         """All matched pairs, each named by its smaller foot, in order."""
-        return tuple(sorted({self.pair_of(i) for i in range(1, self.n_points + 1)}))
+        return tuple(i for i, j in self.partners.items() if i < j)
 
     def pair_feet(self, p: int) -> tuple[int, int]:
         return (p, self.partner(p))

@@ -236,11 +236,10 @@ class SurfaceAlgebra:
         self.k = circle.genus
         self._basis_cache: dict[int, list[BasisKey]] = {}
         self._expand_cache: dict[BasisKey, AlgebraElement] = {}
-        self._mul_cache: dict[tuple[BasisKey, BasisKey], tuple[BasisKey, ...]] = {}
         self._d_cache: dict[BasisKey, tuple[BasisKey, ...]] = {}
-        self._partner = {i: circle.partner(i) for i in range(1, self.n + 1)}
-        self._pair_of = {i: min(i, j) for i, j in self._partner.items()}
-        self._pairs = tuple(sorted(set(self._pair_of.values())))
+        self._partner = circle.partners
+        self._pair_of = circle.pair_names
+        self._pairs = circle.pairs
 
     def __eq__(self, other):
         return isinstance(other, SurfaceAlgebra) and self.circle == other.circle
@@ -502,6 +501,11 @@ class SurfaceAlgebra:
         when its foot lies in (s, t) and in the second when it lies in
         (t, u).  So the one check below, on the strands that move in either
         factor, decides every placement.
+
+        The expansions of distinct keys are linearly independent (each has
+        a least term that no other expansion contains), so the keys of a
+        sum of products are the mod-2 sum of the products' keys, and
+        callers may XOR the returned tuples.
         """
         (moving1, pairs1), (moving2, pairs2) = k1, k2
         if len(moving1) + len(pairs1) != len(moving2) + len(pairs2):
@@ -535,19 +539,6 @@ class SurfaceAlgebra:
             if (s1 - s2) * (t1 - t2) < 0 and (t1 - t2) * (u1 - u2) < 0:
                 return ()
         return ((tuple(sorted((s, u) for s, _, u in paths)), tuple(pairs)),)
-
-    def key_mul(self, k1: BasisKey, k2: BasisKey) -> tuple[BasisKey, ...]:
-        """``key_product``, computed once per pair and kept.
-
-        The expansions of distinct keys are linearly independent (each has
-        a least term that no other expansion contains), so the keys of a
-        sum of products are the mod-2 sum of the products' keys, and
-        callers may XOR looked-up tuples.
-        """
-        keys = self._mul_cache.get((k1, k2))
-        if keys is None:
-            keys = self._mul_cache[(k1, k2)] = self.key_product(k1, k2)
-        return keys
 
     def key_d(self, key: BasisKey) -> tuple[BasisKey, ...]:
         """Basis keys of expand(key).d(), computed once per key."""

@@ -393,7 +393,6 @@ def test_key_product_matches_raw_products_on_the_torus():
     for k1, k2 in itertools.product(keys, keys):
         got = alg.key_product(k1, k2)
         assert got == raw_key_product(alg, k1, k2), (k1, k2)
-        assert alg.key_mul(k1, k2) == got
         nonzero += bool(got)
     assert nonzero >= 30
 
