@@ -13,7 +13,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .pmc import PointedMatchedCircle, make_pmc, standard_pmc, reverse, PMCError
+from .pmc import (
+    PMCError, PointedMatchedCircle, make_pmc, pair_map_to_reverse, reverse, standard_pmc,
+)
 from .strands import AlgebraElement, algebra_of, diagram_support, torus_element
 from .dmodules import GateFailure, TypeDModule, TypeDDModule, TensorElement
 from .pairing import mor_d_d, mor_dd_d, homology_f2
@@ -198,16 +200,6 @@ def handlebody(k: int) -> TypeDModule:
 # the identity DD bimodule
 
 
-def _pair_map_to_reverse(circle: PointedMatchedCircle):
-    rev = reverse(circle)
-    n = circle.n_points
-
-    def image(p: int) -> int:
-        return rev.pair_of(n + 1 - p)
-
-    return rev, image
-
-
 def dd_identity(circle: PointedMatchedCircle) -> TypeDDModule:
     """CFDD of the identity cobordism: one doubled-chord term per chord.
 
@@ -219,7 +211,7 @@ def dd_identity(circle: PointedMatchedCircle) -> TypeDDModule:
     reverse, and no idempotent is multiplied.
     """
     alg1 = algebra_of(circle)
-    rev_circle, pimg = _pair_map_to_reverse(circle)
+    rev_circle, pimg = pair_map_to_reverse(circle)
     alg2 = algebra_of(rev_circle)
     pairs = circle.pairs
     n = circle.n_points
@@ -370,11 +362,8 @@ class ArcSlide:
         """Matched pairs of the source mapped to matched pairs of the target."""
         pmap = dict(self.point_map)
         pmap[self.b1] = self.b1_new
-        out = {}
-        for p in self.source.pairs:
-            f1, _ = self.source.pair_feet(p)
-            out[p] = self.target.pair_of(pmap[f1])
-        return out
+        # a pair is named by its smaller foot, so pmap moves the name's foot
+        return {p: self.target.pair_of(pmap[p]) for p in self.source.pairs}
 
 
 def make_arcslide(circle: PointedMatchedCircle, b1: int, c1: int) -> ArcSlide:
@@ -481,18 +470,14 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
     Zp = slide.target
     n = Z.n_points
     alg1 = algebra_of(Z)
-    rev_zp = reverse(Zp)
+    rev_zp, zp_to_rev = pair_map_to_reverse(Zp)
     alg2 = algebra_of(rev_zp)
 
     c_pair = Z.pair_of(slide.c1)
     b_pair = Z.pair_of(slide.b1)
 
     pair_bij = slide.pair_bijection()  # Z pairs -> Zp pairs
-    rev_of_zp_pair = {}
-    for q in Zp.pairs:
-        f1, _ = Zp.pair_feet(q)
-        rev_of_zp_pair[q] = rev_zp.pair_of(Zp.n_points + 1 - f1)
-    z_to_rev = {p: rev_of_zp_pair[pair_bij[p]] for p in Z.pairs}
+    z_to_rev = {p: zp_to_rev(pair_bij[p]) for p in Z.pairs}
     rev_to_z = {v: k for k, v in z_to_rev.items()}
 
     gens = {}

@@ -85,9 +85,10 @@ _KINDS = {
 
 
 def _document(text, types, what: str):
-    """Parse a document, rejecting one that is not of the given types."""
+    """Parse a document, rejecting one whose exact type is not in ``types``
+    (U-weighted modules and DD bimodules subclass ``TypeDModule``)."""
     obj = parse_document(text)
-    if not isinstance(obj, types):
+    if type(obj) not in types:
         raise ValidationError(f"{what} must be {' or '.join(_KINDS[t] for t in types)}")
     return obj
 

@@ -11,6 +11,16 @@ DD bimodules carry two commuting algebra coefficients; their arithmetic is
 done on F2 sets of diagram pairs.  U-weighted type D modules attach a
 nonnegative U power to every arrow.
 
+The three kinds share one core: a DD bimodule over A1 and A2 is a type D
+structure over A1 (x) A2, and a U-weighted module one over A[U].  So
+``UTypeDModule`` and ``TypeDDModule`` subclass ``TypeDModule``, which
+builds, validates, verifies, reduces and renames every kind, and each kind
+supplies only coefficient hooks: ``_norm`` (an idempotent in normal form),
+``_corner_fault`` (the corner check), ``_unit``, ``_mul``, ``_add``,
+``_d``, ``_terms`` (hashable F2 terms) and ``_residuals`` (the
+``verify_d2`` tuples).  A coefficient is zero exactly when it is falsy.
+Code that tells the kinds apart tests the exact type.
+
 ``reduce`` cancels unit arrows (coefficient equal to the idempotent of
 both ends) in the order of the least (src, dst), so its output is a
 function of the module alone.  ``verify_d2`` multiplies raw diagrams and
@@ -28,8 +38,10 @@ diagrams of every tensor term.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
+import operator
 from collections import defaultdict
 from functools import lru_cache
 
@@ -164,50 +176,92 @@ class TensorElement:
 
 
 class TypeDModule:
-    """Left type D module over a surface algebra.
+    """Left type D module over a surface algebra; the core of all three kinds.
 
     With ``check=False`` the caller vouches for the module: generator
     idempotents are taken as given, already normal (sorted pair names), and
     nothing is validated.  ``reduce`` and ``rename`` build their outputs so.
     """
 
-    def __init__(self, algebra: SurfaceAlgebra, generators, delta, provenance: str = "",
+    def __init__(self, algebra, generators, delta, provenance: str = "",
                  check: bool = True):
         self.algebra = algebra
         gens = dict(generators)
         if check:
-            gens = {name: _norm_idem(algebra, idem) for name, idem in gens.items()}
-        self.generators: dict[str, Idempotent] = gens
-        self.delta: dict[tuple[str, str], AlgebraElement] = {}
-        for (s, t), coeff in dict(delta).items():
-            if coeff.is_zero():
-                continue
-            self.delta[(s, t)] = coeff
+            gens = {name: self._norm(idem) for name, idem in gens.items()}
+        self.generators = gens
+        self.delta = {k: coeff for k, coeff in dict(delta).items() if coeff}
         self.provenance = provenance
         if check:
             self.validate()
 
+    # -- coefficient hooks ---------------------------------------------------
+
+    def _norm(self, idem) -> Idempotent:
+        return _norm_idem(self.algebra, idem)
+
+    def _corner_fault(self):
+        """A check for one ``validate`` call: (source idempotent, coefficient,
+        target idempotent) -> None, or why the coefficient is off that corner."""
+        sandwich = self.algebra.sandwich
+
+        def fault(i, coeff, j):
+            if sandwich(i, coeff, j) != coeff:
+                return "not idempotent-compatible"
+            return None
+
+        return fault
+
+    def _unit(self, idem):
+        return self.algebra.expand(((), idem))
+
+    _mul = staticmethod(operator.mul)
+    _add = staticmethod(operator.add)
+    _d = staticmethod(operator.methodcaller("d"))
+    _terms = staticmethod(operator.attrgetter("terms"))  # hashable F2 terms
+
+    def _residuals(self, src, dst, terms) -> list[tuple]:
+        """The ``verify_d2`` residuals of one (src, dst) from their terms."""
+        return [(src, dst, AlgebraElement(self.algebra.n, terms))]
+
+    def _with(self, generators, delta):
+        """A module of the same kind and algebras, taken as given."""
+        out = copy.copy(self)
+        out.generators, out.delta = generators, delta
+        return out
+
+    # -- shared structure ----------------------------------------------------
+
     def validate(self):
+        fault = self._corner_fault()
         for (s, t), coeff in self.delta.items():
             if s not in self.generators or t not in self.generators:
                 raise ModuleError(f"arrow ({s},{t}) uses unknown generator")
-            sandwich = self.algebra.sandwich(self.generators[s], coeff, self.generators[t])
-            if sandwich != coeff:
-                raise ModuleError(f"coefficient of {s}->{t} not idempotent-compatible")
+            why = fault(self.generators[s], coeff, self.generators[t])
+            if why:
+                raise ModuleError(f"coefficient of {s}->{t} {why}")
 
     def arrows(self):
         return sorted(self.delta.items())
 
-    def verify_d2(self) -> list[tuple[str, str, AlgebraElement]]:
-        """Nonzero residual terms of the structure equation, per (src, tgt)."""
+    def verify_d2(self) -> list[tuple]:
+        """Nonzero residual terms of the structure equation, per (src, tgt).
+
+        Each is (src, tgt, element), or (src, tgt, upower, element) for a
+        U-weighted module.
+        """
         residual: dict[tuple[str, str], set] = defaultdict(set)
         outgoing, _ = _adjacency(self.generators, self.delta)
+        mul, terms = self._mul, self._terms
         for (x, y), c in self.delta.items():
-            residual[(x, y)].symmetric_difference_update(c.d().terms)
+            residual[(x, y)].symmetric_difference_update(terms(self._d(c)))
             for z, c2 in outgoing[y].items():
-                residual[(x, z)].symmetric_difference_update((c * c2).terms)
-        n = self.algebra.n
-        return sorted((x, z, AlgebraElement(n, r)) for (x, z), r in residual.items() if r)
+                residual[(x, z)].symmetric_difference_update(terms(mul(c, c2)))
+        out = []
+        for (x, z), r in residual.items():
+            if r:
+                out.extend(self._residuals(x, z, r))
+        return sorted(out)
 
     def is_reduced(self) -> bool:
         return not any(
@@ -216,178 +270,129 @@ class TypeDModule:
 
     def _unit_arrow(self, s, t, coeff) -> bool:
         idem = self.generators[s]
-        return idem == self.generators[t] and coeff == self.algebra.expand(((), idem))
+        return idem == self.generators[t] and coeff == self._unit(idem)
 
-    def reduce(self) -> "TypeDModule":
+    def reduce(self):
         gens, delta = _cancel_all(
-            dict(self.generators),
-            dict(self.delta),
-            unit=self._unit_arrow,
-            mul=lambda a, b: a * b,
+            dict(self.generators), dict(self.delta),
+            unit=self._unit_arrow, mul=self._mul, add=self._add,
         )
-        return TypeDModule(self.algebra, gens, delta, provenance=self.provenance, check=False)
+        return self._with(gens, delta)
 
-    def rename(self, fn) -> "TypeDModule":
+    def rename(self, fn):
         gens = {fn(n): idem for n, idem in self.generators.items()}
         delta = {(fn(s), fn(t)): c for (s, t), c in self.delta.items()}
-        return TypeDModule(self.algebra, gens, delta, provenance=self.provenance, check=False)
+        return self._with(gens, delta)
 
     def __repr__(self):
-        return f"TypeDModule({len(self.generators)} generators, {len(self.delta)} arrows)"
+        kind = type(self).__name__
+        return f"{kind}({len(self.generators)} generators, {len(self.delta)} arrows)"
 
 
-class UTypeDModule:
+class UTypeDModule(TypeDModule):
     """Type D module whose arrows carry U powers: coeff is {upower: element}.
 
     ``check=False`` takes idempotents as given, as for ``TypeDModule``.
     """
 
     def __init__(self, algebra: SurfaceAlgebra, generators, delta, check: bool = True):
-        self.algebra = algebra
-        gens = dict(generators)
-        if check:
-            gens = {name: _norm_idem(algebra, idem) for name, idem in gens.items()}
-        self.generators = gens
-        self.delta: dict[tuple[str, str], dict[int, AlgebraElement]] = {}
-        for (s, t), coeff in dict(delta).items():
-            coeff = {m: e for m, e in coeff.items() if not e.is_zero()}
-            if coeff:
-                self.delta[(s, t)] = coeff
-        if check:
-            self.validate()
+        delta = {k: {m: e for m, e in coeff.items() if e} for k, coeff in dict(delta).items()}
+        super().__init__(algebra, generators, delta, check=check)
 
-    def validate(self):
-        for (s, t), coeff in self.delta.items():
-            if s not in self.generators or t not in self.generators:
-                raise ModuleError(f"arrow ({s},{t}) uses unknown generator")
+    def _corner_fault(self):
+        sandwich = self.algebra.sandwich
+
+        def fault(i, coeff, j):
             for m, e in coeff.items():
                 if m < 0:
-                    raise ModuleError(f"negative U power on {s}->{t}")
-                if self.algebra.sandwich(self.generators[s], e, self.generators[t]) != e:
-                    raise ModuleError(f"coefficient of {s}->{t} (U^{m}) not compatible")
+                    return "has a negative U power"
+                if sandwich(i, e, j) != e:
+                    return f"(U^{m}) not compatible"
+            return None
 
-    def verify_d2(self):
-        residual: dict[tuple[str, str, int], set] = defaultdict(set)
-        outgoing, _ = _adjacency(self.generators, self.delta)
-        for (x, y), c in self.delta.items():
-            for m, e in c.items():
-                residual[(x, y, m)].symmetric_difference_update(e.d().terms)
-            for z, c2 in outgoing[y].items():
-                for m1, e1 in c.items():
-                    for m2, e2 in c2.items():
-                        residual[(x, z, m1 + m2)].symmetric_difference_update((e1 * e2).terms)
-        n = self.algebra.n
-        return sorted((x, z, m, AlgebraElement(n, r)) for (x, z, m), r in residual.items() if r)
+        return fault
 
-    def _unit_arrow(self, s, t, coeff) -> bool:
-        idem = self.generators[s]
-        return (
-            idem == self.generators[t]
-            and coeff.keys() == {0}
-            and coeff[0] == self.algebra.expand(((), idem))
-        )
+    def _unit(self, idem):
+        return {0: self.algebra.expand(((), idem))}
 
-    def reduce(self) -> "UTypeDModule":
-        def mul(c1, c2):
-            out: dict[int, AlgebraElement] = {}
-            for m1, e1 in c1.items():
-                for m2, e2 in c2.items():
-                    p = e1 * e2
-                    if p.is_zero():
-                        continue
-                    m = m1 + m2
-                    out[m] = out.get(m, AlgebraElement.zero(p.n)) + p
-            return {m: e for m, e in out.items() if not e.is_zero()}
+    @staticmethod
+    def _add(c1, c2):
+        out = dict(c1)
+        for m, e in c2.items():
+            out[m] = out[m] + e if m in out else e
+        return {m: e for m, e in out.items() if e}
 
-        gens, delta = _cancel_all(
-            dict(self.generators), dict(self.delta), unit=self._unit_arrow, mul=mul,
-            add=_add_ucoeff, is_zero=lambda c: not c,
-        )
-        return UTypeDModule(self.algebra, gens, delta, check=False)
+    @classmethod
+    def _mul(cls, c1, c2):
+        out: dict[int, AlgebraElement] = {}
+        for m1, e1 in c1.items():
+            for m2, e2 in c2.items():
+                out = cls._add(out, {m1 + m2: e1 * e2})
+        return out
 
-    def __repr__(self):
-        return f"UTypeDModule({len(self.generators)} generators, {len(self.delta)} arrows)"
+    @staticmethod
+    def _d(coeff):
+        return {m: e.d() for m, e in coeff.items()}
+
+    @staticmethod
+    def _terms(coeff):
+        return [(m, diag) for m, e in coeff.items() for diag in e.terms]
+
+    def _residuals(self, src, dst, terms):
+        by_power: dict[int, set] = defaultdict(set)
+        for m, diag in terms:
+            by_power[m].add(diag)
+        return [(src, dst, m, AlgebraElement(self.algebra.n, r)) for m, r in by_power.items()]
 
 
-class TypeDDModule:
+class TypeDDModule(TypeDModule):
     """Bimodule with two commuting left algebra coefficients.
 
-    ``check=False`` takes idempotent pairs as given, as for ``TypeDModule``.
+    It is a type D structure over algebra1 (x) algebra2, so ``algebra`` is
+    the pair and each generator's idempotent is a pair of idempotents;
+    coefficients are ``TensorElement``s.  ``check=False`` takes idempotent
+    pairs as given, as for ``TypeDModule``.
     """
 
     def __init__(self, algebra1: SurfaceAlgebra, algebra2: SurfaceAlgebra,
                  generators, delta, provenance: str = "", check: bool = True):
         self.algebra1 = algebra1
         self.algebra2 = algebra2
-        gens = dict(generators)
-        if check:
-            gens = {name: (_norm_idem(algebra1, i1), _norm_idem(algebra2, i2))
-                    for name, (i1, i2) in gens.items()}
-        self.generators: dict[str, tuple[Idempotent, Idempotent]] = gens
-        self.delta: dict[tuple[str, str], TensorElement] = {}
-        for (s, t), coeff in dict(delta).items():
-            if coeff.is_zero():
-                continue
-            self.delta[(s, t)] = coeff
-        self.provenance = provenance
-        if check:
-            self.validate()
+        super().__init__((algebra1, algebra2), generators, delta, provenance, check)
 
-    def unit_tensor(self, name) -> TensorElement:
-        return _unit_tensor(self.algebra1, self.algebra2, *self.generators[name])
+    def _norm(self, idem):
+        i1, i2 = idem
+        return (_norm_idem(self.algebra1, i1), _norm_idem(self.algebra2, i2))
 
-    def validate(self):
-        alg1, alg2 = self.algebra1, self.algebra2
-        corners1: dict = {}  # diagram -> corner, once per distinct diagram
-        corners2: dict = {}
+    def _corner_fault(self):
+        # each distinct diagram's corner is found once, and only for this call
+        corner1 = lru_cache(maxsize=None)(self.algebra1.diagram_corner)
+        corner2 = lru_cache(maxsize=None)(self.algebra2.diagram_corner)
+        sizes = (self.algebra1.n, self.algebra2.n)
 
-        def corner(alg, corners, diag):
-            c = corners.get(diag)
-            if c is None:
-                c = corners[diag] = alg.diagram_corner(diag)
-            return c
-
-        for (s, t), coeff in self.delta.items():
-            if s not in self.generators or t not in self.generators:
-                raise ModuleError(f"arrow ({s},{t}) uses unknown generator")
-            (s1, s2), (t1, t2) = self.generators[s], self.generators[t]
-            if (coeff.n1, coeff.n2) != (alg1.n, alg2.n) or any(
-                corner(alg1, corners1, d1) != (s1, t1) or corner(alg2, corners2, d2) != (s2, t2)
+        def fault(i, coeff, j):
+            (s1, s2), (t1, t2) = i, j
+            if (coeff.n1, coeff.n2) != sizes or any(
+                corner1(d1) != (s1, t1) or corner2(d2) != (s2, t2)
                 for d1, d2 in coeff.terms
             ):
-                raise ModuleError(f"coefficient of {s}->{t} not idempotent-compatible")
+                return "not idempotent-compatible"
+            return None
 
-    def verify_d2(self):
-        residual: dict[tuple[str, str], set] = defaultdict(set)
-        outgoing, _ = _adjacency(self.generators, self.delta)
-        for (x, y), c in self.delta.items():
-            residual[(x, y)].symmetric_difference_update(c.d().terms)
-            for z, c2 in outgoing[y].items():
-                residual[(x, z)].symmetric_difference_update((c * c2).terms)
-        n1, n2 = self.algebra1.n, self.algebra2.n
-        return sorted((x, z, TensorElement(n1, n2, r)) for (x, z), r in residual.items() if r)
+        return fault
 
-    def _unit_arrow(self, s, t, coeff) -> bool:
-        return self.generators[s] == self.generators[t] and coeff == self.unit_tensor(s)
+    def _unit(self, idem):
+        return _unit_tensor(self.algebra1, self.algebra2, *idem)
 
-    def reduce(self) -> "TypeDDModule":
-        gens, delta = _cancel_all(
-            dict(self.generators), dict(self.delta),
-            unit=self._unit_arrow, mul=lambda a, b: a * b,
-        )
-        return TypeDDModule(self.algebra1, self.algebra2, gens, delta,
-                            provenance=self.provenance, check=False)
+    def _residuals(self, src, dst, terms):
+        return [(src, dst, TensorElement(self.algebra1.n, self.algebra2.n, terms))]
 
     def restrict_weight(self, weight1: int) -> "TypeDDModule":
         """Keep the generators whose first idempotent has the given weight."""
         keep = {n for n, (i1, _) in self.generators.items() if len(i1) == weight1}
         gens = {n: self.generators[n] for n in keep}
         delta = {k: c for k, c in self.delta.items() if k[0] in keep and k[1] in keep}
-        return TypeDDModule(self.algebra1, self.algebra2, gens, delta,
-                            provenance=self.provenance, check=False)
-
-    def __repr__(self):
-        return f"TypeDDModule({len(self.generators)} generators, {len(self.delta)} arrows)"
+        return self._with(gens, delta)
 
 
 @lru_cache(maxsize=None)
@@ -408,26 +413,7 @@ def _adjacency(gens, delta):
 # cancellation and isomorphism
 
 
-def _add_default(a, b):
-    return a + b
-
-
-def _is_zero_default(c):
-    return c.is_zero()
-
-
-def _add_ucoeff(c1, c2):
-    out = dict(c1)
-    for m, e in c2.items():
-        tot = out.get(m, AlgebraElement.zero(e.n)) + e
-        if tot.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = tot
-    return out
-
-
-def _cancel_all(gens, delta, unit, mul, add=_add_default, is_zero=_is_zero_default):
+def _cancel_all(gens, delta, unit, mul, add):
     """Cancel unit arrows until none remain; deterministic order.
 
     Each round removes the lexicographically least (src, dst), src != dst,
@@ -441,6 +427,9 @@ def _cancel_all(gens, delta, unit, mul, add=_add_default, is_zero=_is_zero_defau
     coefficient no longer a unit); each pop is checked again and stale ones
     are dropped.  So the first live pop is the least unit arrow, the one a
     full re-sort of the arrows would pick.
+
+    ``mul`` and ``add`` are the module kind's coefficient arithmetic; a
+    coefficient is zero when it is falsy.
     """
     out, into = _adjacency(gens, delta)
     heap = [k for k, c in delta.items() if k[0] != k[1] and unit(*k, c)]
@@ -464,11 +453,11 @@ def _cancel_all(gens, delta, unit, mul, add=_add_default, is_zero=_is_zero_defau
             row = out[w]
             for t, ct in zag:
                 prod = mul(cw, ct)
-                if is_zero(prod):
+                if not prod:
                     continue
                 cur = row.get(t)
                 tot = prod if cur is None else add(cur, prod)
-                if is_zero(tot):
+                if not tot:
                     del row[t]
                     del into[t][w]
                 else:

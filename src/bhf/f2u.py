@@ -244,9 +244,6 @@ class F2UDecomposition:
         """F2-dimension of the homology of C/U^N predicted by the decomposition."""
         return self.free_rank * N + sum(2 * min(k, N) for k in self.torsion)
 
-    def total_f2_rank_at_u0(self) -> int:
-        return self.truncated_rank(1)
-
 
 class F2UComplex:
     """Free F2[U] chain complex: named generators, polynomial differential.

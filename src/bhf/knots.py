@@ -106,10 +106,6 @@ class CFKComplex:
             for (s, m, t) in self.entries()
         )
 
-    def to_f2u(self, graded=False) -> F2UComplex:
-        gr = self.alexander if graded else None
-        return F2UComplex(self.generators, self.differential, gradings=gr, check=False)
-
     def associated_graded(self) -> F2UComplex:
         """Keep exactly the grading-homogeneous part of the differential."""
         diff = {}
@@ -354,20 +350,14 @@ def alexander_polynomial_str(poly: dict[int, int]) -> str:
 # the translation to a torus-algebra type D module
 
 
-def cfk_to_cfd(complex_: CFKComplex, framing: int, simplify: bool = True) -> TypeDModule:
+def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
     """Type D module of the framed knot complement.
 
     The simplified basis elements become the iota0 generators; each vertical
     or horizontal arrow contributes a chain of iota1 generators, and the
     framing-dependent unstable chain joins the distinguished generators.
     """
-    if simplify:
-        simple, report = simplify_basis(complex_)
-    else:
-        simple = complex_
-        _, report = simplify_basis(complex_)
-        if report.substitutions:
-            raise NotSimplified("complex is not simplified; pass simplify=True")
+    simple, report = simplify_basis(complex_)
     arrows = classify_arrows(simple)
     xi0, eta0 = report.xi0, report.eta0
     if xi0 is None or eta0 is None:

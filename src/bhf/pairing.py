@@ -7,7 +7,7 @@ of the middle coefficient, post-composition with the target module's arrows
 and pre-composition with the source module's arrows.
 
 A DD bimodule paired against a type D module leaves a type D module over
-the unused algebra.  Two variants exist and are both provided:
+the unused algebra.  Two variants exist, both built by ``_pair_bimodule``:
 
 * ``mor_dd_d(B, M)``: morphisms out of the bimodule.  The retained action
   is naturally a right action, so the output is written over the opposite
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .gf2 import F2ChainComplex
 from .f2u import F2UComplex
-from .pmc import reverse
+from .pmc import pair_map_to_reverse
 from .strands import AlgebraElement, BasisKey, SurfaceAlgebra, algebra_of, to_opposite
 from .dmodules import GateFailure, TypeDModule, TypeDDModule, UTypeDModule
 
@@ -46,12 +46,12 @@ def mor_generator_name(x: str, key: BasisKey, y: str) -> str:
     return f"{x}|{key_name(key)}|{y}"
 
 
-def _mor_basis(M, N):
-    """Triples (x, key, y) spanning the A-linear maps M -> N."""
-    alg = M.algebra
+def _mor_basis(alg: SurfaceAlgebra, left, right):
+    """Sorted triples (x, key, y), key in the corner I(x) * A * I(y); ``left``
+    and ``right`` map generator names to idempotents."""
     out = []
-    for x, ix in sorted(M.generators.items()):
-        for y, iy in sorted(N.generators.items()):
+    for x, ix in sorted(left.items()):
+        for y, iy in sorted(right.items()):
             for key in alg.corner_keys(ix, iy):
                 out.append((x, key, y))
     return out
@@ -120,7 +120,7 @@ def mor_d_d(M: TypeDModule, N: TypeDModule) -> F2ChainComplex:
     if M.algebra != N.algebra:
         raise AlgebraMismatch("modules over different algebras")
     alg = M.algebra
-    basis = _mor_basis(M, N)
+    basis = _mor_basis(alg, M.generators, N.generators)
     names = {b: mor_generator_name(*b) for b in basis}
     incoming = _keyed_arrows(M, _untagged(alg), by_target=True)
     outgoing = _keyed_arrows(N, _untagged(alg), by_target=False)
@@ -149,24 +149,46 @@ def homology_f2(complex_: F2ChainComplex):
 # bimodule pairings
 
 
-def _pair_bijection_to_reverse(circle):
-    """Pair names of a circle mapped into its reversed circle."""
-    rev = reverse(circle)
-    n = circle.n_points
+def _pair_bimodule(M: TypeDModule, B: TypeDDModule, side: int, into_b: bool) -> TypeDModule:
+    """Morphisms M -> B (``into_b``) or B -> M over the algebra on ``side``.
 
-    def image(p):
-        f1, f2 = circle.pair_feet(p)
-        return rev.pair_of(n + 1 - f1)
-
-    return rev, image
-
-
-def _paired_module(shared, basis, names, gens, out_alg, incoming, outgoing, provenance):
-    """The type D module of a bimodule pairing, gated on d^2 = 0.
-
-    A term tagged None carries the idempotent of its source generator;
-    any other tag is the term's coefficient.
+    The result is a type D module over the unused algebra, gated on
+    d^2 = 0.  Out of B, that action survives as a right action and is
+    rewritten over the opposite algebra (the reversed circle).  A term of
+    the differential tagged None carries the idempotent of its source
+    generator; any other tag is the term's coefficient.
     """
+    if side not in (1, 2):
+        raise AlgebraMismatch("side must be 1 or 2")
+    shared, other = (B.algebra1, B.algebra2) if side == 1 else (B.algebra2, B.algebra1)
+    if shared != M.algebra:
+        raise AlgebraMismatch("bimodule side does not match module algebra")
+    b_shared = {b: idems[side - 1] for b, idems in B.generators.items()}
+    if into_b:
+        out_alg, coeff_of = other, other.expand
+        b_out = {b: idems[2 - side] for b, idems in B.generators.items()}
+        basis = _mor_basis(shared, M.generators, b_shared)
+        provenance = f"mor_d_dd(side={side}; no opposite-algebra conversion)"
+    else:
+        rev_circle, pair_image = pair_map_to_reverse(other.circle)
+        out_alg = algebra_of(rev_circle)
+
+        def coeff_of(k_other):
+            return to_opposite(other.expand(k_other), other.circle)
+
+        b_out = {b: tuple(sorted(pair_image(p) for p in idems[2 - side]))
+                 for b, idems in B.generators.items()}
+        basis = _mor_basis(shared, b_shared, M.generators)
+        provenance = (
+            f"mor_dd_d(side={side}; second action rewritten over reversed circle "
+            f"{rev_circle!r} via the opposite-algebra map)"
+        )
+    names = {t: mor_generator_name(*t) for t in basis}
+    gens = {names[t]: b_out[t[2] if into_b else t[0]] for t in basis}
+    m_arrows = _keyed_arrows(M, _untagged(shared), by_target=into_b)
+    b_arrows = _keyed_arrows(B, _bimodule_split(B, side, coeff_of), by_target=not into_b)
+    incoming, outgoing = (m_arrows, b_arrows) if into_b else (b_arrows, m_arrows)
+
     terms: dict[tuple[str, str], set] = {}
     for src, dst, coeff in _mor_terms(shared, basis, incoming, outgoing):
         name = names[src]
@@ -188,43 +210,7 @@ def mor_dd_d(B: TypeDDModule, M: TypeDModule, side: int = 1) -> TypeDModule:
     survives as a right action and is rewritten over the opposite algebra
     (the reversed circle), so the result is again a left type D module.
     """
-    if side not in (1, 2):
-        raise AlgebraMismatch("side must be 1 or 2")
-    shared = B.algebra1 if side == 1 else B.algebra2
-    other = B.algebra2 if side == 1 else B.algebra1
-    if shared != M.algebra:
-        raise AlgebraMismatch("bimodule side does not match module algebra")
-    rev_circle, pair_image = _pair_bijection_to_reverse(other.circle)
-    out_alg = algebra_of(rev_circle)
-
-    def b_idems(name):
-        i1, i2 = B.generators[name]
-        return (i1, i2) if side == 1 else (i2, i1)
-
-    basis = []
-    for b, _ in sorted(B.generators.items()):
-        ib_shared, _ = b_idems(b)
-        for m, im in sorted(M.generators.items()):
-            for key in shared.corner_keys(ib_shared, im):
-                basis.append((b, key, m))
-    names = {t: mor_generator_name(*t) for t in basis}
-    gens = {}
-    for (b, key, m) in basis:
-        _, ib_other = b_idems(b)
-        gens[names[(b, key, m)]] = tuple(sorted(pair_image(p) for p in ib_other))
-
-    def opposite(k_other):
-        return to_opposite(other.expand(k_other), other.circle)
-
-    return _paired_module(
-        shared, basis, names, gens, out_alg,
-        incoming=_keyed_arrows(B, _bimodule_split(B, side, opposite), by_target=True),
-        outgoing=_keyed_arrows(M, _untagged(shared), by_target=False),
-        provenance=(
-            f"mor_dd_d(side={side}; second action rewritten over reversed circle "
-            f"{rev_circle!r} via the opposite-algebra map)"
-        ),
-    )
+    return _pair_bimodule(M, B, side, into_b=False)
 
 
 def mor_d_dd(M: TypeDModule, B: TypeDDModule, side: int = 1) -> TypeDModule:
@@ -233,32 +219,7 @@ def mor_d_dd(M: TypeDModule, B: TypeDDModule, side: int = 1) -> TypeDModule:
     The unused bimodule action is a left action already, so the output is a
     type D module over that algebra with no opposite-algebra conversion.
     """
-    if side not in (1, 2):
-        raise AlgebraMismatch("side must be 1 or 2")
-    shared = B.algebra1 if side == 1 else B.algebra2
-    other = B.algebra2 if side == 1 else B.algebra1
-    if shared != M.algebra:
-        raise AlgebraMismatch("bimodule side does not match module algebra")
-
-    def b_idems(name):
-        i1, i2 = B.generators[name]
-        return (i1, i2) if side == 1 else (i2, i1)
-
-    basis = []
-    for x, ix in sorted(M.generators.items()):
-        for b, _ in sorted(B.generators.items()):
-            ib_shared, _ = b_idems(b)
-            for key in shared.corner_keys(ix, ib_shared):
-                basis.append((x, key, b))
-    names = {t: mor_generator_name(*t) for t in basis}
-    gens = {names[(x, key, b)]: b_idems(b)[1] for (x, key, b) in basis}
-
-    return _paired_module(
-        shared, basis, names, gens, other,
-        incoming=_keyed_arrows(M, _untagged(shared), by_target=True),
-        outgoing=_keyed_arrows(B, _bimodule_split(B, side, other.expand), by_target=False),
-        provenance=f"mor_d_dd(side={side}; no opposite-algebra conversion)",
-    )
+    return _pair_bimodule(M, B, side, into_b=True)
 
 
 def mor_d_ud(M: TypeDModule, P: UTypeDModule) -> F2UComplex:
@@ -266,7 +227,7 @@ def mor_d_ud(M: TypeDModule, P: UTypeDModule) -> F2UComplex:
     if M.algebra != P.algebra:
         raise AlgebraMismatch("modules over different algebras")
     alg = M.algebra
-    basis = _mor_basis(M, P)
+    basis = _mor_basis(alg, M.generators, P.generators)
     names = {b: mor_generator_name(*b) for b in basis}
 
     def u_split(coeff):

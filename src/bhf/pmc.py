@@ -192,6 +192,13 @@ def reverse(circle: PointedMatchedCircle) -> PointedMatchedCircle:
     return make_pmc(circle.genus, table)
 
 
+def pair_map_to_reverse(circle: PointedMatchedCircle):
+    """The reversed circle, and the map from pair names (smaller feet) into it."""
+    rev = reverse(circle)
+    n = circle.n_points
+    return rev, lambda p: rev.pair_of(n + 1 - p)
+
+
 def connected_sum(z1: PointedMatchedCircle, z2: PointedMatchedCircle) -> PointedMatchedCircle:
     """Connected sum: Z1 keeps points 1..4k1, Z2 is shifted past the seam."""
     shift = z1.n_points

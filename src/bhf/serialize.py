@@ -72,33 +72,6 @@ def serialize(obj) -> dict:
                 for diag in obj.sorted_terms()
             ],
         }
-    if isinstance(obj, TypeDModule):
-        return {
-            "schema": SCHEMAS["dmodule"],
-            "algebra": serialize(obj.algebra.circle),
-            "generators": [
-                {"name": n, "idempotent": list(idem)}
-                for n, idem in sorted(obj.generators.items())
-            ],
-            "delta": [
-                {"src": s, "coeff": serialize(c), "dst": t}
-                for (s, t), c in sorted(obj.delta.items())
-            ],
-        }
-    if isinstance(obj, UTypeDModule):
-        delta = []
-        for (s, t), coeff in sorted(obj.delta.items()):
-            for m, e in sorted(coeff.items()):
-                delta.append({"src": s, "coeff": serialize(e), "dst": t, "upower": m})
-        return {
-            "schema": SCHEMAS["udmodule"],
-            "algebra": serialize(obj.algebra.circle),
-            "generators": [
-                {"name": n, "idempotent": list(idem)}
-                for n, idem in sorted(obj.generators.items())
-            ],
-            "delta": delta,
-        }
     if isinstance(obj, TypeDDModule):
         return {
             "schema": SCHEMAS["ddmodule"],
@@ -119,6 +92,24 @@ def serialize(obj) -> dict:
                 }
                 for (s, t), c in sorted(obj.delta.items())
             ],
+        }
+    if isinstance(obj, TypeDModule):  # plain or U-weighted; after TypeDDModule
+        weighted = type(obj) is UTypeDModule
+        delta = []
+        for (s, t), coeff in sorted(obj.delta.items()):
+            if weighted:
+                delta += [{"src": s, "coeff": serialize(e), "dst": t, "upower": m}
+                          for m, e in sorted(coeff.items())]
+            else:
+                delta.append({"src": s, "coeff": serialize(coeff), "dst": t})
+        return {
+            "schema": SCHEMAS["udmodule" if weighted else "dmodule"],
+            "algebra": serialize(obj.algebra.circle),
+            "generators": [
+                {"name": n, "idempotent": list(idem)}
+                for n, idem in sorted(obj.generators.items())
+            ],
+            "delta": delta,
         }
     if isinstance(obj, CFKComplex):
         gens = []

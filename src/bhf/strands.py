@@ -71,10 +71,6 @@ def make_diagram(n: int, strands) -> Diagram:
     return strands
 
 
-def is_upward_veering(diag: Diagram) -> bool:
-    return all(t >= s for s, t in diag)
-
-
 def diagram_inversions(diag: Diagram) -> list[tuple[int, int]]:
     """Pairs of start points (i, j), i < j, whose strands cross."""
     out = []
@@ -547,13 +543,6 @@ class SurfaceAlgebra:
             de = self.expand(key).d()
             keys = self._d_cache[key] = tuple(self.decompose(de)) if de else ()
         return keys
-
-    def support(self, element: AlgebraElement) -> tuple[int, ...]:
-        """Common interval support of the terms (they all agree)."""
-        sups = {diagram_support(self.n, t) for t in element.terms}
-        if len(sups) != 1:
-            raise StrandError("element terms have mixed support")
-        return next(iter(sups))
 
 
 @lru_cache(maxsize=None)

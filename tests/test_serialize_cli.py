@@ -74,12 +74,23 @@ def test_deterministic_output():
 
 
 def test_parse_named_catalog_references():
-    assert isinstance(parse_document("h_inf"), TypeDModule)
-    assert isinstance(parse_document("catalog:h_minus1"), TypeDModule)
-    assert isinstance(parse_document("dd_id:torus"), TypeDDModule)
-    assert isinstance(parse_document("twist:Tm'"), TypeDDModule)
-    assert isinstance(parse_document("pattern:cable21"), UTypeDModule)
+    # exact types: UTypeDModule and TypeDDModule subclass TypeDModule
+    assert type(parse_document("h_inf")) is TypeDModule
+    assert type(parse_document("catalog:h_minus1")) is TypeDModule
+    assert type(parse_document("dd_id:torus")) is TypeDDModule
+    assert type(parse_document("twist:Tm'")) is TypeDDModule
+    assert type(parse_document("pattern:cable21")) is UTypeDModule
     assert isinstance(parse_document("trefoil"), CFKComplex)
+
+
+@pytest.mark.parametrize(
+    "obj", [solid_torus("minus1"), cable21_pattern(), dehn_twist_dd("Tl'")],
+    ids=lambda o: type(o).__name__,
+)
+def test_roundtrip_keeps_the_exact_module_kind(obj):
+    back = parse_document(dumps(serialize(obj)))
+    assert type(back) is type(obj)
+    assert dumps(serialize(back)) == dumps(serialize(obj))
 
 
 def test_parse_inline_json():
@@ -163,6 +174,14 @@ def test_cli_dmod_verify_and_reduce(capsys):
     assert code == 0 and json.loads(out)["ok"] is True
     code, out, _ = run_cli(capsys, "dmod", "iso", "--in", "h_0", "--right", "h_0")
     assert code == 0 and json.loads(out)["isomorphic"] is True
+
+
+@pytest.mark.parametrize("doc", ["pattern:cable21", "dd_id:torus"])
+def test_cli_pair_left_takes_only_a_plain_type_d_module(capsys, doc):
+    code, out, err = run_cli(capsys, "pair", "--left", doc, "--right", "h_0", "--homology")
+    assert code == 1
+    assert out == ""
+    assert "--left must be a type D module" in err
 
 
 def test_cli_invalid_input_exit1(capsys, tmp_path):
