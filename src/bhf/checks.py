@@ -27,6 +27,7 @@ from .knots import (
     cfk_to_cfd,
     figure8_cfk,
     satellite,
+    staircase_cfk,
     tau,
     trefoil_cfk,
     unknot_cfk,
@@ -362,6 +363,22 @@ def check_satellite():
     return not problems, "; ".join(problems) or "29 generators; F2[U] + U^2 + U torsion; U=0 rank 5"
 
 
+def check_satellite_truncation(sizes=(25, 49, 97)):
+    """The C/U^N oracle, N = 1..3, on cable21 satellites of plain staircases
+    of k generators at framing -2(k - 1).  The free rank must be 1, as for
+    every knot in S^3, and C/U is the U = 0 specialization."""
+    problems, shapes = [], []
+    for k in sizes:
+        res = satellite("cable21", staircase_cfk([1] * (k - 1)), -2 * (k - 1))
+        dec = res.decomposition
+        shapes.append(f"{k}:{len(res.mor_complex.generators)}")
+        fault = _truncation_fault(res.mor_complex, dec, 3)
+        if dec.free_rank != 1 or dec.truncated_rank(1) != res.u0_rank or fault:
+            problems.append(f"{k} generators: {fault or dec}, U=0 rank {res.u0_rank}")
+    return not problems, "; ".join(problems) or (
+        f"companion:Mor generators {' '.join(shapes)}; C/U^N ranks agree for N=1..3")
+
+
 def check_underslides(genus2: bool = True):
     problems = []
     matches = []
@@ -478,24 +495,24 @@ def random_graded_f2u_complex(rng: random.Random, max_gens: int = 8, max_degree:
     return complex_, want
 
 
+def _truncation_fault(C: F2UComplex, dec: F2UDecomposition, top: int):
+    """Where the rank of C/U^N, N = 1..top, differs from the prediction."""
+    for N in range(1, top + 1):
+        want, got = dec.truncated_rank(N), C.truncate(N).homology_rank()
+        if want != got:
+            return f"N={N} predicted {want} brute {got}"
+    return None
+
+
 def check_snf_oracle(samples: int = 1000, seed: int = 7):
     rng = random.Random(seed)
-    mismatches = 0
-    detail = ""
     for trial in range(samples):
         C = random_f2u_complex(rng)
         dec = C.homology()
-        top = max([1] + list(dec.torsion)) + 2
-        for N in range(1, top + 1):
-            want = dec.truncated_rank(N)
-            got = C.truncate(N).homology_rank()
-            if want != got:
-                mismatches += 1
-                detail = f"trial {trial}: N={N} predicted {want} brute {got} ({dec})"
-                break
-        if mismatches:
-            break
-    return mismatches == 0, detail or f"{samples} random complexes, all truncation ranks agree"
+        fault = _truncation_fault(C, dec, max([1] + list(dec.torsion)) + 2)
+        if fault:
+            return False, f"trial {trial}: {fault} ({dec})"
+    return True, f"{samples} random complexes, all truncation ranks agree"
 
 
 def check_reduce_preserves_homology(samples: int = 30, seed: int = 5):
@@ -565,6 +582,7 @@ ALL_CHECKS = [
     ("knot_invariants", check_knot_invariants, {}),
     ("cfk_to_cfd", check_cfk_to_cfd, {}),
     ("satellite", check_satellite, {}),
+    ("satellite_truncation", check_satellite_truncation, {}),
     ("underslides", check_underslides, {}),
     ("snf_oracle", check_snf_oracle, {"samples": 1000}),
     ("reduce_homology", check_reduce_preserves_homology, {}),
@@ -575,6 +593,7 @@ FAST_OVERRIDES = {
     "snf_oracle": {"samples": 150},
     "underslides": {"genus2": False},
     "genus1_lattice": {"samples": 10},
+    "satellite_truncation": {"sizes": (25,)},
 }
 
 

@@ -7,13 +7,20 @@ canonical without sign or unit bookkeeping.
 Free chain complexes carry an optional integer grading per generator in
 which U has degree -1; graded complexes must have grading-homogeneous
 differentials, which forces every matrix entry to be a monomial.
+
+Homology cancels the unit entries and then takes a sparse Smith form of
+the rest (``f2u_homology``); no step builds a dense matrix.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
+from .cancel import _adjacency, _cancel_all
 from .gf2 import F2ChainComplex, NotAComplex
 
 
@@ -58,8 +65,10 @@ def poly_divmod(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
-def poly_divides(b: int, a: int) -> bool:
-    return poly_divmod(a, b)[1] == 0
+def poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return a
 
 
 def poly_unit_part(a: int) -> tuple[int, int]:
@@ -71,14 +80,7 @@ def poly_unit_part(a: int) -> tuple[int, int]:
 def poly_str(a: int) -> str:
     if a == 0:
         return "0"
-    bits = []
-    m = 0
-    while a:
-        if a & 1:
-            bits.append("1" if m == 0 else ("U" if m == 1 else f"U^{m}"))
-        a >>= 1
-        m += 1
-    return "+".join(bits)
+    return "+".join("1" if m == 0 else "U" if m == 1 else f"U^{m}" for m in poly_exponents(a))
 
 
 def poly_from_exponents(exps) -> int:
@@ -89,145 +91,85 @@ def poly_from_exponents(exps) -> int:
 
 
 def poly_exponents(a: int) -> list[int]:
-    out = []
-    m = 0
-    while a:
-        if a & 1:
-            out.append(m)
-        a >>= 1
-        m += 1
-    return out
+    return [m for m in range(a.bit_length()) if a >> m & 1]
 
 
 # ---------------------------------------------------------------------------
-# matrices over F2[U]
+# sparse Smith normal form
 
 
-class _Mat:
-    """Mutable dense matrix over F2[U] with optional row/column gradings."""
+class SparseMatrix(NamedTuple):
+    """m x n over F2[U]; ``entries`` maps (row, col) to a nonzero polynomial."""
 
-    def __init__(self, rows: int, cols: int):
-        self.m = rows
-        self.n = cols
-        self.a = [[0] * cols for _ in range(rows)]
-
-    def copy(self):
-        out = _Mat(self.m, self.n)
-        out.a = [row[:] for row in self.a]
-        return out
-
-    def swap_rows(self, i, j):
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-
-    def swap_cols(self, i, j):
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(self, dst, src, q):
-        """row[dst] += q * row[src]"""
-        if q == 0:
-            return
-        rd, rs = self.a[dst], self.a[src]
-        for c in range(self.n):
-            if rs[c]:
-                rd[c] ^= poly_mul(q, rs[c])
-
-    def add_col(self, dst, src, q):
-        if q == 0:
-            return
-        for row in self.a:
-            if row[src]:
-                row[dst] ^= poly_mul(q, row[src])
-
-    def is_zero(self):
-        return all(v == 0 for row in self.a for v in row)
-
-    def mul(self, other: "_Mat") -> "_Mat":
-        out = _Mat(self.m, other.n)
-        for i in range(self.m):
-            for k in range(self.n):
-                v = self.a[i][k]
-                if v:
-                    for j in range(other.n):
-                        w = other.a[k][j]
-                        if w:
-                            out.a[i][j] ^= poly_mul(v, w)
-        return out
+    m: int
+    n: int
+    entries: dict
 
 
-def smith_normal_form(mat: _Mat, col_gradings=None):
-    """Diagonalize over F2[U] with the divisibility chain.
+def smith_normal_form(mat: SparseMatrix) -> list[tuple[int, int, int]]:
+    """Diagonalize over F2[U]; returns pivots (row, col, entry), no two in
+    one row or column, which leave nothing once struck out.
 
-    Pivot rule: minimal degree, ties broken by (row, col) position.  Returns
-    (diagonal entries, q_gradings) where q_gradings, when col_gradings is
-    given, is the homogeneous grading of each column after the column
-    operations.
+    The pivot is the entry of least degree, from a heap pushed on every
+    change and checked again on each pop.  It clears its column by row
+    operations, then its row by column operations.  A monomial (graded)
+    pivot divides all it meets; otherwise a remainder of smaller degree is
+    left, which as the next pivot is a Euclid step.  Lines are added to one
+    another and never swapped, so on a homogeneous matrix each row and
+    column keeps its grading.
     """
-    A = mat.copy()
-    q_gr = list(col_gradings) if col_gradings is not None else None
+    rows: dict[int, dict] = {}
+    cols: dict[int, dict] = {}
+    heap = []
 
-    def col_swap(i, j):
-        A.swap_cols(i, j)
-        if q_gr is not None:
-            q_gr[i], q_gr[j] = q_gr[j], q_gr[i]
+    def put(i, j, p):
+        if p:
+            rows.setdefault(i, {})[j] = cols.setdefault(j, {})[i] = p
+            heapq.heappush(heap, (p.bit_length(), i, j))
+        else:
+            del rows[i][j], cols[j][i]
 
-    t = 0
-    limit = min(A.m, A.n)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, A.m):
-            for j in range(t, A.n):
-                v = A.a[i][j]
-                if v and (best is None or (poly_degree(v), i, j) < best):
-                    best = (poly_degree(v), i, j)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            A.swap_rows(pi, t)
-        if pj != t:
-            col_swap(pj, t)
-        # clear row and column t; restart on remainders
-        while True:
-            dirty = False
-            for j in range(t + 1, A.n):
-                if A.a[t][j]:
-                    q, r = poly_divmod(A.a[t][j], A.a[t][t])
-                    A.add_col(j, t, q)
-                    if r:
-                        col_swap(j, t)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for i in range(t + 1, A.m):
-                if A.a[i][t]:
-                    q, r = poly_divmod(A.a[i][t], A.a[t][t])
-                    A.add_row(i, t, q)
-                    if r:
-                        A.swap_rows(i, t)
-                        dirty = True
-                        break
-            if not dirty:
-                break
-        # divisibility chain
-        fixed = False
-        for i in range(t + 1, A.m):
-            for j in range(t + 1, A.n):
-                if A.a[i][j] and not poly_divides(A.a[t][t], A.a[i][j]):
-                    A.add_row(t, i, 1)
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        t += 1
+    for (i, j), p in mat.entries.items():
+        put(i, j, p)
+    pivots = []
+    while heap:
+        size, i, j = heapq.heappop(heap)
+        p = rows.get(i, {}).get(j)
+        if p is None or p.bit_length() != size:
+            continue  # stale
+        pivot_row = rows[i]
+        done = True
+        for k, a in list(cols[j].items()):
+            if k != i:  # row k -= q * row i
+                q, r = poly_divmod(a, p)
+                row_k = rows[k]
+                for c, b in pivot_row.items():
+                    put(k, c, row_k.get(c, 0) ^ poly_mul(q, b))
+                done = done and not r
+        if done:  # column j holds p alone, so a column operation meets row i only
+            for c, a in list(pivot_row.items()):
+                if c != j:
+                    r = poly_divmod(a, p)[1]
+                    put(i, c, r)
+                    done = done and not r
+        if done:
+            pivots.append((i, j, p))
+            del rows[i], cols[j]
+        else:
+            heapq.heappush(heap, (size, i, j))
+    return pivots
 
-    diag = [A.a[i][i] for i in range(limit)]
-    return diag, q_gr
+
+def _invariant_factors(polys) -> list[int]:
+    """The divisibility chain f_1 | f_2 | ... of diag(polys): gcds and lcms
+    move each prime power of an entry into place, as in an insertion sort."""
+    chain = []
+    for g in polys:
+        for k, f in enumerate(chain):
+            d = poly_gcd(f, g)
+            chain[k], g = d, poly_divmod(poly_mul(f, g), d)[0]
+        chain.append(g)
+    return chain
 
 
 @dataclass(frozen=True)
@@ -273,17 +215,19 @@ class F2UComplex:
     def graded(self) -> bool:
         return self.gradings is not None
 
-    def matrix(self) -> _Mat:
-        n = len(self.generators)
-        D = _Mat(n, n)
-        for (s, t), p in self.differential.items():
-            D.a[self.index[t]][self.index[s]] ^= p
-        return D
-
     def validate(self):
-        D = self.matrix()
-        if not D.mul(D).is_zero():
-            raise NotAComplex("differential does not square to zero over F2[U]")
+        out, _ = _adjacency(self.generators, self.differential)
+        square: dict = {}
+        for (s, t), p in self.differential.items():
+            for u, q in out[t].items():
+                square[(s, u)] = square.get((s, u), 0) ^ poly_mul(p, q)
+        residual = [k for k, c in square.items() if c]
+        if residual:
+            s, u = min(residual, key=lambda k: (self.index[k[0]], self.index[k[1]]))
+            raise NotAComplex(
+                "differential does not square to zero over F2[U]: "
+                f"d^2({s}) contains ({poly_str(square[(s, u)])}) {u}"
+            )
         if self.graded:
             for (s, t), p in self.differential.items():
                 drop = self.gradings[t] - self.gradings[s]
@@ -324,46 +268,49 @@ def f2u_homology(complex_: F2UComplex) -> F2UDecomposition:
     """Decompose ker d / im d into free and U-torsion summands.
 
     A free chain complex over the PID F2[U] splits into copies of F2[U] and
-    two-term pieces F2[U] --d_i--> F2[U], where d_1, ..., d_r are the
-    nonzero invariant factors of the differential D.  So one Smith normal
-    form of D gives the whole decomposition: the free rank is n - 2r, and
-    each d_i = U^v g with g(0) = 1 adds U-torsion F2[U]/U^v when v >= 1 and
-    unit torsion F2[U]/g when g != 1.
+    pieces F2[U] --d_i--> F2[U], where d_1, ..., d_r are the nonzero entries
+    of any diagonal form of the differential.  So the free rank is n - 2r,
+    and each d_i = U^v g with g(0) = 1 adds U-torsion F2[U]/U^v when v >= 1;
+    the unit parts g are put in invariant-factor form, which does not depend
+    on the diagonal form found.
 
-    With gradings present every operation is homogeneous and d preserves
-    the grading.  The piece of invariant factor U^v in column j has its
-    source in grading q_gr[j] and its target, which generates the torsion
-    summand, in grading q_gr[j] + v.  The free summands sit in the gradings
-    left when all sources and targets are removed from the multiset of
-    generator gradings.
+    Each entry equal to 1, the only unit, is cancelled first by the zig-zag
+    rule: a change of basis that splits off a piece F2[U] --1--> F2[U] and
+    leaves a complex with the same homology.  Each cancelled pair and each
+    pivot of the Smith form of what is left counts one to r.
+
+    Gradings: every operation is homogeneous.  A cancelled pair, and a pivot
+    U^v with its source (column) in grading q and its target (row), which
+    generates the torsion summand, in grading q + v, take both their
+    gradings out of the generators' multiset; the free summands sit in the
+    gradings left.
     """
-    graded = complex_.graded
-    col_gr = [complex_.gradings[g] for g in complex_.generators] if graded else None
-    diag, q_gr = smith_normal_form(complex_.matrix(), col_gradings=col_gr)
-    free_grs = Counter(col_gr or ())
-    torsion = []
-    torsion_grs = []
-    unit_torsion = []
-    r = 0
-    for j, val in enumerate(diag):
-        if val == 0:
-            continue
-        r += 1
-        v, g = poly_unit_part(val)
+    gr = complex_.gradings or {}
+    gens, delta = _cancel_all(
+        {g: gr.get(g) for g in complex_.generators}, dict(complex_.differential),
+        unit=lambda s, t, c: c == 1, mul=poly_mul, add=operator.xor,
+    )
+    names = list(gens)
+    index = {g: k for k, g in enumerate(names)}
+    entries = {(index[t], index[s]): p for (s, t), p in delta.items()}
+    pivots = smith_normal_form(SparseMatrix(len(names), len(names), entries))
+    free_grs = Counter(gens.values())  # gradings are None when ungraded
+    torsion, torsion_grs, units = [], [], []
+    for i, j, p in pivots:
+        v, g = poly_unit_part(p)
+        target, source = gens[names[i]], gens[names[j]]
         if v >= 1:
             torsion.append(v)
-            if graded:
-                torsion_grs.append((v, q_gr[j] + v))
+            torsion_grs.append((v, target))
         if g != 1:
-            unit_torsion.append(poly_str(g))
-        if graded:
-            free_grs[q_gr[j]] -= 1
-            free_grs[q_gr[j] + v] -= 1
-
+            units.append(g)
+        free_grs[target] -= 1
+        free_grs[source] -= 1
+    graded = complex_.graded
     return F2UDecomposition(
-        free_rank=len(complex_.generators) - 2 * r,
+        free_rank=len(names) - 2 * len(pivots),
         torsion=tuple(sorted(torsion, reverse=True)),
         free_gradings=tuple(sorted(free_grs.elements(), reverse=True)) if graded else None,
         torsion_gradings=tuple(sorted(torsion_grs, reverse=True)) if graded else None,
-        unit_torsion=tuple(sorted(unit_torsion)),
+        unit_torsion=tuple(sorted(poly_str(f) for f in _invariant_factors(units) if f != 1)),
     )

@@ -444,6 +444,22 @@ def figure8_cfk() -> CFKComplex:
     )
 
 
+def staircase_cfk(steps) -> CFKComplex:
+    """Vertical arrows x_i -> x_{i+1} (even i), horizontal x_{i+1} -> U^step
+    x_i (odd i); [1] * 2k is the left-handed T(2, 2k + 1), [1, 1] the trefoil."""
+    top = sum(steps) // 2
+    alexander, parities, entries = {}, {}, []
+    for i in range(len(steps) + 1):
+        alexander[f"x{i}"] = top - sum(steps[:i])
+        parities[f"x{i}"] = 1 if i % 2 == 0 else -1
+    for i, step in enumerate(steps):
+        if i % 2 == 0:
+            entries.append((f"x{i}", 0, f"x{i + 1}"))
+        else:
+            entries.append((f"x{i + 1}", step, f"x{i}"))
+    return CFKComplex(alexander, entries, parities=parities)
+
+
 def cable21_pattern() -> UTypeDModule:
     """U-weighted type D module of the (2,1)-cable pattern in the solid torus."""
     alg = algebra_of(standard_pmc("torus"))

@@ -85,3 +85,8 @@ def test_criterion_11_underslides():
 def test_criterion_12_snf_oracle():
     ok, detail = checks.check_snf_oracle(samples=1000, seed=7)
     _report(12, ok, detail)
+
+
+def test_criterion_13_satellite_truncation():
+    ok, detail = checks.check_satellite_truncation()
+    _report(13, ok, detail)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhf.f2u import (
     F2UComplex,
@@ -89,6 +91,45 @@ def test_not_a_complex_rejected():
         F2UComplex(["x", "y", "z"], {("x", "y"): 1, ("y", "z"): 1})
 
 
+def test_not_a_complex_names_a_residual_entry():
+    # d(w) = x + U y, d(x) = z, d(y) = U z: d^2(w) = (1+U^2) z
+    with pytest.raises(NotAComplex) as err:
+        F2UComplex(["w", "x", "y", "z"],
+                   {("w", "x"): 1, ("w", "y"): 0b10, ("x", "z"): 1, ("y", "z"): 0b10})
+    assert str(err.value) == (
+        "differential does not square to zero over F2[U]: d^2(w) contains (1+U^2) z"
+    )
+
+
+def test_unit_parts_in_invariant_factor_form():
+    # diag(1+U, 1+U+U^2) has invariant factors 1, 1+U^3
+    C = F2UComplex(["a", "b", "c", "d"], {("b", "a"): 0b11, ("d", "c"): 0b111})
+    dec = C.homology()
+    assert (dec.free_rank, dec.torsion, dec.unit_torsion) == (0, (), ("1+U^3",))
+
+
+def test_entry_with_u_torsion_and_unit_part():
+    dec = F2UComplex(["x", "y"], {("y", "x"): 0b110}).homology()  # U(1+U)
+    assert dec.torsion == (1,)
+    assert dec.unit_torsion == ("1+U",)
+
+
+def test_graded_pivot_off_the_first_row():
+    # the least-degree entry U sits in row c, below the U^2 entries of row a;
+    # h -> g is a unit entry, cancelled before the Smith form
+    C = F2UComplex(
+        ["a", "b", "c", "d", "e", "f", "g", "h"],
+        {("b", "a"): 0b100, ("d", "a"): 0b100, ("d", "c"): 0b10, ("f", "c"): 0b1000,
+         ("h", "g"): 1},
+        gradings={"a": 2, "b": 0, "c": 1, "d": 0, "e": -1, "f": -2, "g": 5, "h": 5},
+    )
+    dec = C.homology()
+    assert dec.free_rank == 2
+    assert dec.torsion == (2, 1)
+    assert dec.torsion_gradings == ((2, 2), (1, 1))
+    assert dec.free_gradings == (-1, -2)
+
+
 def test_inhomogeneous_rejected_in_graded_mode():
     with pytest.raises(InhomogeneousInput):
         F2UComplex(["x", "y"], {("x", "y"): 0b1}, gradings={"x": 0, "y": 5})
@@ -134,3 +175,17 @@ def test_graded_decomposition_matches_construction():
     for _ in range(300):
         C, want = random_graded_f2u_complex(rng)
         assert C.homology() == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_larger_complexes_match_truncations(rng, graded):
+    """Up to 30 generators, so that unit cancellation leaves a remainder."""
+    if graded:
+        C, want = random_graded_f2u_complex(rng, max_gens=30)
+        assert C.homology() == want
+    else:
+        C = random_f2u_complex(rng, max_gens=30)
+    dec = C.homology()
+    for N in range(1, max(dec.torsion, default=0) + 2):
+        assert dec.truncated_rank(N) == C.truncate(N).homology_rank()
