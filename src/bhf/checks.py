@@ -557,8 +557,7 @@ def _random_bipartite_module(rng: random.Random, alg):
                 for key in keys:
                     if rng.random() < 0.5:
                         coeff = coeff + alg.expand(key)
-                if not coeff.is_zero():
-                    delta[(src, dst)] = coeff
+                delta[(src, dst)] = coeff  # the module drops a zero one
     from .dmodules import TypeDModule
 
     return TypeDModule(alg, gens, delta)

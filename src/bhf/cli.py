@@ -142,6 +142,8 @@ def cmd_dmod(args):
         _emit(args, M.reduce())
         return 0
     if args.action == "iso":
+        if args.right is None:
+            raise ValidationError("dmod iso needs --right")
         N = _document(args.right, (TypeDModule, UTypeDModule, TypeDDModule), "--right")
         witness = iso_check(M.reduce(), N.reduce())
         doc = {"schema": "bhf/result@1", "isomorphic": witness is not None}

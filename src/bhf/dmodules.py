@@ -28,12 +28,13 @@ never consults the key-level product tables of ``SurfaceAlgebra``, so it
 checks pairings built from those tables independently.
 
 ``validate`` checks I(src) * coeff * I(dst) = coeff as a filter on terms,
-with no products.  It is exact: a horizontal section of I(S) composed with
-a diagram d returns d when its points are the starts of d and kills d
-otherwise, so the sandwich keeps exactly the terms whose starts lie one on
-each pair of S and whose ends lie one on each pair of the target idempotent
-(``SurfaceAlgebra.sandwich``).  A DD coefficient is checked on both
-diagrams of every tensor term.
+with no products: each term's ``diagram_corner`` (pairs under its starts,
+pairs under its ends) must be the (source, target) idempotents.  That is
+exact: a horizontal section of I(S) composed with a diagram d returns d
+when its points are the starts of d and kills it otherwise, so I(S) * d = d
+exactly when the starts of d lie one on each pair of S.  A coefficient over
+another ambient size fails; a DD one is checked on both diagrams of every
+tensor term, and a U-weighted one at every power.
 """
 
 from __future__ import annotations
@@ -178,22 +179,18 @@ class TensorElement:
 class TypeDModule:
     """Left type D module over a surface algebra; the core of all three kinds.
 
-    With ``check=False`` the caller vouches for the module: generator
-    idempotents are taken as given, already normal (sorted pair names), and
-    nothing is validated.  ``reduce`` and ``rename`` build their outputs so.
+    The constructor normalises generator idempotents (sorted pair names),
+    drops zero coefficients and validates every arrow.  ``reduce``,
+    ``rename`` and ``restrict_weight`` build their outputs through
+    ``_with``, which takes an already valid module's data as given.
     """
 
-    def __init__(self, algebra, generators, delta, provenance: str = "",
-                 check: bool = True):
+    def __init__(self, algebra, generators, delta, provenance: str = ""):
         self.algebra = algebra
-        gens = dict(generators)
-        if check:
-            gens = {name: self._norm(idem) for name, idem in gens.items()}
-        self.generators = gens
+        self.generators = {name: self._norm(idem) for name, idem in dict(generators).items()}
         self.delta = {k: coeff for k, coeff in dict(delta).items() if coeff}
         self.provenance = provenance
-        if check:
-            self.validate()
+        self.validate()
 
     # -- coefficient hooks ---------------------------------------------------
 
@@ -203,10 +200,12 @@ class TypeDModule:
     def _corner_fault(self):
         """A check for one ``validate`` call: (source idempotent, coefficient,
         target idempotent) -> None, or why the coefficient is off that corner."""
-        sandwich = self.algebra.sandwich
+        # each distinct diagram's corner is found once, and only for this call
+        corner = lru_cache(maxsize=None)(self.algebra.diagram_corner)
+        n = self.algebra.n
 
         def fault(i, coeff, j):
-            if sandwich(i, coeff, j) != coeff:
+            if coeff.n != n or any(corner(d) != (i, j) for d in coeff.terms):
                 return "not idempotent-compatible"
             return None
 
@@ -243,6 +242,13 @@ class TypeDModule:
 
     def arrows(self):
         return sorted(self.delta.items())
+
+    def gated(self, what: str):
+        """``self`` when it satisfies the structure equation, else GateFailure."""
+        bad = self.verify_d2()
+        if bad:
+            raise GateFailure(f"{what} fails d^2=0 on {len(bad)} pairs, first {bad[0]}")
+        return self
 
     def verify_d2(self) -> list[tuple]:
         """Nonzero residual terms of the structure equation, per (src, tgt).
@@ -289,24 +295,29 @@ class TypeDModule:
         return f"{kind}({len(self.generators)} generators, {len(self.delta)} arrows)"
 
 
+def _by_power(terms) -> dict[int, AlgebraElement]:
+    """The (U power, element) terms summed per power, zero sums dropped."""
+    out: dict[int, AlgebraElement] = {}
+    for m, e in terms:
+        out[m] = out[m] + e if m in out else e
+    return {m: e for m, e in out.items() if e}
+
+
 class UTypeDModule(TypeDModule):
-    """Type D module whose arrows carry U powers: coeff is {upower: element}.
+    """Type D module whose arrows carry U powers: coeff is {upower: element}."""
 
-    ``check=False`` takes idempotents as given, as for ``TypeDModule``.
-    """
-
-    def __init__(self, algebra: SurfaceAlgebra, generators, delta, check: bool = True):
+    def __init__(self, algebra: SurfaceAlgebra, generators, delta):
         delta = {k: {m: e for m, e in coeff.items() if e} for k, coeff in dict(delta).items()}
-        super().__init__(algebra, generators, delta, check=check)
+        super().__init__(algebra, generators, delta)
 
     def _corner_fault(self):
-        sandwich = self.algebra.sandwich
+        plain = super()._corner_fault()
 
         def fault(i, coeff, j):
             for m, e in coeff.items():
                 if m < 0:
                     return "has a negative U power"
-                if sandwich(i, e, j) != e:
+                if plain(i, e, j):
                     return f"(U^{m}) not compatible"
             return None
 
@@ -317,18 +328,11 @@ class UTypeDModule(TypeDModule):
 
     @staticmethod
     def _add(c1, c2):
-        out = dict(c1)
-        for m, e in c2.items():
-            out[m] = out[m] + e if m in out else e
-        return {m: e for m, e in out.items() if e}
+        return _by_power([*c1.items(), *c2.items()])
 
-    @classmethod
-    def _mul(cls, c1, c2):
-        out: dict[int, AlgebraElement] = {}
-        for m1, e1 in c1.items():
-            for m2, e2 in c2.items():
-                out = cls._add(out, {m1 + m2: e1 * e2})
-        return out
+    @staticmethod
+    def _mul(c1, c2):
+        return _by_power((m1 + m2, e1 * e2) for m1, e1 in c1.items() for m2, e2 in c2.items())
 
     @staticmethod
     def _d(coeff):
@@ -350,15 +354,14 @@ class TypeDDModule(TypeDModule):
 
     It is a type D structure over algebra1 (x) algebra2, so ``algebra`` is
     the pair and each generator's idempotent is a pair of idempotents;
-    coefficients are ``TensorElement``s.  ``check=False`` takes idempotent
-    pairs as given, as for ``TypeDModule``.
+    coefficients are ``TensorElement``s.
     """
 
     def __init__(self, algebra1: SurfaceAlgebra, algebra2: SurfaceAlgebra,
-                 generators, delta, provenance: str = "", check: bool = True):
+                 generators, delta, provenance: str = ""):
         self.algebra1 = algebra1
         self.algebra2 = algebra2
-        super().__init__((algebra1, algebra2), generators, delta, provenance, check)
+        super().__init__((algebra1, algebra2), generators, delta, provenance)
 
     def _norm(self, idem):
         i1, i2 = idem
@@ -487,7 +490,25 @@ def reduced_isomorphic(m1, m2, cap: int = 10**6) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# induced F2 chain complex of a type D module
+# underlying F2 spaces, the induced complex and mapping cones
+
+
+def module_f2_basis(module: TypeDModule) -> list[tuple]:
+    """F2 basis (key, x) of the underlying space A (x) M: generators x in name
+    order, and the basis keys whose right idempotent is that of x."""
+    alg = module.algebra
+    return [(key, name) for name, idem in sorted(module.generators.items())
+            for key in alg.basis_keys(len(idem)) if alg.key_right_pairs(key) == idem]
+
+
+def right_action(alg: SurfaceAlgebra, key, terms) -> set:
+    """The basis vectors (key2, y) of sum a * c (x) y over (c, y) in ``terms``,
+    a the element of ``key``; a vector that recurs cancels in pairs."""
+    elt = alg.expand(key)
+    out: set = set()
+    for c, y in terms:
+        out.symmetric_difference_update((k2, y) for k2 in alg.decompose(elt * c))
+    return out
 
 
 def induced_complex(module: TypeDModule):
@@ -495,29 +516,25 @@ def induced_complex(module: TypeDModule):
     from .gf2 import F2ChainComplex
 
     alg = module.algebra
-    basis = []
-    for name, idem in module.generators.items():
-        for w in range(0, 2 * alg.k + 1):
-            for key in alg.basis_keys(w):
-                if alg.key_right_pairs(key) == idem:
-                    basis.append((key, name))
-    entries: set = set()
-    for (key, name) in basis:
-        elt = alg.expand(key)
-        de = elt.d()
-        if not de.is_zero():
-            for k2 in alg.decompose(de):
-                entries ^= {((key, name), (k2, name))}
-        for (s, t), coeff in module.delta.items():
-            if s != name:
-                continue
-            prod = elt * coeff
-            if prod.is_zero():
-                continue
-            for k2 in alg.decompose(prod):
-                entries ^= {((key, name), (k2, t))}
+    basis = module_f2_basis(module)
+    outgoing, _ = _adjacency(module.generators, module.delta)
     named = {b: f"g{i}" for i, b in enumerate(basis)}
-    return F2ChainComplex(
-        [named[b] for b in basis],
-        [(named[a], named[b]) for a, b in entries],
-    )
+    entries = []
+    for b in basis:
+        key, name = b
+        image = right_action(alg, key, ((c, t) for t, c in outgoing[name].items()))
+        image.symmetric_difference_update((k2, name) for k2 in alg.decompose(alg.expand(key).d()))
+        entries.extend((named[b], named[v]) for v in image)
+    return F2ChainComplex([named[b] for b in basis], entries)
+
+
+def mapping_cone(f, M: TypeDModule, N: TypeDModule) -> TypeDModule:
+    """The cone of f = {x: [(c, y), ...]}: M -> N, on generators ("M", x) and
+    ("N", y).  It squares to zero exactly when M and N do and f is a chain map."""
+    m, n = M.rename(lambda x: ("M", x)), N.rename(lambda y: ("N", y))
+    delta = {**m.delta, **n.delta}
+    for x, terms in f.items():
+        for c, y in terms:
+            key = (("M", x), ("N", y))
+            delta[key] = delta[key] + c if key in delta else c
+    return TypeDModule(M.algebra, {**m.generators, **n.generators}, delta)

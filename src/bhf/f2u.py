@@ -195,7 +195,7 @@ class F2UComplex:
     generators to integers; U carries grading -1.
     """
 
-    def __init__(self, generators, differential, gradings=None, check=True):
+    def __init__(self, generators, differential, gradings=None):
         self.generators = list(generators)
         self.index = {g: i for i, g in enumerate(self.generators)}
         if len(self.index) != len(self.generators):
@@ -208,8 +208,7 @@ class F2UComplex:
                 raise ValueError(f"entry ({s},{t}) uses unknown generator")
             self.differential[(s, t)] = int(p)
         self.gradings = dict(gradings) if gradings is not None else None
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def graded(self) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .f2u import F2UComplex, poly_exponents
 from .pmc import standard_pmc
 from .strands import AlgebraElement, algebra_of, torus_element
-from .dmodules import GateFailure, TypeDModule, UTypeDModule
+from .dmodules import TypeDModule, UTypeDModule
 from .pairing import mor_d_ud
 
 
@@ -59,7 +59,7 @@ class CannotSimplify(CFKError):
 class CFKComplex:
     """Knot Floer complex data: gradings, optional parities, U-differential."""
 
-    def __init__(self, generators, differential, parities=None, check=True):
+    def __init__(self, generators, differential, parities=None):
         self.alexander: dict[str, int] = dict(generators)
         self.parities: dict[str, int] | None = dict(parities) if parities else None
         # polynomial differential: (src, dst) -> bitmask
@@ -69,8 +69,7 @@ class CFKComplex:
             key = (src, dst)
             self.differential[key] = self.differential.get(key, 0) ^ (1 << m)
         self.differential = {k: p for k, p in self.differential.items() if p}
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def generators(self):
@@ -260,9 +259,8 @@ def simplify_basis(complex_: CFKComplex):
                 f"no simplified basis found after {total} substitutions"
             )
 
-    out = CFKComplex(A, [], parities=complex_.parities, check=False)
-    out.differential = {k: p for k, p in delta.items() if p}
-    out.validate()
+    out = CFKComplex(A, [(s, m, t) for (s, t), p in delta.items() for m in poly_exponents(p)],
+                     parities=complex_.parities)
     arrows = classify_arrows(out)
 
     def simplified(arrowlist):
@@ -411,10 +409,7 @@ def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
         add(xi0, eta0, "rho12")
 
     out = TypeDModule(alg, gens, delta, provenance=f"cfk_to_cfd(framing={framing})")
-    bad = out.verify_d2()
-    if bad:
-        raise GateFailure(f"translated module fails d^2=0: {bad[:3]}")
-    return out
+    return out.gated("translated module")
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +466,7 @@ def cable21_pattern() -> UTypeDModule:
         ("y1", "x"): {0: torus_element("rho1")},
         ("y2", "x"): {1: torus_element("rho123")},
     }
-    out = UTypeDModule(alg, gens, delta)
-    bad = out.verify_d2()
-    if bad:
-        raise GateFailure(f"pattern module fails d^2=0: {bad[:3]}")
-    return out
+    return UTypeDModule(alg, gens, delta).gated("pattern module")
 
 
 PATTERNS = {"cable21": cable21_pattern}

@@ -29,7 +29,7 @@ from .gf2 import F2ChainComplex
 from .f2u import F2UComplex
 from .pmc import pair_map_to_reverse
 from .strands import AlgebraElement, BasisKey, SurfaceAlgebra, algebra_of, to_opposite
-from .dmodules import GateFailure, TypeDModule, TypeDDModule, UTypeDModule
+from .dmodules import TypeDModule, TypeDDModule, UTypeDModule
 
 
 class AlgebraMismatch(ValueError):
@@ -57,23 +57,21 @@ def _mor_basis(alg: SurfaceAlgebra, left, right):
     return out
 
 
-def _keyed_arrows(module, split, by_target: bool) -> dict[str, list]:
+def _keyed_arrows(module, by_target: bool, split=None) -> dict[str, list]:
     """A module's arrows grouped by one end, coefficients split into keys once.
 
-    ``split(coeff)`` yields the (key, tag) pairs of a coefficient.  Grouped
-    by target the result maps dst -> [(src, key, tag)], by source it maps
-    src -> [(dst, key, tag)].
+    ``split(coeff)`` yields the (key, tag) pairs of a coefficient, by
+    default (key, None) for each of its keys.  Grouped by target the result
+    maps dst -> [(src, key, tag)], by source it maps src -> [(dst, key, tag)].
     """
+    alg = module.algebra
+    split = split or (lambda coeff: ((key, None) for key in alg.decompose(coeff)))
     out: dict[str, list] = {}
     for (s, t), coeff in module.delta.items():
         end, other = (t, s) if by_target else (s, t)
         row = out.setdefault(end, [])
         row.extend((other, key, tag) for key, tag in split(coeff))
     return out
-
-
-def _untagged(alg: SurfaceAlgebra):
-    return lambda coeff: ((key, None) for key in alg.decompose(coeff))
 
 
 def _bimodule_split(B: TypeDDModule, side: int, coeff_of):
@@ -93,41 +91,54 @@ def _bimodule_split(B: TypeDDModule, side: int, coeff_of):
     return split
 
 
-def _mor_terms(alg: SurfaceAlgebra, basis, incoming, outgoing):
-    """Terms (source triple, target triple, tag) of the Mor differential.
+def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, atoms):
+    """The basis triples of Mor(left, right), their names, and the differential.
 
-    For each basis triple (x, a, y): the keys of d(a), the keys of a * c
-    for each arrow y -> y2 of the target module in ``outgoing``, and of
-    c * a for each arrow x1 -> x of the source module in ``incoming``.  The
-    tag is None for d(a) and the arrow's tag otherwise.  A term may repeat;
-    callers add the terms mod 2 (``SurfaceAlgebra.key_product`` says why
-    that is exact).
+    For each basis triple (x, a, y) the differential has the keys of d(a),
+    of a * c for each arrow y -> y2 of the target module in ``outgoing``,
+    and of c * a for each arrow x1 -> x of the source module in
+    ``incoming``.  A term is tagged None for d(a) and with the arrow's tag
+    otherwise; ``atoms(src, tag)`` gives the hashable atoms of its
+    coefficient.  Atoms are added mod 2 (``SurfaceAlgebra.key_product``
+    says why that is exact), and the differential maps (src name, dst name)
+    to its nonempty atom set.
     """
+    basis = _mor_basis(alg, left, right)
+    names = {t: mor_generator_name(*t) for t in basis}
+    acc: dict[tuple[str, str], set] = {}
+
+    def add(src, dst, tag):
+        acc.setdefault((names[src], names[dst]), set()).symmetric_difference_update(atoms(src, tag))
+
     for src in basis:
         x, a, y = src
         for k in alg.key_d(a):
-            yield src, (x, k, y), None
+            add(src, (x, k, y), None)
         for y2, c, tag in outgoing.get(y, ()):
             for k in alg.key_product(a, c):
-                yield src, (x, k, y2), tag
+                add(src, (x, k, y2), tag)
         for x1, c, tag in incoming.get(x, ()):
             for k in alg.key_product(c, a):
-                yield src, (x1, k, y), tag
+                add(src, (x1, k, y), tag)
+    return basis, names, {k: v for k, v in acc.items() if v}
+
+
+def _mor_modules(M: TypeDModule, N: TypeDModule, atoms, split=None):
+    """Generator names and differential of Mor(M, N) over their one algebra;
+    ``split`` splits the coefficients of N as in ``_keyed_arrows``."""
+    if M.algebra != N.algebra:
+        raise AlgebraMismatch("modules over different algebras")
+    incoming = _keyed_arrows(M, by_target=True)
+    outgoing = _keyed_arrows(N, by_target=False, split=split)
+    basis, names, diff = _mor_complex(M.algebra, M.generators, N.generators,
+                                      incoming, outgoing, atoms)
+    return [names[b] for b in basis], diff
 
 
 def mor_d_d(M: TypeDModule, N: TypeDModule) -> F2ChainComplex:
     """Morphism complex of two type D modules over the same algebra."""
-    if M.algebra != N.algebra:
-        raise AlgebraMismatch("modules over different algebras")
-    alg = M.algebra
-    basis = _mor_basis(alg, M.generators, N.generators)
-    names = {b: mor_generator_name(*b) for b in basis}
-    incoming = _keyed_arrows(M, _untagged(alg), by_target=True)
-    outgoing = _keyed_arrows(N, _untagged(alg), by_target=False)
-    entries: set = set()
-    for src, dst, _ in _mor_terms(alg, basis, incoming, outgoing):
-        entries ^= {(names[src], names[dst])}
-    return F2ChainComplex([names[b] for b in basis], entries)
+    gens, diff = _mor_modules(M, N, lambda src, tag: (0,))
+    return F2ChainComplex(gens, diff)
 
 
 def identity_morphism(M: TypeDModule) -> list[str]:
@@ -156,7 +167,8 @@ def _pair_bimodule(M: TypeDModule, B: TypeDDModule, side: int, into_b: bool) -> 
     d^2 = 0.  Out of B, that action survives as a right action and is
     rewritten over the opposite algebra (the reversed circle).  A term of
     the differential tagged None carries the idempotent of its source
-    generator; any other tag is the term's coefficient.
+    triple's bimodule generator, read once per generator; any other tag is
+    the term's coefficient.
     """
     if side not in (1, 2):
         raise AlgebraMismatch("side must be 1 or 2")
@@ -167,7 +179,7 @@ def _pair_bimodule(M: TypeDModule, B: TypeDDModule, side: int, into_b: bool) -> 
     if into_b:
         out_alg, coeff_of = other, other.expand
         b_out = {b: idems[2 - side] for b, idems in B.generators.items()}
-        basis = _mor_basis(shared, M.generators, b_shared)
+        ends = (M.generators, b_shared)
         provenance = f"mor_d_dd(side={side}; no opposite-algebra conversion)"
     else:
         rev_circle, pair_image = pair_map_to_reverse(other.circle)
@@ -178,29 +190,25 @@ def _pair_bimodule(M: TypeDModule, B: TypeDDModule, side: int, into_b: bool) -> 
 
         b_out = {b: tuple(sorted(pair_image(p) for p in idems[2 - side]))
                  for b, idems in B.generators.items()}
-        basis = _mor_basis(shared, b_shared, M.generators)
+        ends = (b_shared, M.generators)
         provenance = (
             f"mor_dd_d(side={side}; second action rewritten over reversed circle "
             f"{rev_circle!r} via the opposite-algebra map)"
         )
-    names = {t: mor_generator_name(*t) for t in basis}
-    gens = {names[t]: b_out[t[2] if into_b else t[0]] for t in basis}
-    m_arrows = _keyed_arrows(M, _untagged(shared), by_target=into_b)
-    b_arrows = _keyed_arrows(B, _bimodule_split(B, side, coeff_of), by_target=not into_b)
+    m_arrows = _keyed_arrows(M, by_target=into_b)
+    b_arrows = _keyed_arrows(B, by_target=not into_b, split=_bimodule_split(B, side, coeff_of))
     incoming, outgoing = (m_arrows, b_arrows) if into_b else (b_arrows, m_arrows)
+    units = {b: out_alg.idempotent(idem).terms for b, idem in b_out.items()}
+    end = 2 if into_b else 0
 
-    terms: dict[tuple[str, str], set] = {}
-    for src, dst, coeff in _mor_terms(shared, basis, incoming, outgoing):
-        name = names[src]
-        if coeff is None:
-            coeff = out_alg.idempotent(gens[name])
-        terms.setdefault((name, names[dst]), set()).symmetric_difference_update(coeff.terms)
-    delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items() if t}
+    def atoms(src, coeff):
+        return units[src[end]] if coeff is None else coeff.terms
+
+    basis, names, terms = _mor_complex(shared, *ends, incoming, outgoing, atoms)
+    gens = {names[t]: b_out[t[end]] for t in basis}
+    delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items()}
     out = TypeDModule(out_alg, gens, delta, provenance=provenance)
-    bad = out.verify_d2()
-    if bad:
-        raise GateFailure(f"pairing output fails d^2=0: {bad[:3]}")
-    return out
+    return out.gated("pairing output")
 
 
 def mor_dd_d(B: TypeDDModule, M: TypeDModule, side: int = 1) -> TypeDModule:
@@ -224,26 +232,12 @@ def mor_d_dd(M: TypeDModule, B: TypeDDModule, side: int = 1) -> TypeDModule:
 
 def mor_d_ud(M: TypeDModule, P: UTypeDModule) -> F2UComplex:
     """Morphism complex into a U-weighted type D module, over F2[U]."""
-    if M.algebra != P.algebra:
-        raise AlgebraMismatch("modules over different algebras")
-    alg = M.algebra
-    basis = _mor_basis(alg, M.generators, P.generators)
-    names = {b: mor_generator_name(*b) for b in basis}
 
     def u_split(coeff):
-        return ((key, m) for m, e in coeff.items() for key in alg.decompose(e))
+        return ((key, m) for m, e in coeff.items() for key in P.algebra.decompose(e))
 
-    incoming = _keyed_arrows(M, _untagged(alg), by_target=True)
-    outgoing = _keyed_arrows(P, u_split, by_target=False)
-    diff: dict[tuple[str, str], int] = {}
-    for src, dst, upower in _mor_terms(alg, basis, incoming, outgoing):
-        key = (names[src], names[dst])
-        cur = diff.get(key, 0) ^ (1 << (upower or 0))
-        if cur:
-            diff[key] = cur
-        else:
-            diff.pop(key, None)
-    return F2UComplex([names[b] for b in basis], diff)
+    gens, diff = _mor_modules(M, P, lambda src, upower: (upower or 0,), u_split)
+    return F2UComplex(gens, {k: sum(1 << m for m in ms) for k, ms in diff.items()})
 
 
 def corner_dimension(alg: SurfaceAlgebra, left_pairs, right_pairs) -> int:

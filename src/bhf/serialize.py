@@ -232,11 +232,11 @@ def _coeff_from(doc, algebra: SurfaceAlgebra) -> AlgebraElement:
     if not isinstance(doc, dict):
         raise SchemaError(f"bad coefficient {doc!r}")
     n = _field(doc, "n", int, algebra.n)
-    elt = AlgebraElement(n, [])
+    read = _diagram_reader(n)
+    terms: set = set()
     for diag in _field(doc, "terms", list):
-        raw = _field(diag, "strands", list) if isinstance(diag, dict) else diag
-        elt = elt + AlgebraElement(n, [make_diagram(n, _int_pairs(raw, "a diagram"))])
-    return elt
+        terms ^= {read(_field(diag, "strands", list) if isinstance(diag, dict) else diag)}
+    return AlgebraElement(n, terms)
 
 
 def _deserialize_pmc(doc) -> PointedMatchedCircle:
@@ -247,15 +247,15 @@ def _deserialize_pmc(doc) -> PointedMatchedCircle:
 
 
 def parse_circle_name(name: str) -> PointedMatchedCircle:
-    """Named circles: "torus", "split:k", "antipodal:k"."""
-    bits = name.split(":")
+    """Named circles: "torus", "split:k", "antipodal:k"; k defaults to 1."""
+    head, *args = name.split(":")
     try:
-        if bits[0] == "torus":
+        if head == "torus" and not args:
             return standard_pmc("torus")
-        if bits[0] in ("split", "antipodal"):
-            return standard_pmc(bits[0], int(bits[1]) if len(bits) > 1 else 1)
+        if head in ("split", "antipodal") and len(args) <= 1:
+            return standard_pmc(head, int(args[0]) if args else 1)
     except (PMCError, ValueError) as e:
-        raise ValidationError(str(e))
+        raise ValidationError(f"circle name {name!r}: {e}")
     raise SchemaError(f"unknown circle name {name!r}")
 
 
@@ -381,30 +381,47 @@ def catalog_names() -> list[str]:
 
 
 def catalog_lookup(name: str):
-    bits = name.split(":")
-    head = bits[0]
+    """The object a reference names; a malformed one is a SchemaError (wrong
+    number of fields) or a ValidationError (a field of the wrong kind)."""
+    head, *args = name.split(":")
+    form = {f.split(":")[0]: f for f in catalog_names()}.get(head, head)
+
+    def shape(ok: bool):
+        if not ok:
+            raise SchemaError(f"catalog reference {name!r} must read {form!r}")
+
+    def ints(texts):
+        try:
+            return [int(t) for t in texts]
+        except ValueError:
+            raise ValidationError(f"catalog reference {name!r}: {form!r} takes integers")
+
     if head in ("h_inf", "h_minus1", "h_0", "h_infinity", "h_zero"):
+        shape(not args)
         return _catalog.solid_torus(head.removeprefix("h_"))
     if head == "handlebody":
-        return _catalog.handlebody(int(bits[1]))
-    if head == "dd_id":
-        return _catalog.dd_identity(parse_circle_name(":".join(bits[1:])))
+        shape(len(args) == 1)
+        return _catalog.handlebody(*ints(args))
+    if head in ("dd_id", "circle"):
+        circle = parse_circle_name(":".join(args))
+        return circle if head == "circle" else _catalog.dd_identity(circle)
     if head == "twist":
-        return _catalog.dehn_twist_dd(bits[1])
+        shape(len(args) == 1)
+        return _catalog.dehn_twist_dd(*args)
     if head == "underslide":
-        circle = parse_circle_name(":".join(bits[1:-2]))
-        slide = _catalog.make_arcslide(circle, int(bits[-2]), int(bits[-1]))
-        return _catalog.underslide_dd(slide)
-    if head == "trefoil":
-        return _knots.trefoil_cfk()
-    if head in ("figure8", "fig8"):
-        return _knots.figure8_cfk()
-    if head == "unknot":
-        return _knots.unknot_cfk()
+        shape(len(args) >= 3)
+        circle = parse_circle_name(":".join(args[:-2]))
+        return _catalog.underslide_dd(_catalog.make_arcslide(circle, *ints(args[-2:])))
+    knots = {"trefoil": _knots.trefoil_cfk, "figure8": _knots.figure8_cfk,
+             "fig8": _knots.figure8_cfk, "unknot": _knots.unknot_cfk}
+    if head in knots:
+        shape(not args)
+        return knots[head]()
     if head == "pattern":
-        return _knots.PATTERNS[bits[1]]()
-    if head == "circle":
-        return parse_circle_name(":".join(bits[1:]))
+        shape(len(args) == 1)
+        if args[0] not in _knots.PATTERNS:
+            raise ValidationError(f"unknown pattern {args[0]!r}; have {sorted(_knots.PATTERNS)}")
+        return _knots.PATTERNS[args[0]]()
     raise SchemaError(f"unknown catalog reference {name!r}")
 
 

@@ -190,9 +190,6 @@ class AlgebraElement:
     def sorted_terms(self) -> list[Diagram]:
         return sorted(self.terms)
 
-    def weights(self) -> set[int]:
-        return {len(t) for t in self.terms}
-
     def __repr__(self):
         if not self.terms:
             return f"0_[A({self.n})]"

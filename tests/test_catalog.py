@@ -2,7 +2,7 @@ import pytest
 
 from bhf.pmc import standard_pmc
 from bhf.strands import torus_element
-from bhf.dmodules import iso_check
+from bhf.dmodules import iso_check, mapping_cone
 from bhf.pairing import mor_dd_d
 from bhf.checks import lattice_rank
 from bhf.catalog import (
@@ -29,6 +29,13 @@ def test_surgery_triangle_exact():
     tri = solid_tori()
     assert tri.report["exact"], tri.report
     assert tri.report["dims"] == {"inf": 5, "minus1": 8, "zero": 3}
+
+
+def test_mapping_cone_squares_to_zero_only_for_chain_maps():
+    tri = solid_tori()
+    assert not mapping_cone(tri.phi, tri.h_infinity, tri.h_minus1).verify_d2()
+    for term in tri.phi["r"]:  # either term alone leaves d(f) + f d nonzero
+        assert mapping_cone({"r": [term]}, tri.h_infinity, tri.h_minus1).verify_d2()
 
 
 def test_triangle_differentials_as_displayed():

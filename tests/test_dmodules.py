@@ -56,7 +56,6 @@ def test_verify_d2_violation():
         ALG,
         {"x": (1,), "y": (2,)},
         {("x", "y"): torus_element("rho1"), ("y", "x"): torus_element("rho2")},
-        check=True,
     )
     bad = m.verify_d2()
     assert bad
@@ -84,6 +83,20 @@ def test_single_off_corner_term_rejected(stray):
     UTypeDModule(ALG, gens, {("x", "y"): {0: CORNER_OK, 1: CORNER_OK}})
     with pytest.raises(ModuleError):
         UTypeDModule(ALG, gens, {("x", "y"): {0: CORNER_OK, 1: CORNER_OK + torus_element(stray)}})
+
+
+def test_wrong_ambient_coefficient_rejected():
+    # rho1's strand 1 -> 2 read on 8 points has the corner of x -> y, but it
+    # lives in another algebra
+    wide = AlgebraElement(8, torus_element("rho1").terms)
+    with pytest.raises(ModuleError, match="not idempotent-compatible"):
+        TypeDModule(ALG, {"x": (1,), "y": (2,)}, {("x", "y"): wide})
+
+
+def test_u_weighted_off_corner_power_named():
+    gens = {"x": (1,), "y": (2,)}
+    with pytest.raises(ModuleError, match=r"x->y \(U\^1\) not compatible"):
+        UTypeDModule(ALG, gens, {("x", "y"): {0: CORNER_OK, 1: torus_element("rho12")}})
 
 
 @pytest.mark.parametrize("side", (0, 1))

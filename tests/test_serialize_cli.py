@@ -213,12 +213,26 @@ def test_cli_gate_failure_exit2(capsys, tmp_path):
     assert json.loads(out)["ok"] is False
 
 
-def test_pairing_gate_failure_exits_2_without_traceback(tmp_path):
-    # Tm without its arrow r -> p fails d^2 = 0, and so does its pairing
-    # with the infinity-framed solid torus
+def tm_without_r_to_p():
+    """Tm without its arrow r -> p; it fails d^2 = 0."""
     B = dehn_twist_dd("Tm")
-    broken = TypeDDModule(B.algebra1, B.algebra2, B.generators,
-                          {k: c for k, c in B.delta.items() if k != ("r", "p")})
+    return TypeDDModule(B.algebra1, B.algebra2, B.generators,
+                        {k: c for k, c in B.delta.items() if k != ("r", "p")})
+
+
+def test_gated_names_the_residual_count_and_the_first_residual():
+    broken = tm_without_r_to_p()
+    bad = broken.verify_d2()
+    assert bad
+    with pytest.raises(GateFailure) as failure:
+        broken.gated("broken Tm")
+    assert str(failure.value) == f"broken Tm fails d^2=0 on {len(bad)} pairs, first {bad[0]}"
+    assert dehn_twist_dd("Tm").gated("Tm") is dehn_twist_dd("Tm")
+
+
+def test_pairing_gate_failure_exits_2_without_traceback(tmp_path):
+    # the broken Tm's pairing with the infinity-framed solid torus fails too
+    broken = tm_without_r_to_p()
     assert broken.verify_d2()
     with pytest.raises(GateFailure):
         mor_dd_d(broken, solid_torus("inf"))
@@ -329,3 +343,21 @@ def test_malformed_document_exits_1_without_traceback(probe, tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "dump", "handlebody:x"),
+    ("catalog", "dump", "underslide:torus:x:2"),
+    ("catalog", "dump", "handlebody"),
+    ("catalog", "dump", "twist"),
+    ("catalog", "dump", "pattern:foo"),
+    ("catalog", "dump", "dd_id:torus:x"),
+    ("catalog", "dump", "circle:split:2:junk"),
+    ("dmod", "iso", "--in", "h_0"),
+], ids=" ".join)
+def test_malformed_reference_is_a_user_error(capsys, argv):
+    # an exception other than a user error would escape main and fail here
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.strip() != "error:" and len(err.split()) > 2  # a message, not a bare key
