@@ -537,27 +537,30 @@ def check_reduce_preserves_homology(samples: int = 30, seed: int = 5):
     return not problems, "; ".join(problems) or f"{samples} random modules preserved"
 
 
-def _random_bipartite_module(rng: random.Random, alg):
-    n1 = rng.randint(1, 3)
-    n2 = rng.randint(1, 3)
+def _random_bipartite_module(rng: random.Random, alg, layers: int = 2):
+    """A random torus type D module: ``layers`` layers of 1 to 3 generators
+    (a0.., b0.., ...), arrows only from one layer into the next, each a
+    random sum of the corner's keys.  With two layers no arrows compose;
+    with more, d^2 = 0 may fail."""
+    sizes = [rng.randint(1, 3) for _ in range(layers)]
+    names = [[f"{chr(ord('a') + i)}{j}" for j in range(n)] for i, n in enumerate(sizes)]
     gens = {}
-    for i in range(n1):
-        gens[f"a{i}"] = (1,) if rng.random() < 0.5 else (2,)
-    for i in range(n2):
-        gens[f"b{i}"] = (1,) if rng.random() < 0.5 else (2,)
+    for layer in names:
+        for g in layer:
+            gens[g] = (1,) if rng.random() < 0.5 else (2,)
     delta = {}
-    for i in range(n1):
-        for j in range(n2):
-            if rng.random() < 0.6:
-                src, dst = f"a{i}", f"b{j}"
-                keys = alg.corner_keys(gens[src], gens[dst])
-                if not keys:
-                    continue
-                coeff = AlgebraElement.zero(alg.n)
-                for key in keys:
-                    if rng.random() < 0.5:
-                        coeff = coeff + alg.expand(key)
-                delta[(src, dst)] = coeff  # the module drops a zero one
+    for upper, lower in zip(names, names[1:]):
+        for src in upper:
+            for dst in lower:
+                if rng.random() < 0.6:
+                    keys = alg.corner_keys(gens[src], gens[dst])
+                    if not keys:
+                        continue
+                    coeff = AlgebraElement.zero(alg.n)
+                    for key in keys:
+                        if rng.random() < 0.5:
+                            coeff = coeff + alg.expand(key)
+                    delta[(src, dst)] = coeff  # the module drops a zero one
     from .dmodules import TypeDModule
 
     return TypeDModule(alg, gens, delta)

@@ -17,7 +17,9 @@ import json
 import sys
 
 from .pmc import PMCError
-from .strands import AlgebraElement, StrandError, algebra_of, torus_element, torus_element_name
+from .strands import (
+    AlgebraElement, StrandError, algebra_of, torus_algebra, torus_element, torus_element_name,
+)
 from .dmodules import (
     CapExceeded,
     GateFailure,
@@ -110,7 +112,16 @@ def cmd_algebra(args):
         elts = []
         for name in args.elements:
             if name.strip().startswith("{"):
-                elts.append(_document(name, (AlgebraElement,), f"{name[:40]!r}"))
+                elt = _document(name, (AlgebraElement,), f"{name[:40]!r}")
+                if elt.n != alg.n:
+                    raise ValidationError(
+                        f"element {name[:40]!r} has n={elt.n}, but circle "
+                        f"{args.circle!r} has {alg.n} points")
+                elts.append(elt)
+            elif alg != torus_algebra():
+                raise ValidationError(
+                    f"named element {name!r} is a torus element; over circle "
+                    f"{args.circle!r} give element JSON")
             else:
                 elts.append(torus_element(name))
         if args.action == "mul":

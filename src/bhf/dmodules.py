@@ -25,7 +25,11 @@ Code that tells the kinds apart tests the exact type.
 both ends) in the order of the least (src, dst), so its output is a
 function of the module alone.  ``verify_d2`` multiplies raw diagrams and
 never consults the key-level product tables of ``SurfaceAlgebra``, so it
-checks pairings built from those tables independently.
+checks pairings built from those tables independently.  Within one call,
+``verify_d2`` and ``reduce`` compute each distinct product (and
+``verify_d2`` each distinct differential) once, in a memo keyed by the
+coefficients' ``_terms``; the construction normalises each distinct
+idempotent once.  No such memo outlives its call.
 
 ``validate`` checks I(src) * coeff * I(dst) = coeff as a filter on terms,
 with no products: each term's ``diagram_corner`` (pairs under its starts,
@@ -187,7 +191,18 @@ class TypeDModule:
 
     def __init__(self, algebra, generators, delta, provenance: str = ""):
         self.algebra = algebra
-        self.generators = {name: self._norm(idem) for name, idem in dict(generators).items()}
+        normal: dict = {}  # each distinct idempotent is normalised once
+
+        def norm(idem):
+            try:
+                return normal[idem]
+            except KeyError:
+                out = normal[idem] = self._norm(idem)
+                return out
+            except TypeError:  # an unhashable idempotent, such as a list
+                return self._norm(idem)
+
+        self.generators = {name: norm(idem) for name, idem in dict(generators).items()}
         self.delta = {k: coeff for k, coeff in dict(delta).items() if coeff}
         self.provenance = provenance
         self.validate()
@@ -256,13 +271,27 @@ class TypeDModule:
         Each is (src, tgt, element), or (src, tgt, upower, element) for a
         U-weighted module.
         """
+        mul, d, terms = self._mul, self._d, self._terms
+        arrows = [(x, y, c, terms(c)) for (x, y), c in self.delta.items()]
+        outgoing: dict[str, list] = defaultdict(list)
+        for x, y, c, t in arrows:
+            outgoing[x].append((y, c, t))
+        # The terms of each distinct differential and product, keyed by the
+        # terms of the coefficients, for this call only.  A product that
+        # reaches one (x, z) twice is added twice, so it cancels mod 2.
+        diffs: dict = {}
+        products: dict = {}
         residual: dict[tuple[str, str], set] = defaultdict(set)
-        outgoing, _ = _adjacency(self.generators, self.delta)
-        mul, terms = self._mul, self._terms
-        for (x, y), c in self.delta.items():
-            residual[(x, y)].symmetric_difference_update(terms(self._d(c)))
-            for z, c2 in outgoing[y].items():
-                residual[(x, z)].symmetric_difference_update(terms(mul(c, c2)))
+        for x, y, c, t in arrows:
+            dt = diffs.get(t)
+            if dt is None:
+                dt = diffs[t] = terms(d(c))
+            residual[(x, y)].symmetric_difference_update(dt)
+            for z, c2, t2 in outgoing.get(y, ()):
+                pt = products.get((t, t2))
+                if pt is None:
+                    pt = products[(t, t2)] = terms(mul(c, c2))
+                residual[(x, z)].symmetric_difference_update(pt)
         out = []
         for (x, z), r in residual.items():
             if r:
@@ -279,9 +308,19 @@ class TypeDModule:
         return idem == self.generators[t] and coeff == self._unit(idem)
 
     def reduce(self):
+        mul, terms = self._mul, self._terms
+        products: dict = {}  # each distinct product once, for this call only
+
+        def memo_mul(c1, c2):
+            key = (terms(c1), terms(c2))
+            p = products.get(key)
+            if p is None:
+                p = products[key] = mul(c1, c2)
+            return p
+
         gens, delta = _cancel_all(
             dict(self.generators), dict(self.delta),
-            unit=self._unit_arrow, mul=self._mul, add=self._add,
+            unit=self._unit_arrow, mul=memo_mul, add=self._add,
         )
         return self._with(gens, delta)
 
@@ -340,7 +379,7 @@ class UTypeDModule(TypeDModule):
 
     @staticmethod
     def _terms(coeff):
-        return [(m, diag) for m, e in coeff.items() for diag in e.terms]
+        return frozenset((m, diag) for m, e in coeff.items() for diag in e.terms)
 
     def _residuals(self, src, dst, terms):
         by_power: dict[int, set] = defaultdict(set)

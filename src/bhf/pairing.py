@@ -18,9 +18,13 @@ the unused algebra.  Two variants exist, both built by ``_pair_bimodule``:
 
 Every builder walks the basis triples once and reads each term of the
 differential off ``SurfaceAlgebra.key_d`` and ``key_product`` through the
-arrows at the triple's two ends; arrow coefficients are split into basis
-keys once per call.  The type D outputs are verified to square to zero on
-raw-diagram products before being returned.
+arrows at the triple's two ends.  Arrow coefficients are split into basis
+keys once per call.  Within one call, each distinct corner's keys are
+listed once and each distinct type D coefficient is decomposed once; no
+such memo outlives the call.  ``key_product`` is not memoized: it reads
+the product off the two keys, and a memo of it gave no measured gain.  The
+type D outputs are verified to square to zero on raw-diagram products
+before being returned.
 """
 
 from __future__ import annotations
@@ -49,11 +53,14 @@ def mor_generator_name(x: str, key: BasisKey, y: str) -> str:
 def _mor_basis(alg: SurfaceAlgebra, left, right):
     """Sorted triples (x, key, y), key in the corner I(x) * A * I(y); ``left``
     and ``right`` map generator names to idempotents."""
+    corners: dict[tuple, list] = {}  # each distinct corner once, for this call
     out = []
     for x, ix in sorted(left.items()):
         for y, iy in sorted(right.items()):
-            for key in alg.corner_keys(ix, iy):
-                out.append((x, key, y))
+            keys = corners.get((ix, iy))
+            if keys is None:
+                keys = corners[(ix, iy)] = alg.corner_keys(ix, iy)
+            out.extend((x, key, y) for key in keys)
     return out
 
 
@@ -61,11 +68,18 @@ def _keyed_arrows(module, by_target: bool, split=None) -> dict[str, list]:
     """A module's arrows grouped by one end, coefficients split into keys once.
 
     ``split(coeff)`` yields the (key, tag) pairs of a coefficient, by
-    default (key, None) for each of its keys.  Grouped by target the result
-    maps dst -> [(src, key, tag)], by source it maps src -> [(dst, key, tag)].
+    default (key, None) for each of its keys, decomposing each distinct
+    coefficient once per call.  Grouped by target the result maps
+    dst -> [(src, key, tag)], by source it maps src -> [(dst, key, tag)].
     """
-    alg = module.algebra
-    split = split or (lambda coeff: ((key, None) for key in alg.decompose(coeff)))
+    if split is None:
+        alg, keyed = module.algebra, {}
+
+        def split(coeff):
+            if coeff not in keyed:
+                keyed[coeff] = [(key, None) for key in alg.decompose(coeff)]
+            return keyed[coeff]
+
     out: dict[str, list] = {}
     for (s, t), coeff in module.delta.items():
         end, other = (t, s) if by_target else (s, t)

@@ -1,6 +1,9 @@
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bhf.pmc import standard_pmc
 from bhf.strands import AlgebraElement, algebra_of, make_diagram, multiply_diagrams, torus_element
@@ -16,7 +19,9 @@ from bhf.dmodules import (
 )
 from bhf.catalog import dd_identity, solid_torus, dehn_twist_dd
 from bhf.serialize import SchemaError, parse_document, serialize
-from bhf.checks import check_reduce_preserves_homology
+from bhf.cancel import _cancel_all
+from bhf.checks import _random_bipartite_module, check_reduce_preserves_homology
+from bhf.pairing import _mor_basis
 
 
 ALG = algebra_of(standard_pmc("torus"))
@@ -323,3 +328,118 @@ def test_induced_complex_matches_corner_dimensions():
     m = solid_torus("minus1")
     c = induced_complex(m)
     assert len(c.generators) == 8  # 3 + 5 over the two idempotents
+
+
+# ---------------------------------------------------------------------------
+# the call-local memos of verify_d2, reduce and the Mor basis
+
+
+def reference_verify_d2(M):
+    """verify_d2 as a plain loop: every product and differential recomputed."""
+    residual = defaultdict(set)
+    for (x, y), c in M.delta.items():
+        residual[(x, y)] ^= set(M._terms(M._d(c)))
+        for (y2, z), c2 in M.delta.items():
+            if y2 == y:
+                residual[(x, z)] ^= set(M._terms(M._mul(c, c2)))
+    return sorted(r for (x, z), terms in residual.items() if terms
+                  for r in M._residuals(x, z, terms))
+
+
+def reference_reduce(M):
+    """reduce with the kind's plain product, no memo."""
+    return _cancel_all(dict(M.generators), dict(M.delta),
+                       unit=M._unit_arrow, mul=M._mul, add=M._add)
+
+
+def twin(M, g):
+    """The plain module M plus a copy of generator g with g's arrows: each two-step product
+    through g then reaches its two ends twice, and cancels."""
+    gens = {**M.generators, g + "'": M.generators[g]}
+    delta = dict(M.delta)
+    for (s, t), c in M.delta.items():
+        if t == g:
+            delta[(s, g + "'")] = c
+        if s == g:
+            delta[(g + "'", t)] = c
+    return TypeDModule(ALG, gens, delta)
+
+
+def of_kind(M, kind, rng):
+    """A plain random module recast as a U-weighted module (each arrow at one
+    or two random U powers) or as a DD bimodule (each coefficient c (x) c)."""
+    if kind == "u":
+        delta = {}
+        for k, c in M.delta.items():
+            powers = rng.sample(range(3), rng.randint(1, 2))
+            delta[k] = {m: c for m in powers}
+        return UTypeDModule(ALG, M.generators, delta)
+    if kind == "dd":
+        gens = {g: (i, i) for g, i in M.generators.items()}
+        delta = {k: TensorElement.from_elements(c, c) for k, c in M.delta.items()}
+        return TypeDDModule(ALG, ALG, gens, delta)
+    return M
+
+
+@st.composite
+def random_modules(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    M = _random_bipartite_module(rng, ALG, layers=draw(st.integers(2, 4)))
+    middle = sorted(g for g in M.generators if g[0] == "b")
+    if draw(st.booleans()):
+        M = twin(M, middle[0])
+    return of_kind(M, draw(st.sampled_from(["plain", "u", "dd"])), rng)
+
+
+def rho_square():
+    """x -> y1, y2 by rho1 and y1, y2 -> z by rho2: one coefficient pair,
+    whose product rho12 reaches (x, z) twice and cancels."""
+    return tmod({"x": (1,), "y1": (2,), "y2": (2,), "z": (1,)},
+                [("x", "rho1", "y1"), ("x", "rho1", "y2"),
+                 ("y1", "rho2", "z"), ("y2", "rho2", "z")])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_modules())
+@example(rho_square())
+@example(of_kind(rho_square(), "u", random.Random(1)))
+@example(of_kind(rho_square(), "dd", random.Random(1)))
+def test_memoized_verify_d2_and_reduce_match_plain_loops(M):
+    assert M.verify_d2() == reference_verify_d2(M)
+    gens, delta = reference_reduce(M)
+    red = M.reduce()
+    assert red.generators == gens and red.delta == delta
+
+
+def test_verify_d2_multiplies_a_repeated_coefficient_pair_once(monkeypatch):
+    calls = []
+    mul = AlgebraElement.__mul__
+    monkeypatch.setattr(AlgebraElement, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert rho_square().verify_d2() == []  # rho12 + rho12 = 0
+    assert len(calls) == 1
+
+
+def test_mor_basis_reads_each_corner_once(monkeypatch):
+    seen = []
+    corner_keys = type(ALG).corner_keys
+    monkeypatch.setattr(type(ALG), "corner_keys",
+                        lambda alg, i, j: seen.append((i, j)) or corner_keys(alg, i, j))
+    left = {f"x{i}": ((1,), (2,))[i % 2] for i in range(6)}
+    right = {f"y{i}": ((1,), (2,))[i % 3 == 0] for i in range(5)}
+    basis = _mor_basis(ALG, left, right)
+    assert sorted(seen) == [((1,), (1,)), ((1,), (2,)), ((2,), (1,)), ((2,), (2,))]
+    assert basis == [(x, key, y) for x, ix in sorted(left.items())
+                     for y, iy in sorted(right.items()) for key in corner_keys(ALG, ix, iy)]
+
+
+def test_idempotents_normalised_once_per_construction(monkeypatch):
+    seen = []
+    pairs = type(ALG).idempotent_pairs
+    monkeypatch.setattr(type(ALG), "idempotent_pairs",
+                        lambda alg, p: seen.append(p) or pairs(alg, p))
+    M = TypeDModule(ALG, {"x": (3,), "y": (1,), "z": (3,), "w": [3]}, {})
+    assert M.generators == {"x": (1,), "y": (1,), "z": (1,), "w": (1,)}
+    assert seen == [(3,), (1,), [3]]  # a list is unhashable, so not memoized
+    for bad, why in (((7,), r"names a point outside 1\.\.4"), ([1, 3], "repeated pair")):
+        with pytest.raises(ModuleError, match=why):
+            TypeDModule(ALG, {"x": (1,), "y": bad, "z": bad}, {})

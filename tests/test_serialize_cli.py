@@ -8,7 +8,7 @@ import pytest
 
 import bhf
 from bhf.pmc import standard_pmc
-from bhf.strands import torus_element
+from bhf.strands import algebra_of, torus_element
 from bhf.dmodules import GateFailure, TypeDDModule, TypeDModule, UTypeDModule, iso_check
 from bhf.f2u import F2UComplex
 from bhf.gf2 import F2ChainComplex
@@ -160,6 +160,34 @@ def test_cli_satellite(capsys):
 def test_cli_algebra_mul(capsys):
     code, out, _ = run_cli(capsys, "--format", "text", "algebra", "mul", "rho1", "rho2")
     assert code == 0 and out.strip() == "rho12"
+
+
+@pytest.mark.parametrize("argv", [
+    ["algebra", "mul", "rho1", "rho2", "--circle", "split:2"],
+    ["algebra", "diff", "rho12", "--circle", "antipodal:3"],
+])
+def test_cli_algebra_named_element_off_the_torus_is_invalid(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "is a torus element" in err
+
+
+@pytest.mark.parametrize("circle", ["split:2", "antipodal:2"])
+def test_cli_algebra_element_json_on_another_circle_is_invalid(capsys, circle):
+    doc = dumps(serialize(torus_element("rho12")))
+    for argv in (["mul", doc, doc], ["diff", doc]):
+        code, out, err = run_cli(capsys, "algebra", *argv, "--circle", circle)
+        assert code == 1 and out == ""
+        assert "has n=4, but circle" in err
+
+
+def test_cli_algebra_element_json_on_its_own_circle(capsys):
+    alg = algebra_of(standard_pmc("split", 2))
+    doc = dumps(serialize(alg.chord_element((1, 3))))
+    code, out, _ = run_cli(capsys, "algebra", "diff", doc, "--circle", "split:2")
+    assert code == 0 and json.loads(out)["n"] == 8
+    code, _, err = run_cli(capsys, "algebra", "diff", doc)
+    assert code == 1 and "has n=8, but circle 'torus' has 4 points" in err
 
 
 def test_cli_catalog_dump_roundtrips(capsys):
