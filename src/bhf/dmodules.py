@@ -32,13 +32,17 @@ coefficients' ``_terms``; the construction normalises each distinct
 idempotent once.  No such memo outlives its call.
 
 ``validate`` checks I(src) * coeff * I(dst) = coeff as a filter on terms,
-with no products: each term's ``diagram_corner`` (pairs under its starts,
-pairs under its ends) must be the (source, target) idempotents.  That is
-exact: a horizontal section of I(S) composed with a diagram d returns d
-when its points are the starts of d and kills it otherwise, so I(S) * d = d
-exactly when the starts of d lie one on each pair of S.  A coefficient over
-another ambient size fails; a DD one is checked on both diagrams of every
-tensor term, and a U-weighted one at every power.
+with no products: each term's ``admissible_corner`` (pairs under its
+starts, pairs under its ends, or None for a diagram that is a term of no
+basis element, such as one with a downward strand) must be the (source,
+target) idempotents.  That is exact for the sandwich: a horizontal section
+of I(S) composed with a diagram d returns d when its points are the starts
+of d and kills it otherwise, so I(S) * d = d exactly when the starts of d
+lie one on each pair of S.  It does not check that a coefficient holds
+every horizontal placement of its basis elements; such a coefficient fails
+at ``decompose``.  A coefficient over another ambient size fails; a DD one
+is checked on both diagrams of every tensor term, and a U-weighted one at
+every power.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from functools import lru_cache
 from .cancel import _adjacency, _cancel_all
 from .strands import (
     AlgebraElement,
+    NotInSpan,
     StrandError,
     SurfaceAlgebra,
     compose_diagrams,
@@ -145,23 +150,17 @@ class TensorElement:
     def decompose(self, alg1: SurfaceAlgebra, alg2: SurfaceAlgebra):
         """Write the element in the product basis key1 (x) key2.
 
-        The least diagram pair of a sum of basis-pair expansions is the pair
-        of all-minima placements of some basis pair, so peeling it is exact.
+        As in ``SurfaceAlgebra.decompose``: each term lies in the expansion
+        of its own key pair, distinct key pairs expand to disjoint sets, so
+        the element is their sum exactly when the counts agree.
         """
-        rest = set(self.terms)
-        out = []
-        while rest:
-            d1, d2 = min(rest)
-            k1 = alg1.key_of_leading(d1)
-            k2 = alg2.key_of_leading(d2)
-            out.append((k1, k2))
-            prod = {
-                (a, b)
-                for a in alg1.expand(k1).terms
-                for b in alg2.expand(k2).terms
-            }
-            rest ^= prod
-        return sorted(out)
+        keys = {(alg1.key_of(d1), alg2.key_of(d2)) for d1, d2 in self.terms}
+        if sum(len(alg1.expand(k1).terms) * len(alg2.expand(k2).terms)
+               for k1, k2 in keys) != len(self.terms):
+            partial = min((k1, k2) for k1, k2 in keys if not self.terms.issuperset(
+                itertools.product(alg1.expand(k1).terms, alg2.expand(k2).terms)))
+            raise NotInSpan(f"element holds only some placements of basis pair {partial}")
+        return sorted(keys)
 
     def sorted_terms(self):
         return sorted(self.terms)
@@ -216,12 +215,15 @@ class TypeDModule:
         """A check for one ``validate`` call: (source idempotent, coefficient,
         target idempotent) -> None, or why the coefficient is off that corner."""
         # each distinct diagram's corner is found once, and only for this call
-        corner = lru_cache(maxsize=None)(self.algebra.diagram_corner)
+        corner = lru_cache(maxsize=None)(self.algebra.admissible_corner)
         n = self.algebra.n
 
         def fault(i, coeff, j):
-            if coeff.n != n or any(corner(d) != (i, j) for d in coeff.terms):
-                return "not idempotent-compatible"
+            if coeff.n != n:
+                return f"not idempotent-compatible: ambient {coeff.n} != {n}"
+            for d in coeff.terms:
+                if corner(d) != (i, j):
+                    return f"not idempotent-compatible at term {d}"
             return None
 
         return fault
@@ -408,17 +410,17 @@ class TypeDDModule(TypeDModule):
 
     def _corner_fault(self):
         # each distinct diagram's corner is found once, and only for this call
-        corner1 = lru_cache(maxsize=None)(self.algebra1.diagram_corner)
-        corner2 = lru_cache(maxsize=None)(self.algebra2.diagram_corner)
+        corner1 = lru_cache(maxsize=None)(self.algebra1.admissible_corner)
+        corner2 = lru_cache(maxsize=None)(self.algebra2.admissible_corner)
         sizes = (self.algebra1.n, self.algebra2.n)
 
         def fault(i, coeff, j):
             (s1, s2), (t1, t2) = i, j
-            if (coeff.n1, coeff.n2) != sizes or any(
-                corner1(d1) != (s1, t1) or corner2(d2) != (s2, t2)
-                for d1, d2 in coeff.terms
-            ):
-                return "not idempotent-compatible"
+            if (coeff.n1, coeff.n2) != sizes:
+                return f"not idempotent-compatible: ambient {(coeff.n1, coeff.n2)} != {sizes}"
+            for d1, d2 in coeff.terms:
+                if corner1(d1) != (s1, t1) or corner2(d2) != (s2, t2):
+                    return f"not idempotent-compatible at term {d1} (x) {d2}"
             return None
 
         return fault

@@ -54,7 +54,7 @@ class NotAComplex(ValueError):
 class F2ChainComplex:
     """Chain complex of F2 vector spaces given by generators and arrows."""
 
-    def __init__(self, generators, entries, check=True):
+    def __init__(self, generators, entries):
         self.generators = list(generators)
         self.index = {g: i for i, g in enumerate(self.generators)}
         if len(self.index) != len(self.generators):
@@ -73,8 +73,7 @@ class F2ChainComplex:
             i, j = self.index[t], self.index[s]
             self._cols[j] |= 1 << i
             self._rows[i] |= 1 << j
-        if check:
-            self.validate()
+        self.validate()
 
     def validate(self):
         if any(gf2_apply(self._cols, col) for col in self._cols):

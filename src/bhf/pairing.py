@@ -165,8 +165,8 @@ def identity_morphism(M: TypeDModule) -> list[str]:
 
 
 def homology_f2(complex_: F2ChainComplex):
-    """Rank and deterministic representatives of an F2 chain complex."""
-    complex_.validate()
+    """Rank and deterministic representatives of an F2 chain complex (which
+    its constructor has checked to square to zero)."""
     return complex_.homology_rank(), complex_.homology_representatives()
 
 

@@ -14,7 +14,7 @@ after the basepoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 class PMCError(ValueError):
@@ -166,8 +166,13 @@ def make_pmc(genus: int, matching) -> PointedMatchedCircle:
     return PointedMatchedCircle(genus, matching_t)
 
 
+@lru_cache(maxsize=None)
 def standard_pmc(kind: str, k: int = 1) -> PointedMatchedCircle:
-    """Named families: split(k), antipodal(k), torus (= split(1))."""
+    """Named families: split(k), antipodal(k), torus (= split(1)).
+
+    A circle is an immutable value, so each is built (and its surgery
+    checked) once per process.
+    """
     if k < 1:
         raise PMCError(f"k must be >= 1, got {k}")
     if kind == "torus":

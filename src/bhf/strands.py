@@ -11,11 +11,21 @@ Its canonical basis is indexed by a set of strictly moving strands plus a
 set of horizontal matched pairs disjoint from the strand endpoints; such a
 key expands to the F2-sum of raw diagrams obtained by placing one horizontal
 strand on either foot of each chosen pair.  Elements are F2 sets of raw
-diagrams, so equality is bit-exact.  A raw product groups the right
-factor's terms by their start points, so each left term meets only the
-terms that start at its ends.  The product of two basis keys is 0 or one
-key and is read off the keys (``SurfaceAlgebra.key_product``); raw
-products, which ``verify_d2`` uses, check those key products independently.
+diagrams, so equality is bit-exact.
+
+One rule says which raw diagrams occur at all: a diagram is a term of a
+basis element exactly when every strand goes up (s <= t) and its starts,
+and also its ends, lie on distinct matched pairs of Z
+(``SurfaceAlgebra.admissible_corner``).  That element is then unique: its
+key is the diagram's moving strands plus the pairs of its horizontal
+strands (``key_of``).  Distinct keys have disjoint expansions, so writing
+an element in the basis is a lookup of its terms' keys and a count.
+
+A raw product groups the right factor's terms by their start points, so
+each left term meets only the terms that start at its ends.  The product of
+two basis keys is 0 or one key and is read off the keys
+(``SurfaceAlgebra.key_product``); raw products, which ``verify_d2`` uses,
+check those key products independently.
 """
 
 from __future__ import annotations
@@ -245,24 +255,6 @@ class SurfaceAlgebra:
 
     # -- basis bookkeeping
 
-    def _moving_ok(self, strands: tuple[Strand, ...]) -> bool:
-        starts = [s for s, _ in strands]
-        ends = [t for _, t in strands]
-        if len(set(starts)) != len(starts) or len(set(ends)) != len(ends):
-            return False
-        M = self._partner
-        sset, eset = set(starts), set(ends)
-        if any(M[s] in sset for s in starts):
-            return False
-        if any(M[t] in eset for t in ends):
-            return False
-        return True
-
-    def _free_pairs(self, strands: tuple[Strand, ...]) -> list[int]:
-        used = {p for s in strands for p in s}
-        M = self._partner
-        return [p for p in self._pairs if p not in used and M[p] not in used]
-
     def basis_keys(self, weight: int) -> list[BasisKey]:
         """All basis keys whose diagrams have the given strand count.
 
@@ -322,38 +314,51 @@ class SurfaceAlgebra:
         self._expand_cache[key] = elt
         return elt
 
-    def key_of_leading(self, diag: Diagram) -> BasisKey:
-        """Reconstruct the key whose lexicographically least term is diag."""
-        moving = tuple(s for s in diag if s[0] != s[1])
-        pairs = []
+    def admissible_corner(self, diag: Diagram):
+        """The corner of diag (as ``diagram_corner`` reads it) when diag is a
+        term of some basis element, else None.
+
+        This is the one admissibility rule: the strands are sorted by start
+        and go up (s <= t), no matched pair lies under two starts or under
+        two ends, and no point lies outside 1..n (pair 0).
+        """
+        pair = self._pair_of.get
+        starts, ends = [], []
+        prev = 0
         for s, t in diag:
-            if s == t:
-                if self._pair_of.get(s) != s:
-                    raise NotInSpan(f"diagram {diag} is not a leading term")
-                pairs.append(s)
-        key = (moving, tuple(sorted(pairs)))
-        if not self._moving_ok(moving):
-            raise NotInSpan(f"moving strands of {diag} not admissible")
-        free = set(self._free_pairs(moving))
-        if any(p not in free for p in key[1]):
-            raise NotInSpan(f"horizontal pair collides with strand endpoints in {diag}")
-        return key
+            if not prev < s <= t:
+                return None
+            prev = s
+            starts.append(pair(s, 0))
+            ends.append(pair(t, 0))
+        start_set, end_set = set(starts), set(ends)
+        if (0 in start_set or 0 in end_set
+                or len(start_set) < len(starts) or len(end_set) < len(ends)):
+            return None
+        return tuple(sorted(starts)), tuple(sorted(ends))
+
+    def key_of(self, diag: Diagram) -> BasisKey:
+        """The key of the one basis element that has diag as a term."""
+        if self.admissible_corner(diag) is None:
+            raise NotInSpan(f"diagram {diag} is a term of no basis element")
+        pair_of = self._pair_of
+        return (tuple(st for st in diag if st[0] != st[1]),
+                tuple(sorted(pair_of[s] for s, t in diag if s == t)))
 
     def decompose(self, element: AlgebraElement) -> list[BasisKey]:
         """Write an A(4k) element in the circle's basis; NotInSpan if impossible.
 
-        Peels leading terms: the all-minima placement of a key is its least
-        diagram and occurs in no other key's expansion.
+        Every term lies in the expansion of its own key, and distinct keys
+        have disjoint expansions, so the element is the sum of its terms'
+        keys exactly when those expansions hold as many terms as it does.
         """
         if element.n != self.n:
             raise AmbientMismatch(f"ambient {element.n} != {self.n}")
-        rest = set(element.terms)
-        out = []
-        while rest:
-            key = self.key_of_leading(min(rest))
-            out.append(key)
-            rest ^= self.expand(key).terms
-        return sorted(out)
+        keys = {self.key_of(d) for d in element.terms}
+        if sum(len(self.expand(key).terms) for key in keys) != len(element.terms):
+            partial = min(k for k in keys if not self.expand(k).terms <= element.terms)
+            raise NotInSpan(f"element holds only some placements of basis element {partial}")
+        return sorted(keys)
 
     def contains(self, element: AlgebraElement) -> bool:
         try:
@@ -428,14 +433,16 @@ class SurfaceAlgebra:
         moving = []
         for c in chords:
             s, t = c.as_pair() if isinstance(c, Chord) else tuple(c)
-            if not 1 <= s < t <= self.n:
-                raise IncompatibleChordSet(f"chord ({s},{t}) invalid on {self.n} points")
+            if s >= t:
+                raise IncompatibleChordSet(f"chord ({s},{t}) does not move up")
             moving.append((s, t))
         moving = tuple(sorted(moving))
-        if not self._moving_ok(moving):
-            raise IncompatibleChordSet(f"chords {moving} share or match endpoints")
+        corner = self.admissible_corner(moving)
+        if corner is None:
+            raise IncompatibleChordSet(f"chords {moving} share, match or leave 1..{self.n}")
+        used = set(corner[0] + corner[1])
+        free = [p for p in self._pairs if p not in used]
         acc = AlgebraElement.zero(self.n)
-        free = self._free_pairs(moving)
         for r in range(0, len(free) + 1):
             for pairs in itertools.combinations(free, r):
                 acc = acc + self.expand((moving, pairs))
@@ -443,17 +450,12 @@ class SurfaceAlgebra:
 
     def a_expand(self, S, T, phi: dict) -> AlgebraElement:
         """Expand an admissible triple (S, T, phi) over its fixed points."""
-        S, T = set(S), set(T)
-        M = self.circle.partner
-        if set(phi) != S or set(phi.values()) != T:
+        if set(phi) != set(S) or set(phi.values()) != set(T):
             raise NotAdmissible("phi is not a bijection S -> T")
-        if any(phi[s] < s for s in S):
-            raise NotAdmissible("phi veers downward")
-        if any(M(s) in S for s in S) or any(M(t) in T for t in T):
-            raise NotAdmissible("S or T meets its own matching image")
-        moving = tuple(sorted((s, t) for s, t in phi.items() if s != t))
-        pairs = tuple(sorted(self._pair_of[s] for s in S if phi[s] == s))
-        return self.expand((moving, pairs))
+        try:
+            return self.expand(self.key_of(tuple(sorted(phi.items()))))
+        except NotInSpan as e:
+            raise NotAdmissible(str(e))
 
     # -- structure maps
 
@@ -495,10 +497,9 @@ class SurfaceAlgebra:
         (t, u).  So the one check below, on the strands that move in either
         factor, decides every placement.
 
-        The expansions of distinct keys are linearly independent (each has
-        a least term that no other expansion contains), so the keys of a
-        sum of products are the mod-2 sum of the products' keys, and
-        callers may XOR the returned tuples.
+        The expansions of distinct keys are disjoint sets of diagrams, so
+        the keys of a sum of products are the mod-2 sum of the products'
+        keys, and callers may XOR the returned tuples.
         """
         (moving1, pairs1), (moving2, pairs2) = k1, k2
         if len(moving1) + len(pairs1) != len(moving2) + len(pairs2):

@@ -117,6 +117,20 @@ def test_single_off_corner_tensor_term_rejected(side, stray):
         TypeDDModule(ALG, ALG, twist.generators, delta)
 
 
+def test_downward_strand_rejected():
+    down = AlgebraElement(4, [((2, 1),)])  # on the corner of y -> x, yet no basis term
+    with pytest.raises(ModuleError, match=r"y->x not idempotent-compatible at term \(\(2, 1\),\)"):
+        TypeDModule(ALG, {"x": (1,), "y": (2,)}, {("y", "x"): down})
+    with pytest.raises(ModuleError, match=r"\(U\^0\) not compatible"):
+        UTypeDModule(ALG, {"x": (1,), "y": (2,)}, {("y", "x"): {0: down}})
+    rho1 = torus_element("rho1")
+    with pytest.raises(ModuleError, match="not idempotent-compatible"):
+        TypeDDModule(ALG, ALG, {"x": ((1,), (1,)), "y": ((2,), (2,))},
+                     {("y", "x"): TensorElement.from_elements(down, down)})
+    TypeDDModule(ALG, ALG, {"x": ((1,), (1,)), "y": ((2,), (2,))},
+                 {("x", "y"): TensorElement.from_elements(rho1, rho1)})
+
+
 def test_idempotent_outside_the_circle_rejected():
     for idem in ((7,), (0,), (1, 3)):
         with pytest.raises(ModuleError):

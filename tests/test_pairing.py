@@ -142,4 +142,4 @@ def test_twist_pairing_gives_twisted_tori():
 
 def test_homology_rejects_non_complex():
     with pytest.raises(NotAComplex):
-        homology_f2(F2ChainComplex(["a", "b", "c"], [("a", "b"), ("b", "c")], check=False))
+        F2ChainComplex(["a", "b", "c"], [("a", "b"), ("b", "c")])

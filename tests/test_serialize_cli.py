@@ -334,6 +334,25 @@ def test_off_corner_term_in_document_rejected(kind):
         parse_document(_with_stray_term(obj, add))
 
 
+# y -> x by the downward strand 2 -> 1: its corner is that of the arrow, but
+# it is a term of no basis element
+DOWNWARD = json.dumps({
+    "schema": "bhf/dmodule@1", "algebra": "torus",
+    "generators": [{"name": "x", "idempotent": [1]}, {"name": "y", "idempotent": [2]}],
+    "delta": [{"src": "y", "dst": "x", "coeff": {"n": 4, "terms": [[[2, 1]]]}}],
+})
+
+
+@pytest.mark.parametrize("argv", [
+    ("pair", "--left", DOWNWARD, "--right", "h_0", "--homology"),
+    ("dmod", "verify", "--in", DOWNWARD),
+], ids=lambda argv: argv[0])
+def test_downward_strand_module_is_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "y->x" in err and "((2, 1),)" in err
+
+
 def _torus_dmodule(generators):
     return {"schema": "bhf/dmodule@1", "algebra": "torus", "generators": generators,
             "delta": []}

@@ -2,13 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bhf.dmodules import TensorElement
 from bhf.pmc import DisconnectedSurgery, connected_sum, make_pmc, reverse, standard_pmc
 from bhf.strands import (
     AlgebraElement,
     AmbientMismatch,
     IncompatibleChordSet,
     NotAdmissible,
+    NotInSpan,
     algebra_of,
     drop_w_projection,
     inversions,
@@ -419,3 +423,80 @@ def test_key_product_matches_raw_products(circle):
         assert got == raw_key_product(alg, k1, k2), (k1, k2)
         nonzero += bool(got)
     assert nonzero >= 20
+
+
+# ---------------------------------------------------------------------------
+# decomposition: each term names its key
+
+
+TORUS_ALG = algebra_of(standard_pmc("torus"))
+RHO1 = ((1, 2),)
+
+NOT_IN_SPAN = {
+    "downward strand": [((2, 1),)],
+    "two starts on one pair": [((1, 2), (3, 4))],  # 1 and 3 are matched
+    "point outside 1..4k": [((3, 5),)],
+    "partial horizontal placement": [((1, 1),)],  # half of iota0
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_IN_SPAN))
+def test_decompose_rejects_terms_of_no_basis_element(case):
+    terms = NOT_IN_SPAN[case]
+    with pytest.raises(NotInSpan):
+        TORUS_ALG.decompose(AlgebraElement(4, terms))
+    with pytest.raises(NotInSpan):
+        TensorElement(4, 4, [(d, RHO1) for d in terms]).decompose(TORUS_ALG, TORUS_ALG)
+    with pytest.raises(NotInSpan):
+        TensorElement(4, 4, [(RHO1, d) for d in terms]).decompose(TORUS_ALG, TORUS_ALG)
+    assert not TORUS_ALG.contains(AlgebraElement(4, terms))
+
+
+def test_key_of_reads_moving_strands_and_horizontal_pairs():
+    alg = algebra_of(standard_pmc("split", 2))
+    assert alg.key_of(((1, 2), (5, 7), (8, 8))) == (((1, 2), (5, 7)), (6,))
+    with pytest.raises(NotInSpan):
+        alg.key_of(((8, 8), (1, 2)))  # not sorted by start
+
+
+@st.composite
+def key_sums(draw):
+    """A circle, a set of its basis keys and the sum of their expansions."""
+    alg = algebra_of(draw(st.sampled_from(CIRCLES)))
+    keys = all_keys(alg)
+    chosen = draw(st.sets(st.sampled_from(keys), max_size=6))
+    x = AlgebraElement.zero(alg.n)
+    for key in chosen:
+        x = x + alg.expand(key)
+    return alg, chosen, x
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(key_sums(), st.randoms(use_true_random=False))
+def test_decompose_returns_the_chosen_keys(sample, rng):
+    alg, chosen, x = sample
+    assert alg.decompose(x) == sorted(chosen)
+    wide = [k for k in chosen if k[1]]  # keys with more than one placement
+    if wide:
+        term = rng.choice(sorted(alg.expand(rng.choice(wide)).terms))
+        with pytest.raises(NotInSpan):
+            alg.decompose(AlgebraElement(alg.n, x.terms - {term}))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(CIRCLES), st.data())
+def test_tensor_decompose_returns_the_chosen_key_pairs(circle, data):
+    alg1, alg2 = TORUS_ALG, algebra_of(circle)
+    keys1, keys2 = all_keys(alg1), all_keys(alg2)
+    chosen = data.draw(st.sets(st.tuples(st.sampled_from(keys1), st.sampled_from(keys2)),
+                               max_size=6))
+    x = TensorElement(alg1.n, alg2.n)
+    for k1, k2 in chosen:
+        x = x + TensorElement.from_elements(alg1.expand(k1), alg2.expand(k2))
+    assert x.decompose(alg1, alg2) == sorted(chosen)
+    wide = sorted((k1, k2) for k1, k2 in chosen if k1[1] or k2[1])
+    if wide:
+        k1, k2 = data.draw(st.sampled_from(wide))
+        term = min(TensorElement.from_elements(alg1.expand(k1), alg2.expand(k2)).terms)
+        with pytest.raises(NotInSpan):
+            TensorElement(alg1.n, alg2.n, x.terms - {term}).decompose(alg1, alg2)
