@@ -16,7 +16,7 @@ from functools import lru_cache
 from .pmc import (
     PMCError, PointedMatchedCircle, make_pmc, pair_map_to_reverse, reverse, standard_pmc,
 )
-from .strands import AlgebraElement, algebra_of, diagram_support, torus_element
+from .strands import AlgebraElement, algebra_of, torus_element
 from .dmodules import (
     TensorElement, TypeDDModule, TypeDModule, mapping_cone, module_f2_basis, right_action,
 )
@@ -37,10 +37,6 @@ class SamePair(CatalogError):
 
 
 class OverslideUnsupported(CatalogError):
-    pass
-
-
-class ConstraintSearchFailed(CatalogError):
     pass
 
 
@@ -402,12 +398,26 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
     """The DD bimodule of an underslide.
 
     Generators are the near-complementary idempotent pairs.  Coefficients
-    are the irreducible non-idempotent elements of the near-diagonal
-    algebra: pairs of basis elements, sandwiched by near-complementary
-    idempotents on both ends, whose supports agree away from the two slide
-    intervals.  Irreducible means not appearing in any product of two
-    non-idempotent such pairs; the output must pass the structure equation
-    or the construction fails loudly.
+    are the near-chords: the irreducible non-idempotent elements of the
+    near-diagonal algebra.  Its basis, the candidates, are the pairs of
+    basis keys, sandwiched by near-complementary idempotents on both ends,
+    whose supports agree away from the two slide intervals; the output must
+    pass the structure equation or the construction fails loudly.
+
+    Candidates come from a join on moving strands, since a key's support is
+    that of its moving strands: each first-side moving set meets the
+    second-side sets of the same restricted support, and the horizontal
+    pairs of both sides follow from a choice of first-side horizontal pairs
+    and a near-complementary partner of the left idempotent.
+
+    Near-chords come from left factors.  A non-idempotent candidate c is
+    reducible exactly when c = n*b for a near-chord n and a non-idempotent
+    candidate b: if c = a*b and a is reducible, a = n*r by induction and
+    c = n*(r*b), where r*b is a nonzero candidate since the near-diagonal
+    algebra is closed under products.  Such an n has the left idempotents
+    of c and, since supports add, a smaller support on both sides; taking
+    candidates in order of total support, every such n is found before c.
+    Given n, the one possible b is read off the strands of c.
     """
     if slide.kind != "underslide":
         raise OverslideUnsupported("only underslide bimodules are computable here")
@@ -423,83 +433,119 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
 
     pair_bij = slide.pair_bijection()  # Z pairs -> Zp pairs
     z_to_rev = {p: zp_to_rev(pair_bij[p]) for p in Z.pairs}
-    rev_to_z = {v: k for k, v in z_to_rev.items()}
+
+    # sets of pairs as bitmasks, bit p for the pair named p (as in
+    # ``SurfaceAlgebra.moving_sets``)
+    def mask(pairs):
+        return sum(1 << p for p in pairs)
 
     gens = {}
     gen_lookup = {}
-    partners: dict[frozenset, list] = {}  # s -> every t near-complementary to it
+    partners: dict[int, list] = {}  # s -> every t near-complementary to it
     for s, t in _near_complementary_sets(Z, c_pair, b_pair):
         name = _dd_gen_name(s, t)
-        idem2 = tuple(sorted(z_to_rev[p] for p in t))
-        gens[name] = (s, idem2)
-        gen_lookup[(frozenset(s), frozenset(t))] = name
-        partners.setdefault(frozenset(s), []).append(frozenset(t))
+        gens[name] = (s, tuple(sorted(z_to_rev[p] for p in t)))
+        gen_lookup[(mask(s), mask(t))] = name
+        partners.setdefault(mask(s), []).append(mask(t))
+    # the second side's pairs named by the source pairs they correspond to,
+    # and back
+    subsets = [c for r in range(len(Z.pairs) + 1) for c in itertools.combinations(Z.pairs, r)]
+    to_source = {mask(z_to_rev[p] for p in c): mask(c) for c in subsets}
+    pairs2 = {mask(c): tuple(sorted(z_to_rev[p] for p in c)) for c in subsets}
 
-    src_iv = [i for i in range(1, n) if i != slide.u_interval]
-    tgt_iv = [i for i in range(1, n) if i != slide.u_prime_interval]
+    # Supports packed into integers, a byte per interval.  Per strand of
+    # either side: its support away from the slide interval, on bytes in the
+    # order the two sides' intervals correspond (interval i of the target
+    # circle is interval n - i of its reverse), its whole support, on its
+    # own side's bytes, and its length.
+    def strand_supports(intervals, side, flip):
+        byte = {(n - i if flip else i): j for j, i in enumerate(intervals)}
+        return {(s, t): (sum(1 << 8 * byte[i] for i in range(s, t) if i in byte),
+                         sum(1 << 8 * (side * (n - 1) + i - 1) for i in range(s, t)), t - s)
+                for s in range(1, n) for t in range(s + 1, n + 1)}
 
-    # Per key: (left pairs, right pairs, support away from the slide
-    # interval), the second side's pairs named by the source pairs they
-    # correspond to.  Horizontal strands have no support, so the support of
-    # a key is that of its moving strands.
-    info1 = {}
-    for k1 in (k for w in range(0, 2 * alg1.k + 1) for k in alg1.basis_keys(w)):
-        sup = diagram_support(n, k1[0])
-        info1[k1] = (frozenset(alg1.key_left_pairs(k1)), frozenset(alg1.key_right_pairs(k1)),
-                     tuple(sup[i - 1] for i in src_iv))
-    info2 = {}
-    keys2_by_info: dict[tuple, list] = {}
-    for k2 in (k for w in range(0, 2 * alg2.k + 1) for k in alg2.basis_keys(w)):
-        sup = diagram_support(n, k2[0])
-        # interval i of the target circle is interval n - i of its reverse
-        restricted = tuple(sup[(n - i) - 1] for i in tgt_iv)
-        info2[k2] = (frozenset(rev_to_z[q] for q in alg2.key_left_pairs(k2)),
-                     frozenset(rev_to_z[q] for q in alg2.key_right_pairs(k2)), restricted)
-        keys2_by_info.setdefault(info2[k2], []).append(k2)
+    def supports(moving, table):
+        """(restricted, whole, total) support of a set of moving strands."""
+        restricted = whole = total = 0
+        for strand in moving:
+            r, w, length = table[strand]
+            restricted, whole, total = restricted + r, whole + w, total + length
+        return restricted, whole, total
 
-    # pairs of keys with the same restricted support whose left pairs and
-    # whose right pairs are near-complementary
-    basics = []
-    for k1, (left1, right1, restricted) in info1.items():
-        for left2 in partners.get(left1, ()):
-            for right2 in partners.get(right1, ()):
-                basics.extend((k1, k2) for k2 in keys2_by_info.get((left2, right2, restricted), ()))
+    table1 = strand_supports([i for i in range(1, n) if i != slide.u_interval], 0, False)
+    table2 = strand_supports([i for i in range(1, n) if i != slide.u_prime_interval], 1, True)
 
-    def is_idem(pair):
-        return not pair[0][0] and not pair[1][0]  # no moving strands on either side
+    # second-side moving sets by restricted support, start pairs and end pairs
+    sets2: dict[int, dict[int, dict[int, list]]] = {}
+    for m2, starts2, ends2 in alg2.moving_sets(2 * alg2.k):
+        restricted, whole, total = supports(m2, table2)
+        sets2.setdefault(restricted, {}).setdefault(to_source[starts2], {}).setdefault(
+            to_source[ends2], []).append((m2, whole, total))
 
-    # key products per side, kept for this call only
-    products1: dict[tuple, tuple] = {}
-    products2: dict[tuple, tuple] = {}
+    # non-idempotent candidate -> (left masks, right masks, whole support,
+    # total support).  The second side's horizontal pairs h2 are its left
+    # pairs less its start pairs; they must miss its end pairs, and the two
+    # together make its right pairs, so the end pairs are right2 less h2.
+    candidates: dict[tuple, tuple] = {}
+    for m1, s1, e1 in alg1.moving_sets(2 * alg1.k):
+        restricted, whole1, total1 = supports(m1, table1)
+        matches = sets2.get(restricted)
+        if not matches:
+            continue
+        free = [p for p in Z.pairs if not (s1 | e1) >> p & 1]
+        for h1 in (h for r in range(len(free) + 1) for h in itertools.combinations(free, r)):
+            hm = mask(h1)
+            left1, right1 = s1 | hm, e1 | hm
+            for left2 in partners[left1]:
+                for s2, by_end in matches.items():
+                    if left2 & s2 != s2:
+                        continue
+                    h2 = left2 & ~s2
+                    for right2 in partners[right1]:
+                        if right2 & h2 != h2:
+                            continue
+                        for m2, whole2, total2 in by_end.get(right2 & ~h2, ()):
+                            if m1 or m2:
+                                candidates[((m1, h1), (m2, pairs2[h2]))] = (
+                                    (left1, left2), (right1, right2), whole1 | whole2,
+                                    total1 + total2)
 
-    def product_keys(alg, products, a, b):
-        keys = products.get((a, b))
-        if keys is None:
-            keys = products[(a, b)] = alg.key_product(a, b)
-        return keys
+    # (left masks, right masks, whole support) of every candidate
+    shapes = {info[:3] for info in candidates.values()}
 
-    nonidem = [p for p in basics if not is_idem(p)]
-    reducible = set()
-    by_left: dict[tuple, list] = {}
-    for (k1, k2) in nonidem:
-        by_left.setdefault((info1[k1][0], info2[k2][0]), []).append((k1, k2))
-    for (k1, k2) in nonidem:
-        for (l1, l2) in by_left.get((info1[k1][1], info2[k2][1]), []):
-            keys1 = product_keys(alg1, products1, k1, l1)
-            if keys1:
-                reducible.update(itertools.product(
-                    keys1, product_keys(alg2, products2, k2, l2)))
+    def factors(c, nc):
+        """Whether c = nc * b for a non-idempotent candidate b.
 
-    near_chords = [p for p in nonidem if p not in reducible]
+        Such a b starts where nc ends, ends where c ends and has the support
+        of c less that of nc; when the support of nc does not fit under that
+        of c, some byte of the difference borrows and holds more strands
+        than any support.
+        """
+        (_, nright, nwhole, _), (_, right, whole, _) = candidates[nc], candidates[c]
+        if (nright, right, whole - nwhole) not in shapes:
+            return False
+        (k1, k2), (n1, n2) = c, nc
+        b1 = alg1.key_left_quotient(k1, n1)
+        return b1 is not None and (b1, alg2.key_left_quotient(k2, n2)) in candidates
+
+    found: dict[tuple, list] = {}  # left masks -> near-chords found so far
+    for c in sorted(candidates, key=lambda c: candidates[c][3]):
+        bucket = found.setdefault(candidates[c][0], [])
+        if not any(factors(c, nc) for nc in bucket):
+            bucket.append(c)
+
+    # arrows in the basis order of their first keys, which fixes the order
+    # in which later pairings and cancellations meet them
+    def basis_order(c):
+        (k1, k2), (left, right, _, _) = c, candidates[c]
+        return (len(k1[0]) + len(k1[1]), k1, partners[left[0]].index(left[1]),
+                partners[right[0]].index(right[1]), k2)
 
     delta: dict[tuple[str, str], TensorElement] = {}
-    for (k1, k2) in near_chords:
-        src = gen_lookup.get((info1[k1][0], info2[k2][0]))
-        dst = gen_lookup.get((info1[k1][1], info2[k2][1]))
-        if src is None or dst is None:
-            raise ConstraintSearchFailed("near-chord endpoints miss a generator")
+    for c in sorted((c for bucket in found.values() for c in bucket), key=basis_order):
+        (k1, k2), (left, right, _, _) = c, candidates[c]
         term = TensorElement.from_elements(alg1.expand(k1), alg2.expand(k2))
-        key = (src, dst)
+        key = (gen_lookup[left], gen_lookup[right])
         delta[key] = delta.get(key, TensorElement(alg1.n, alg2.n)) + term
 
     out = TypeDDModule(

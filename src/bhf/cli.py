@@ -41,7 +41,7 @@ from .knots import (
     satellite,
     tau,
 )
-from .catalog import CatalogError, ConstraintSearchFailed, hf_genus1, parse_twist_word
+from .catalog import CatalogError, hf_genus1, parse_twist_word
 from .serialize import (
     SchemaError,
     ValidationError,
@@ -59,7 +59,6 @@ USER_ERRORS = (
     CFKError, CatalogError, AlgebraMismatch, NotAComplex, InhomogeneousInput,
     CapExceeded, FileNotFoundError, KeyError,
 )
-GATE_ERRORS = (ConstraintSearchFailed, GateFailure)
 
 
 def _emit(args, doc, text_fn=None):
@@ -346,7 +345,7 @@ def main(argv=None) -> int:
     try:
         code = args.fn(args)
         return 0 if code is None else code
-    except GATE_ERRORS as e:
+    except GateFailure as e:
         print(f"internal verification failure: {e}", file=sys.stderr)
         return 2
     except USER_ERRORS as e:

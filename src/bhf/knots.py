@@ -290,7 +290,6 @@ def alexander_polynomial(complex_: CFKComplex) -> dict[int, int]:
     """
     if complex_.parities is None:
         raise ParityMissing("Alexander polynomial needs Maslov parities")
-    complex_.validate()
     chi: dict[int, int] = {}
     for g, s in complex_.alexander.items():
         chi[s] = chi.get(s, 0) + complex_.parities[g]

@@ -132,15 +132,6 @@ def differentiate_diagram(diag: Diagram) -> list[Diagram]:
     return out
 
 
-def diagram_support(n: int, diag: Diagram) -> tuple[int, ...]:
-    """Multiplicity over each interval (i, i+1), i = 1..n-1."""
-    acc = [0] * (n - 1)
-    for s, t in diag:
-        for i in range(s, t):
-            acc[i - 1] += 1
-    return tuple(acc)
-
-
 class AlgebraElement:
     """F2 linear combination of strand diagrams with a common ambient size."""
 
@@ -255,38 +246,47 @@ class SurfaceAlgebra:
 
     # -- basis bookkeeping
 
-    def basis_keys(self, weight: int) -> list[BasisKey]:
-        """All basis keys whose diagrams have the given strand count.
+    def moving_sets(self, most: int) -> list[tuple[Diagram, int, int]]:
+        """Every admissible set of at most ``most`` moving strands, with the
+        pairs under its starts and the pairs under its ends as bitmasks (bit
+        p for the pair named p).
 
-        Moving strands are chosen in order of their start points, and a
-        strand is only tried when its start lies on a pair no earlier start
-        uses and its end on a pair no earlier end uses; every branch of the
-        search is an admissible set of moving strands.
+        A set grows by strands whose start points lie after its own, and a
+        strand is only tried when its start lies on a pair no start of the
+        set uses and its end on a pair no end uses, so every set reached is
+        admissible.  The search runs on an explicit stack: a recursive
+        closure would be a reference cycle, and the list it fills would
+        outlive this call until the garbage collector found it.
         """
+        pair_of, n = self._pair_of, self.n
+        out = []
+        stack = [((), 0, 0)]
+        while stack:
+            moving, start_pairs, end_pairs = found = stack.pop()
+            out.append(found)
+            if len(moving) == most:
+                continue
+            for s in range(moving[-1][0] + 1 if moving else 1, n):
+                if start_pairs >> pair_of[s] & 1:
+                    continue
+                for t in range(s + 1, n + 1):
+                    if not end_pairs >> pair_of[t] & 1:
+                        stack.append((moving + ((s, t),), start_pairs | 1 << pair_of[s],
+                                      end_pairs | 1 << pair_of[t]))
+        return out
+
+    def basis_keys(self, weight: int) -> list[BasisKey]:
+        """All basis keys whose diagrams have the given strand count: an
+        admissible set of moving strands plus horizontal pairs chosen from
+        the pairs under none of its endpoints."""
         if weight in self._basis_cache:
             return self._basis_cache[weight]
         keys: list[BasisKey] = []
-        pair_of, n = self._pair_of, self.n
-        feet = [(p, self._partner[p]) for p in self._pairs]
-
-        def extend(moving, start_pairs, end_pairs, points):
-            free = [p for p, q in feet if p not in points and q not in points]
-            keys.extend((moving, pairs)
-                        for pairs in itertools.combinations(free, weight - len(moving)))
-            if len(moving) == weight:
-                return
-            first = moving[-1][0] + 1 if moving else 1
-            for s in range(first, n):
-                if pair_of[s] in start_pairs:
-                    continue
-                for t in range(s + 1, n + 1):
-                    if pair_of[t] in end_pairs:
-                        continue
-                    extend(moving + ((s, t),), start_pairs | {pair_of[s]},
-                           end_pairs | {pair_of[t]}, points | {s, t})
-
         if 0 <= weight <= 2 * self.k:
-            extend((), frozenset(), frozenset(), frozenset())
+            for moving, starts, ends in self.moving_sets(weight):
+                free = [p for p in self._pairs if not (starts | ends) >> p & 1]
+                keys.extend((moving, pairs)
+                            for pairs in itertools.combinations(free, weight - len(moving)))
         keys.sort()
         self._basis_cache[weight] = keys
         return keys
@@ -533,6 +533,41 @@ class SurfaceAlgebra:
             if (s1 - s2) * (t1 - t2) < 0 and (t1 - t2) * (u1 - u2) < 0:
                 return ()
         return ((tuple(sorted((s, u) for s, _, u in paths)), tuple(pairs)),)
+
+    def key_left_quotient(self, key: BasisKey, a: BasisKey) -> BasisKey | None:
+        """The key b with ``key_product(a, b) == (key,)``, or None.
+
+        There is at most one, read strand by strand: each moving strand
+        s -> t of a continues to the strand of key that starts at s,
+        s -> u with u >= t, so b holds t -> u, or the pair of t horizontal
+        when u = t; each horizontal pair of a is horizontal in b when it is
+        in key, and otherwise b holds the strand of key that starts on one of
+        its feet.  ``key_product`` then confirms the candidate, which fails
+        when two strands cross twice, or when key has a strand or a pair
+        that a does not reach.
+        """
+        (moving_k, pairs_k), (moving_a, pairs_a) = key, a
+        pair_of = self._pair_of
+        end_of = dict(moving_k)  # start -> end of each moving strand of key
+        moving, pairs = [], []
+        for s, t in moving_a:
+            u = end_of.get(s, 0)
+            if u < t:
+                return None
+            if u == t:
+                pairs.append(pair_of[t])
+            else:
+                moving.append((t, u))
+        for p in pairs_a:
+            if p in pairs_k:
+                pairs.append(p)
+                continue
+            g = p if p in end_of else self._partner[p]
+            if g not in end_of:
+                return None
+            moving.append((g, end_of[g]))
+        b = (tuple(sorted(moving)), tuple(sorted(pairs)))
+        return b if self.key_product(a, b) == (key,) else None
 
     def key_d(self, key: BasisKey) -> tuple[BasisKey, ...]:
         """Basis keys of expand(key).d(), computed once per key."""

@@ -1,7 +1,10 @@
+import functools
+import itertools
+
 import pytest
 
-from bhf.pmc import standard_pmc
-from bhf.strands import torus_element
+from bhf.pmc import pair_map_to_reverse, standard_pmc
+from bhf.strands import algebra_of, torus_element
 from bhf.dmodules import iso_check, mapping_cone
 from bhf.pairing import mor_dd_d
 from bhf.checks import lattice_rank
@@ -23,6 +26,8 @@ from bhf.catalog import (
     twist_inverse,
     underslide_dd,
 )
+from bhf.catalog import _near_complementary_sets
+from test_strands import CIRCLES, all_keys
 
 
 def test_surgery_triangle_exact():
@@ -209,3 +214,78 @@ def test_genus2_underslide_roundtrips_on_handlebody():
         m1 = mor_dd_d(underslide_dd(s), H2).reduce()
         m2 = mor_dd_d(underslide_dd(inv), m1).reduce()
         assert iso_check(m2, H2.reduce()) is not None, (s.b1, s.c1)
+
+
+# ---------------------------------------------------------------------------
+# near-chords: the moving-strand join and left-factor search against the
+# all-pairs search it replaced
+
+
+def _support(n, diag):
+    acc = [0] * (n - 1)
+    for s, t in diag:
+        for i in range(s, t):
+            acc[i - 1] += 1
+    return acc
+
+
+def near_chords_by_all_pairs(slide):
+    """Every support-matched pair of basis keys with near-complementary
+    idempotents, less every product of two non-idempotent such pairs."""
+    Z, n = slide.source, slide.source.n_points
+    alg1 = algebra_of(Z)
+    rev_zp, zp_to_rev = pair_map_to_reverse(slide.target)
+    alg2 = algebra_of(rev_zp)
+    pair_bij = slide.pair_bijection()
+    rev_to_z = {zp_to_rev(pair_bij[p]): p for p in Z.pairs}
+    partners = {}
+    for s, t in _near_complementary_sets(Z, Z.pair_of(slide.c1), Z.pair_of(slide.b1)):
+        partners.setdefault(frozenset(s), []).append(frozenset(t))
+    src_iv = [i for i in range(1, n) if i != slide.u_interval]
+    tgt_iv = [i for i in range(1, n) if i != slide.u_prime_interval]
+
+    # per side, key -> (left pairs, right pairs), named by source pairs
+    info1, info2 = {}, {}
+    keys2_by_info = {}
+    for k2 in all_keys(alg2):
+        sup = _support(n, k2[0])
+        info2[k2] = (frozenset(rev_to_z[q] for q in alg2.key_left_pairs(k2)),
+                     frozenset(rev_to_z[q] for q in alg2.key_right_pairs(k2)))
+        # interval i of the target circle is interval n - i of its reverse
+        restricted = tuple(sup[n - i - 1] for i in tgt_iv)
+        keys2_by_info.setdefault(info2[k2] + (restricted,), []).append(k2)
+    candidates = []
+    for k1 in all_keys(alg1):
+        sup = _support(n, k1[0])
+        info1[k1] = (frozenset(alg1.key_left_pairs(k1)), frozenset(alg1.key_right_pairs(k1)))
+        restricted = tuple(sup[i - 1] for i in src_iv)
+        for left2, right2 in itertools.product(partners[info1[k1][0]], partners[info1[k1][1]]):
+            candidates.extend((k1, k2) for k2 in keys2_by_info.get((left2, right2, restricted), ())
+                              if k1[0] or k2[0])
+
+    product1 = functools.lru_cache(maxsize=None)(alg1.key_product)
+    product2 = functools.lru_cache(maxsize=None)(alg2.key_product)
+    by_left = {}
+    for k1, k2 in candidates:
+        by_left.setdefault((info1[k1][0], info2[k2][0]), []).append((k1, k2))
+    reducible = set()
+    for k1, k2 in candidates:
+        for l1, l2 in by_left.get((info1[k1][1], info2[k2][1]), ()):
+            keys1 = product1(k1, l1)
+            if keys1:
+                reducible.update(itertools.product(keys1, product2(k2, l2)))
+    return set(candidates) - reducible
+
+
+# the torus underslides, and one underslide of each genus-2 circle
+SLIDES = all_underslides(CIRCLES[0]) + [
+    all_underslides(circle)[i % len(all_underslides(circle))]
+    for i, circle in enumerate(CIRCLES[1:])
+]
+
+
+@pytest.mark.parametrize("slide", SLIDES, ids=lambda s: f"{s.source!r}:{s.b1}:{s.c1}")
+def test_near_chords_match_all_pairs_search(slide):
+    B = underslide_dd(slide)
+    got = {pair for coeff in B.delta.values() for pair in coeff.decompose(B.algebra1, B.algebra2)}
+    assert got == near_chords_by_all_pairs(slide)

@@ -142,6 +142,15 @@ def test_alexander_symmetry_and_normalization():
         assert sum(poly.values()) == 1
 
 
+def test_alexander_polynomial_does_not_revalidate(monkeypatch):
+    # the constructor has already checked the complex
+    c = trefoil_cfk()
+    calls = []
+    monkeypatch.setattr(CFKComplex, "validate", lambda self: calls.append(1))
+    assert alexander_polynomial(c) == {1: 1, 0: -1, -1: 1}
+    assert calls == []
+
+
 def test_alexander_needs_parities():
     c = CFKComplex({"x": 0}, [])
     with pytest.raises(ParityMissing):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -423,6 +424,31 @@ def test_key_product_matches_raw_products(circle):
         assert got == raw_key_product(alg, k1, k2), (k1, k2)
         nonzero += bool(got)
     assert nonzero >= 20
+
+
+@functools.lru_cache(maxsize=None)
+def keys_by_left_pairs(circle):
+    alg = algebra_of(circle)
+    out = {}
+    for key in all_keys(alg):
+        out.setdefault(alg.key_left_pairs(key), []).append(key)
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(CIRCLES + [standard_pmc("split", 3)]), st.data())
+def test_left_quotient_inverts_key_product(circle, data):
+    """Whenever a * b is a basis key k, the quotient of k by a is b: a and k
+    determine b.  Whenever the quotient of a key k by a is some b, a * b is k."""
+    alg = algebra_of(circle)
+    by_left = keys_by_left_pairs(circle)
+    a = data.draw(st.sampled_from(all_keys(alg)))
+    for b in by_left.get(alg.key_right_pairs(a), ()):
+        for k in alg.key_product(a, b):
+            assert alg.key_left_quotient(k, a) == b, (a, b, k)
+    for k in by_left[alg.key_left_pairs(a)]:
+        b = alg.key_left_quotient(k, a)
+        assert b is None or alg.key_product(a, b) == (k,), (a, k, b)
 
 
 # ---------------------------------------------------------------------------
