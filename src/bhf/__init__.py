@@ -30,7 +30,6 @@ from .dmodules import (
     TypeDModule,
     UTypeDModule,
     iso_check,
-    reduced_isomorphic,
 )
 from .pairing import homology_f2, mor_d_d, mor_d_dd, mor_d_ud, mor_dd_d
 from .f2u import F2UComplex, F2UDecomposition, f2u_homology, specialize_u0
@@ -69,7 +68,7 @@ __all__ = [
     "AlgebraElement", "SurfaceAlgebra", "algebra_of", "drop_w_projection",
     "to_opposite", "torus_algebra", "torus_element",
     "TensorElement", "TypeDDModule", "TypeDModule", "UTypeDModule",
-    "iso_check", "reduced_isomorphic",
+    "iso_check",
     "homology_f2", "mor_d_d", "mor_d_dd", "mor_d_ud", "mor_dd_d",
     "F2UComplex", "F2UDecomposition", "f2u_homology", "specialize_u0",
     "F2ChainComplex",

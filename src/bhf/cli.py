@@ -276,8 +276,17 @@ def cmd_verify(args):
     return 0 if passed == len(results) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error at exit 1 (invalid input) rather than
+    2, which the command reserves for a failed gate; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="bhf",
         description="Exact computations in the combinatorial layer of bordered Floer homology",
     )

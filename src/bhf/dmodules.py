@@ -525,11 +525,6 @@ def iso_check(m1, m2, cap: int = 10**6):
     return None
 
 
-def reduced_isomorphic(m1, m2, cap: int = 10**6) -> bool:
-    """Homotopy-equivalence test used throughout: reduce, then exact iso."""
-    return iso_check(m1.reduce(), m2.reduce(), cap=cap) is not None
-
-
 # ---------------------------------------------------------------------------
 # underlying F2 spaces, the induced complex and mapping cones
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii as _encode_string
 
 from .pmc import PointedMatchedCircle, make_pmc, standard_pmc, PMCError
 from .strands import (
@@ -150,8 +151,64 @@ def serialize(obj) -> dict:
 
 
 def dumps(obj) -> str:
+    """The text of a document (or of ``serialize(obj)``), byte for byte
+    ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, whose
+    recursive closures also leave cyclic garbage behind on every call; this
+    writer lays out the same text directly.  It takes str, int, bool, None,
+    lists, tuples and dicts with str keys, and raises TypeError on anything
+    else.
+    """
     doc = obj if isinstance(obj, dict) else serialize(obj)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _layout(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_ATOMS = {None: "null", True: "true", False: "false"}
+
+
+def _layout(value, newline: str, out: list) -> None:
+    """Append the text of value to out; ``newline`` is a newline and the
+    indent of value's own depth."""
+    kind = type(value)
+    if kind is str:
+        out.append(_encode_string(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"dumps takes str keys, not {type(key).__name__}")
+            out.append(sep + _encode_string(key) + ": ")
+            _layout(value[key], inner, out)
+            sep = comma
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            if type(item) is int:  # most items are: one string each, no call
+                out.append(sep + int.__repr__(item))
+            else:
+                out.append(sep)
+                _layout(item, inner, out)
+            sep = comma
+        out.append(newline + "]")
+    elif value is None or value is True or value is False:
+        out.append(_ATOMS[value])
+    else:
+        raise TypeError(f"dumps cannot write {kind.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +263,59 @@ def _int_pairs(value, what: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _diagram_reader(n: int):
-    """Parse raw diagrams on n points; each distinct one is built once.
+class _Diagrams(dict):
+    """The raw diagrams of one document: checked pairs -> diagram, each
+    distinct one sorted once.
 
-    The key is the checked list of integer pairs, not the raw JSON, whose
-    ``true`` and ``1.0`` compare equal to ``1``.
+    Exact types are checked on every read, before the memo is consulted.
+    Validity is checked elsewhere: in a module document by the module
+    constructor's corner check, which is stricter than ``make_diagram`` and
+    sees every term that survives; in a bare element by ``check``.
+    ``listed`` counts the terms read, so that ``recheck`` can tell when some
+    cancelled in pairs and so never met the corner check.
     """
-    seen: dict[tuple, Diagram] = {}
 
-    def read(raw) -> Diagram:
-        pairs = tuple(_int_pairs(raw, "a diagram"))
-        diag = seen.get(pairs)
+    listed = 0
+
+    def read(self, raw) -> Diagram:
+        self.listed += 1
+        try:  # as _int_pairs, inline: this runs once per term
+            pairs = tuple(map(tuple, raw)) if isinstance(raw, list) else None
+            for a, b in pairs or ():
+                if type(a) is not int or type(b) is not int:
+                    pairs = None
+                    break
+        except (TypeError, ValueError):  # an entry that is not a pair
+            pairs = None
+        if pairs is None:
+            raise SchemaError("a diagram must be a list of integer pairs")
+        diag = self.get(pairs)
         if diag is None:
-            diag = seen[pairs] = make_diagram(n, pairs)
+            diag = self[pairs] = tuple(sorted(pairs))
         return diag
 
-    return read
+    def check(self, n: int) -> None:
+        """``make_diagram``'s check on every distinct diagram read."""
+        for diag in self.values():
+            make_diagram(n, diag)
+
+    def recheck(self, module: TypeDModule, n: int) -> None:
+        """``check``, when fewer terms survive in module than were listed."""
+        if self.listed != sum(len(module._terms(c)) for c in module.delta.values()):
+            self.check(n)
 
 
-def _coeff_from(doc, algebra: SurfaceAlgebra) -> AlgebraElement:
+def _coeff_from(doc, algebra: SurfaceAlgebra, diagrams: _Diagrams) -> AlgebraElement:
     if isinstance(doc, str):
         if algebra.circle != standard_pmc("torus"):
             raise SchemaError(f"named coefficient {doc!r} needs the torus algebra")
-        return torus_element(doc)
+        elt = torus_element(doc)
+        diagrams.listed += len(elt.terms)
+        return elt
     if not isinstance(doc, dict):
         raise SchemaError(f"bad coefficient {doc!r}")
     n = _field(doc, "n", int, algebra.n)
-    read = _diagram_reader(n)
+    read = diagrams.read
     terms: set = set()
     for diag in _field(doc, "terms", list):
         terms ^= {read(_field(diag, "strands", list) if isinstance(diag, dict) else diag)}
@@ -284,8 +367,11 @@ def deserialize(doc: dict):
 def _deserialize(schema: str, doc: dict):
     if schema == SCHEMAS["pmc"]:
         return _deserialize_pmc(doc)
-    if schema == SCHEMAS["element"]:
-        return _coeff_from(doc, algebra_of(standard_pmc("torus")))  # n from doc
+    if schema == SCHEMAS["element"]:  # no constructor check follows
+        diagrams = _Diagrams()
+        elt = _coeff_from(doc, algebra_of(standard_pmc("torus")), diagrams)  # n from doc
+        diagrams.check(elt.n)
+        return elt
     if schema in (SCHEMAS["dmodule"], SCHEMAS["udmodule"]):
         alg = _algebra_from(doc, "algebra")
         gens = {
@@ -293,18 +379,19 @@ def _deserialize(schema: str, doc: dict):
             for g in _objects(doc, "generators")
         }
         delta: dict = {}
+        diagrams = _Diagrams()
         for e in _objects(doc, "delta"):
             key = (_field(e, "src", str), _field(e, "dst", str))
-            c = _coeff_from(_field(e, "coeff", (str, dict)), alg)
+            c = _coeff_from(_field(e, "coeff", (str, dict)), alg, diagrams)
             if schema == SCHEMAS["dmodule"]:
                 delta[key] = delta.get(key, AlgebraElement.zero(alg.n)) + c
             else:
                 m = _upower(e)
                 cur = delta.setdefault(key, {})
                 cur[m] = cur.get(m, AlgebraElement.zero(alg.n)) + c
-        if schema == SCHEMAS["dmodule"]:
-            return TypeDModule(alg, gens, delta)
-        return UTypeDModule(alg, gens, delta)
+        module = (TypeDModule if schema == SCHEMAS["dmodule"] else UTypeDModule)(alg, gens, delta)
+        diagrams.recheck(module, alg.n)
+        return module
     if schema == SCHEMAS["ddmodule"]:
         alg1 = _algebra_from(doc, "algebra1")
         alg2 = _algebra_from(doc, "algebra2")
@@ -313,7 +400,8 @@ def _deserialize(schema: str, doc: dict):
             for g in _objects(doc, "generators")
         }
         delta: dict = {}
-        read1, read2 = _diagram_reader(alg1.n), _diagram_reader(alg2.n)
+        diagrams1, diagrams2 = _Diagrams(), _Diagrams()
+        read1, read2 = diagrams1.read, diagrams2.read
         for e in _objects(doc, "delta"):
             key = (_field(e, "src", str), _field(e, "dst", str))
             terms = set()
@@ -322,8 +410,11 @@ def _deserialize(schema: str, doc: dict):
                     raise SchemaError("a tensor term must be a [left, right] pair of diagrams")
                 terms ^= {(read1(term[0]), read2(term[1]))}
             t = TensorElement(alg1.n, alg2.n, terms)
-            delta[key] = delta.get(key, TensorElement(alg1.n, alg2.n)) + t
-        return TypeDDModule(alg1, alg2, gens, delta)
+            delta[key] = delta[key] + t if key in delta else t
+        module = TypeDDModule(alg1, alg2, gens, delta)
+        diagrams1.recheck(module, alg1.n)
+        diagrams2.recheck(module, alg2.n)
+        return module
     if schema == SCHEMAS["cfk"]:
         generators = _objects(doc, "generators")
         gens = {_field(g, "name", str): _field(g, "alexander", int) for g in generators}

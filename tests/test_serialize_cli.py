@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bhf
 from bhf.pmc import standard_pmc
@@ -113,6 +116,48 @@ def test_validation_error_fixed_point():
 def test_unknown_schema():
     with pytest.raises(SchemaError):
         parse_document('{"schema": "bhf/unknown@9"}')
+
+
+# ---------------------------------------------------------------------------
+# the writer against json.dumps, and garbage
+
+# every character, surrogates and control characters included
+JSON_TEXT = st.text(st.characters(exclude_categories=()))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(JSON_VALUES)
+@example({"": [], "a": {}, "b": [[], {}, [[{}]]], "c": [True, False, None, -7, -2**80]})
+@example(['"quoted" \\ back/slash', "\x00\x1f\x7f tab\t nl\n", "\u00e9\u4e2d\U0001f600", "\ud800\udfff"])
+def test_writer_matches_json_dumps(value):
+    assert dumps({"v": value}) == json.dumps({"v": value}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "int key"}, {"s": {1, 2}}, [object()]],
+                         ids=["float", "int_key", "set", "object"])
+def test_writer_raises_type_error_on_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        dumps({"v": value})
+
+
+def test_dumps_and_parse_leave_no_cyclic_garbage():
+    B = underslide_dd(make_arcslide(standard_pmc("split", 2), 2, 1))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        text = dumps(serialize(B))
+        assert gc.collect() == 0
+        parse_document(text)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +396,96 @@ def test_downward_strand_module_is_invalid_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "y->x" in err and "((2, 1),)" in err
+
+
+# Diagrams that a module document must not hold, each put in place of the
+# first diagram [[1, 2]] of a copy of the first term of the first arrow.  The
+# bool and the float equal that diagram as JSON values, so a reader that
+# consulted its memo before checking types would cancel the copy away.
+BAD_DIAGRAMS = {
+    "bool_point": [[True, 2]],
+    "float_point": [[1.0, 2]],
+    "three_element_strand": [[1, 2, 3]],
+    "repeated_start": [[1, 2], [1, 3]],
+    "repeated_end": [[1, 3], [2, 3]],
+    "point_outside": [[1, 5]],
+    "downward_strand": [[2, 1]],
+}
+
+
+def _add_copy_of_first_term(doc, diagram, copies=1):
+    arrow = doc["delta"][0]
+    if doc["schema"] == "bhf/ddmodule@1":
+        first = arrow["terms"][0]
+        assert first[0] == [[1, 2]]
+        arrow["terms"] += [[diagram, first[1]]] * copies
+    else:
+        assert arrow["coeff"]["terms"][0]["strands"] == [[1, 2]]
+        arrow["coeff"]["terms"] += [{"n": 4, "strands": diagram}] * copies
+    return json.dumps(doc)
+
+
+def _diagram_doc(kind, diagram, copies=1):
+    obj = dehn_twist_dd("Tm") if kind == "ddmodule" else solid_torus("minus1")
+    return _add_copy_of_first_term(serialize(obj), diagram, copies)
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_DIAGRAMS))
+@pytest.mark.parametrize("kind", ["ddmodule", "dmodule"])
+def test_module_document_rejects_a_bad_diagram(capsys, kind, fault):
+    text = _diagram_doc(kind, BAD_DIAGRAMS[fault])
+    with pytest.raises((SchemaError, ValidationError)):
+        parse_document(text)
+    code, out, err = run_cli(capsys, "dmod", "verify", "--in", text)
+    assert code == 1 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fault", ["repeated_start", "repeated_end", "point_outside"])
+@pytest.mark.parametrize("kind", ["ddmodule", "dmodule"])
+def test_module_document_rejects_a_bad_diagram_that_cancels(kind, fault):
+    # listed twice, the term cancels and the module never holds it
+    with pytest.raises(ValidationError):
+        parse_document(_diagram_doc(kind, BAD_DIAGRAMS[fault], copies=2))
+
+
+@pytest.mark.parametrize("obj", [
+    handlebody(2), underslide_dd(make_arcslide(standard_pmc("split", 2), 2, 1)),
+], ids=lambda o: type(o).__name__)
+def test_module_document_with_unsorted_strands_loads_sorted(obj):
+    doc = serialize(obj)
+    reversed_any = False
+    for arrow in doc["delta"]:
+        if "coeff" in arrow:
+            diagrams = [term["strands"] for term in arrow["coeff"]["terms"]]
+        else:
+            diagrams = [d for term in arrow["terms"] for d in term]
+        for diagram in diagrams:
+            reversed_any |= len(diagram) > 1
+            diagram.reverse()
+    assert reversed_any
+    back = parse_document(json.dumps(doc))
+    assert back.delta == obj.delta
+    assert dumps(back) == dumps(obj)
+
+
+@pytest.mark.parametrize("argv", [
+    ("dmod", "verify"),                         # --in is required
+    ("bogus",),                                 # not a subcommand
+    ("algebra", "bogus"),                       # not a choice
+    ("algebra", "basis", "--summand", "x"),     # not an integer
+], ids=" ".join)
+def test_cli_usage_error_exits_1(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def _torus_dmodule(generators):
