@@ -20,7 +20,7 @@ from .strands import AlgebraElement, algebra_of, torus_element
 from .dmodules import (
     TensorElement, TypeDDModule, TypeDModule, mapping_cone, module_f2_basis, right_action,
 )
-from .pairing import mor_d_d, mor_dd_d, homology_f2
+from .pairing import BimoduleHalf, mor_d_d, mor_dd_d, homology_f2
 from .gf2 import gf2_apply, gf2_rank
 
 
@@ -563,10 +563,19 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
 
 
 def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
-    """Pair the word's bimodules against the module, rightmost letter first."""
+    """Pair the word's bimodules against the module, rightmost letter first.
+
+    Each distinct letter's bimodule side of the pairing is prepared once
+    for this call (``BimoduleHalf``) and dropped when it returns.
+    """
+    if isinstance(word, str):
+        raise CatalogError(f"twist word {word!r} is a string; split it with parse_twist_word")
+    halves: dict[str, BimoduleHalf] = {}
     out = module
     for token in reversed(list(word)):
-        out = mor_dd_d(dehn_twist_dd(token), out).reduce()
+        if token not in halves:
+            halves[token] = BimoduleHalf(dehn_twist_dd(token))
+        out = mor_dd_d(halves[token], out).reduce()
     return out
 
 

@@ -141,8 +141,23 @@ def cmd_algebra(args):
     return 0
 
 
+def _module(text, what: str):
+    """A module document whose every coefficient is a sum of whole basis
+    elements.  The constructor checks only corners, so each distinct
+    coefficient is decomposed once here and NotInSpan names a partial one."""
+    M = _document(text, (TypeDModule, UTypeDModule, TypeDDModule), what)
+    if isinstance(M, TypeDDModule):
+        coeffs, split = set(M.delta.values()), lambda c: c.decompose(M.algebra1, M.algebra2)
+    else:
+        parts = (c.values() if isinstance(M, UTypeDModule) else (c,) for c in M.delta.values())
+        coeffs, split = {e for part in parts for e in part}, M.algebra.decompose
+    for coeff in coeffs:
+        split(coeff)
+    return M
+
+
 def cmd_dmod(args):
-    M = _document(args.input, (TypeDModule, UTypeDModule, TypeDDModule), "--in")
+    M = _module(args.input, "--in")
     if args.action == "verify":
         bad = M.verify_d2()
         doc = {"schema": "bhf/result@1", "ok": not bad, "violations": len(bad)}
@@ -154,7 +169,7 @@ def cmd_dmod(args):
     if args.action == "iso":
         if args.right is None:
             raise ValidationError("dmod iso needs --right")
-        N = _document(args.right, (TypeDModule, UTypeDModule, TypeDDModule), "--right")
+        N = _module(args.right, "--right")
         witness = iso_check(M.reduce(), N.reduce())
         doc = {"schema": "bhf/result@1", "isomorphic": witness is not None}
         if witness:

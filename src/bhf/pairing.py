@@ -7,7 +7,7 @@ of the middle coefficient, post-composition with the target module's arrows
 and pre-composition with the source module's arrows.
 
 A DD bimodule paired against a type D module leaves a type D module over
-the unused algebra.  Two variants exist, both built by ``_pair_bimodule``:
+the unused algebra.  Two variants exist, both built by ``BimoduleHalf``:
 
 * ``mor_dd_d(B, M)``: morphisms out of the bimodule.  The retained action
   is naturally a right action, so the output is written over the opposite
@@ -19,12 +19,18 @@ the unused algebra.  Two variants exist, both built by ``_pair_bimodule``:
 Every builder walks the basis triples once and reads each term of the
 differential off ``SurfaceAlgebra.key_d`` and ``key_product`` through the
 arrows at the triple's two ends.  Arrow coefficients are split into basis
-keys once per call.  Within one call, each distinct corner's keys are
-listed once and each distinct type D coefficient is decomposed once; no
-such memo outlives the call.  ``key_product`` is not memoized: it reads
-the product off the two keys, and a memo of it gave no measured gain.  The
-type D outputs are verified to square to zero on raw-diagram products
-before being returned.
+keys once per call.  Within one call, each distinct corner's keys and key
+names are listed once, each distinct type D coefficient is decomposed
+once, and each (generator, key) row of key products through the
+generator's arrows is computed once; no such memo outlives the call.
+
+A ``BimoduleHalf`` holds everything that depends on the bimodule alone:
+its arrows split into keys, its units and output idempotents, and those
+memos on the bimodule's side.  ``mor_dd_d`` and ``mor_d_dd`` build one for
+their call or take one prepared by the caller; ``apply_twist_word`` builds
+one per distinct letter of its word, pairs every letter through it, and
+drops it when the call returns.  The type D outputs are verified to square
+to zero on raw-diagram products before being returned.
 """
 
 from __future__ import annotations
@@ -50,10 +56,12 @@ def mor_generator_name(x: str, key: BasisKey, y: str) -> str:
     return f"{x}|{key_name(key)}|{y}"
 
 
-def _mor_basis(alg: SurfaceAlgebra, left, right):
+def _mor_basis(alg: SurfaceAlgebra, left, right, corners=None):
     """Sorted triples (x, key, y), key in the corner I(x) * A * I(y); ``left``
-    and ``right`` map generator names to idempotents."""
-    corners: dict[tuple, list] = {}  # each distinct corner once, for this call
+    and ``right`` map generator names to idempotents.  ``corners`` memoizes
+    each distinct corner's keys, by default for this call only."""
+    if corners is None:
+        corners = {}
     out = []
     for x, ix in sorted(left.items()):
         for y, iy in sorted(right.items()):
@@ -105,20 +113,53 @@ def _bimodule_split(B: TypeDDModule, side: int, coeff_of):
     return split
 
 
-def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, atoms):
+def _product_rows(alg: SurfaceAlgebra, arrows: dict[str, list], key_first: bool):
+    """The row of (other end, product key, tag) for each (end, key a), memoized.
+
+    ``arrows`` maps an end to its (other end, key c, tag) arrows, as from
+    ``_keyed_arrows``; the row holds the keys of a * c when ``key_first``,
+    else of c * a, in arrow order.  The memo lives as long as the function.
+    """
+    rows: dict[tuple, list] = {}
+    product = alg.key_product
+
+    def row(end, a):
+        out = rows.get((end, a))
+        if out is None:
+            out = rows[(end, a)] = [
+                (other, k, tag) for other, c, tag in arrows.get(end, ())
+                for k in (product(a, c) if key_first else product(c, a))
+            ]
+        return out
+
+    return row
+
+
+def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, atoms,
+                 corners=None, key_names=None):
     """The basis triples of Mor(left, right), their names, and the differential.
 
     For each basis triple (x, a, y) the differential has the keys of d(a),
-    of a * c for each arrow y -> y2 of the target module in ``outgoing``,
-    and of c * a for each arrow x1 -> x of the source module in
-    ``incoming``.  A term is tagged None for d(a) and with the arrow's tag
-    otherwise; ``atoms(src, tag)`` gives the hashable atoms of its
-    coefficient.  Atoms are added mod 2 (``SurfaceAlgebra.key_product``
-    says why that is exact), and the differential maps (src name, dst name)
-    to its nonempty atom set.
+    the row ``outgoing(y, a)`` of a * c over the arrows y -> y2 of the
+    target module, and the row ``incoming(x, a)`` of c * a over the arrows
+    x1 -> x of the source module (see ``_product_rows``).  A term is tagged
+    None for d(a) and with the arrow's tag otherwise; ``atoms(src, tag)``
+    gives the hashable atoms of its coefficient.  Atoms are added mod 2
+    (``SurfaceAlgebra.key_product`` says why that is exact), and the
+    differential maps (src name, dst name) to its nonempty atom set.
+    ``corners`` and ``key_names`` memoize corner keys and key names, by
+    default for this call only.
     """
-    basis = _mor_basis(alg, left, right)
-    names = {t: mor_generator_name(*t) for t in basis}
+    basis = _mor_basis(alg, left, right, corners)
+    if key_names is None:
+        key_names = {}
+    names = {}
+    for t in basis:
+        x, a, y = t
+        name = key_names.get(a)
+        if name is None:
+            name = key_names[a] = key_name(a)
+        names[t] = f"{x}|{name}|{y}"
     acc: dict[tuple[str, str], set] = {}
 
     def add(src, dst, tag):
@@ -128,12 +169,10 @@ def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, atoms):
         x, a, y = src
         for k in alg.key_d(a):
             add(src, (x, k, y), None)
-        for y2, c, tag in outgoing.get(y, ()):
-            for k in alg.key_product(a, c):
-                add(src, (x, k, y2), tag)
-        for x1, c, tag in incoming.get(x, ()):
-            for k in alg.key_product(c, a):
-                add(src, (x1, k, y), tag)
+        for y2, k, tag in outgoing(y, a):
+            add(src, (x, k, y2), tag)
+        for x1, k, tag in incoming(x, a):
+            add(src, (x1, k, y), tag)
     return basis, names, {k: v for k, v in acc.items() if v}
 
 
@@ -142,10 +181,10 @@ def _mor_modules(M: TypeDModule, N: TypeDModule, atoms, split=None):
     ``split`` splits the coefficients of N as in ``_keyed_arrows``."""
     if M.algebra != N.algebra:
         raise AlgebraMismatch("modules over different algebras")
-    incoming = _keyed_arrows(M, by_target=True)
-    outgoing = _keyed_arrows(N, by_target=False, split=split)
-    basis, names, diff = _mor_complex(M.algebra, M.generators, N.generators,
-                                      incoming, outgoing, atoms)
+    alg = M.algebra
+    incoming = _product_rows(alg, _keyed_arrows(M, by_target=True), key_first=False)
+    outgoing = _product_rows(alg, _keyed_arrows(N, by_target=False, split=split), key_first=True)
+    basis, names, diff = _mor_complex(alg, M.generators, N.generators, incoming, outgoing, atoms)
     return [names[b] for b in basis], diff
 
 
@@ -174,74 +213,106 @@ def homology_f2(complex_: F2ChainComplex):
 # bimodule pairings
 
 
-def _pair_bimodule(M: TypeDModule, B: TypeDDModule, side: int, into_b: bool) -> TypeDModule:
-    """Morphisms M -> B (``into_b``) or B -> M over the algebra on ``side``.
+class BimoduleHalf:
+    """The bimodule's side of ``mor_dd_d`` (B -> M) or ``mor_d_dd`` (M -> B).
 
-    The result is a type D module over the unused algebra, gated on
-    d^2 = 0.  Out of B, that action survives as a right action and is
-    rewritten over the opposite algebra (the reversed circle).  A term of
-    the differential tagged None carries the idempotent of its source
-    triple's bimodule generator, read once per generator; any other tag is
-    the term's coefficient.
+    Everything here depends on the bimodule alone: the shared and output
+    idempotents, the output algebra and its units, the provenance, the
+    arrows split into keys, and memos of the corner keys per idempotent
+    pair, of key names and of the bimodule-side product rows per
+    (bimodule generator, basis key).  ``pair`` pairs one module against
+    it.  Out of B, the unused action survives as a right action and is
+    rewritten over the opposite algebra (the reversed circle).  The memos
+    live as long as the half, so a caller that pairs many modules against
+    one bimodule builds it once and drops it when done.
     """
-    if side not in (1, 2):
-        raise AlgebraMismatch("side must be 1 or 2")
-    shared, other = (B.algebra1, B.algebra2) if side == 1 else (B.algebra2, B.algebra1)
-    if shared != M.algebra:
-        raise AlgebraMismatch("bimodule side does not match module algebra")
-    b_shared = {b: idems[side - 1] for b, idems in B.generators.items()}
-    if into_b:
-        out_alg, coeff_of = other, other.expand
-        b_out = {b: idems[2 - side] for b, idems in B.generators.items()}
-        ends = (M.generators, b_shared)
-        provenance = f"mor_d_dd(side={side}; no opposite-algebra conversion)"
-    else:
-        rev_circle, pair_image = pair_map_to_reverse(other.circle)
-        out_alg = algebra_of(rev_circle)
 
-        def coeff_of(k_other):
-            return to_opposite(other.expand(k_other), other.circle)
+    def __init__(self, B: TypeDDModule, side: int = 1, into_b: bool = False):
+        if side not in (1, 2):
+            raise AlgebraMismatch("side must be 1 or 2")
+        self.side, self.into_b = side, into_b
+        shared, other = (B.algebra1, B.algebra2) if side == 1 else (B.algebra2, B.algebra1)
+        self.shared = shared
+        self.b_shared = {b: idems[side - 1] for b, idems in B.generators.items()}
+        if into_b:
+            out_alg, coeff_of = other, other.expand
+            b_out = {b: idems[2 - side] for b, idems in B.generators.items()}
+            self.provenance = f"mor_d_dd(side={side}; no opposite-algebra conversion)"
+        else:
+            rev_circle, pair_image = pair_map_to_reverse(other.circle)
+            out_alg = algebra_of(rev_circle)
 
-        b_out = {b: tuple(sorted(pair_image(p) for p in idems[2 - side]))
-                 for b, idems in B.generators.items()}
-        ends = (b_shared, M.generators)
-        provenance = (
-            f"mor_dd_d(side={side}; second action rewritten over reversed circle "
-            f"{rev_circle!r} via the opposite-algebra map)"
-        )
-    m_arrows = _keyed_arrows(M, by_target=into_b)
-    b_arrows = _keyed_arrows(B, by_target=not into_b, split=_bimodule_split(B, side, coeff_of))
-    incoming, outgoing = (m_arrows, b_arrows) if into_b else (b_arrows, m_arrows)
-    units = {b: out_alg.idempotent(idem).terms for b, idem in b_out.items()}
-    end = 2 if into_b else 0
+            def coeff_of(k_other):
+                return to_opposite(other.expand(k_other), other.circle)
 
-    def atoms(src, coeff):
-        return units[src[end]] if coeff is None else coeff.terms
+            b_out = {b: tuple(sorted(pair_image(p) for p in idems[2 - side]))
+                     for b, idems in B.generators.items()}
+            self.provenance = (
+                f"mor_dd_d(side={side}; second action rewritten over reversed circle "
+                f"{rev_circle!r} via the opposite-algebra map)"
+            )
+        self.out_alg, self.b_out = out_alg, b_out
+        self.units = {b: out_alg.idempotent(idem).terms for b, idem in b_out.items()}
+        arrows = _keyed_arrows(B, by_target=not into_b,
+                               split=_bimodule_split(B, side, coeff_of))
+        self.rows = _product_rows(shared, arrows, key_first=into_b)
+        self.corners: dict[tuple, list] = {}
+        self.key_names: dict[BasisKey, str] = {}
 
-    basis, names, terms = _mor_complex(shared, *ends, incoming, outgoing, atoms)
-    gens = {names[t]: b_out[t[end]] for t in basis}
-    delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items()}
-    out = TypeDModule(out_alg, gens, delta, provenance=provenance)
-    return out.gated("pairing output")
+    def pair(self, M: TypeDModule) -> TypeDModule:
+        """Morphisms M -> B or B -> M, a type D module over the unused
+        algebra, gated on d^2 = 0.  A term of the differential tagged None
+        carries the idempotent of its source triple's bimodule generator;
+        any other tag is the term's coefficient."""
+        if self.shared != M.algebra:
+            raise AlgebraMismatch("bimodule side does not match module algebra")
+        m_rows = _product_rows(self.shared, _keyed_arrows(M, by_target=self.into_b),
+                               key_first=not self.into_b)
+        if self.into_b:
+            ends, incoming, outgoing, end = (M.generators, self.b_shared), m_rows, self.rows, 2
+        else:
+            ends, incoming, outgoing, end = (self.b_shared, M.generators), self.rows, m_rows, 0
+        units, out_alg = self.units, self.out_alg
+
+        def atoms(src, coeff):
+            return units[src[end]] if coeff is None else coeff.terms
+
+        basis, names, terms = _mor_complex(self.shared, *ends, incoming, outgoing, atoms,
+                                           self.corners, self.key_names)
+        gens = {names[t]: self.b_out[t[end]] for t in basis}
+        delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items()}
+        out = TypeDModule(out_alg, gens, delta, provenance=self.provenance)
+        return out.gated("pairing output")
 
 
-def mor_dd_d(B: TypeDDModule, M: TypeDModule, side: int = 1) -> TypeDModule:
+def _half(B, side: int, into_b: bool) -> BimoduleHalf:
+    """B itself when it is a prepared half for this pairing, else a new one."""
+    if not isinstance(B, BimoduleHalf):
+        return BimoduleHalf(B, side, into_b)
+    if (B.side, B.into_b) != (side, into_b):
+        raise AlgebraMismatch(f"bimodule half prepared for side={B.side}, into_b={B.into_b}")
+    return B
+
+
+def mor_dd_d(B: TypeDDModule | BimoduleHalf, M: TypeDModule, side: int = 1) -> TypeDModule:
     """Pair a DD bimodule against a type D module along one action.
 
     Morphisms B -> M over the algebra on ``side``; the other action
     survives as a right action and is rewritten over the opposite algebra
     (the reversed circle), so the result is again a left type D module.
+    ``B`` may be a ``BimoduleHalf(B, side)`` prepared for many modules.
     """
-    return _pair_bimodule(M, B, side, into_b=False)
+    return _half(B, side, into_b=False).pair(M)
 
 
-def mor_d_dd(M: TypeDModule, B: TypeDDModule, side: int = 1) -> TypeDModule:
+def mor_d_dd(M: TypeDModule, B: TypeDDModule | BimoduleHalf, side: int = 1) -> TypeDModule:
     """Morphisms M -> B over the algebra on ``side`` of the bimodule.
 
     The unused bimodule action is a left action already, so the output is a
     type D module over that algebra with no opposite-algebra conversion.
+    ``B`` may be a ``BimoduleHalf(B, side, into_b=True)``.
     """
-    return _pair_bimodule(M, B, side, into_b=True)
+    return _half(B, side, into_b=True).pair(M)
 
 
 def mor_d_ud(M: TypeDModule, P: UTypeDModule) -> F2UComplex:

@@ -5,10 +5,13 @@ import pytest
 
 from bhf.pmc import pair_map_to_reverse, standard_pmc
 from bhf.strands import algebra_of, torus_element
-from bhf.dmodules import iso_check, mapping_cone
+from bhf.dmodules import TensorElement, TypeDModule, iso_check, mapping_cone
+from bhf import catalog
 from bhf.pairing import mor_dd_d
+from bhf.serialize import dumps, serialize
 from bhf.checks import lattice_rank
 from bhf.catalog import (
+    CatalogError,
     NotAdjacent,
     OverslideUnsupported,
     SamePair,
@@ -129,6 +132,45 @@ def test_genus1_ranks_match_lattice_oracle():
     for _ in range(25):
         word = [rng.choice(TWIST_NAMES) for _ in range(rng.randint(0, 10))]
         assert hf_genus1(word) == lattice_rank(word), word
+
+
+def test_twist_words_match_letter_by_letter_pairing():
+    import random
+
+    rng = random.Random(13)
+    for i in range(30):
+        word = [rng.choice(TWIST_NAMES) for _ in range(rng.randint(1, 12))]
+        base = solid_torus(("inf", "minus1", "zero")[i % 3])
+        out = base
+        for t in reversed(word):
+            out = mor_dd_d(dehn_twist_dd(t), out).reduce()
+        assert dumps(serialize(apply_twist_word(word, base))) == dumps(serialize(out)), word
+
+
+def test_twist_word_prepares_each_letter_once(monkeypatch):
+    word = ["Tm", "Tl'", "Tm", "Tm", "Tl'", "Tm"]
+    arrows = sum(len(dehn_twist_dd(t).delta) for t in set(word))
+    calls = {"mor_dd_d": 0, "decompose": 0, "verify_d2": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(catalog, "mor_dd_d", counted("mor_dd_d", catalog.mor_dd_d))
+    monkeypatch.setattr(TensorElement, "decompose", counted("decompose", TensorElement.decompose))
+    monkeypatch.setattr(TypeDModule, "verify_d2", counted("verify_d2", TypeDModule.verify_d2))
+    apply_twist_word(word, solid_torus("zero"))
+    # one call per letter through the catalog's name, each output gated once,
+    # and each distinct letter's arrows split into keys once
+    assert calls == {"mor_dd_d": len(word), "decompose": arrows, "verify_d2": len(word)}
+
+
+def test_string_twist_word_is_rejected():
+    for call in (lambda: hf_genus1("Tm Tm"), lambda: apply_twist_word("Tm", solid_torus("zero"))):
+        with pytest.raises(CatalogError, match="parse_twist_word"):
+            call()
 
 
 def test_parse_twist_word():

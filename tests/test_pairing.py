@@ -7,6 +7,7 @@ from bhf.strands import algebra_of
 from bhf.dmodules import TypeDModule, iso_check
 from bhf.pairing import (
     AlgebraMismatch,
+    BimoduleHalf,
     corner_dimension,
     homology_f2,
     identity_morphism,
@@ -15,9 +16,10 @@ from bhf.pairing import (
     mor_d_ud,
     mor_dd_d,
 )
-from bhf.catalog import dd_identity, dehn_twist_dd, solid_torus
+from bhf.catalog import apply_twist_word, dd_identity, dehn_twist_dd, solid_torus
 from bhf.knots import cable21_pattern
 from bhf.gf2 import F2ChainComplex, NotAComplex
+from bhf.serialize import dumps, serialize
 
 
 ALG = algebra_of(standard_pmc("torus"))
@@ -143,3 +145,35 @@ def test_twist_pairing_gives_twisted_tori():
 def test_homology_rejects_non_complex():
     with pytest.raises(NotAComplex):
         F2ChainComplex(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+
+@pytest.mark.parametrize("side", [1, 2])
+@pytest.mark.parametrize("into_b", [False, True], ids=["mor_dd_d", "mor_d_dd"])
+def test_prepared_half_matches_one_shot_calls(side, into_b):
+    B = dehn_twist_dd("Tl'")  # its arrows differ between the two sides
+    modules = [
+        solid_torus("inf"),  # one generator on pair 2
+        apply_twist_word(["Tm"] * 3, solid_torus("zero")),  # four, on both pairs
+        solid_torus("minus1"),  # two
+        solid_torus("zero"),  # one on pair 1
+    ]
+    assert len({tuple(sorted(M.generators.values())) for M in modules}) == 4
+
+    def pair(b, M):
+        return mor_d_dd(M, b, side) if into_b else mor_dd_d(b, M, side)
+
+    half = BimoduleHalf(B, side, into_b)
+    for i in (0, 1, 2, 3, 1, 0, 3, 2, 1):
+        M = modules[i]
+        assert dumps(serialize(pair(half, M))) == dumps(serialize(pair(B, M))), (i, side)
+
+
+def test_prepared_half_is_for_one_pairing_only():
+    half = BimoduleHalf(dehn_twist_dd("Tm"), side=1)
+    M = solid_torus("zero")
+    with pytest.raises(AlgebraMismatch):
+        mor_dd_d(half, M, side=2)
+    with pytest.raises(AlgebraMismatch):
+        mor_d_dd(M, half)
+    with pytest.raises(AlgebraMismatch):
+        mor_dd_d(half, TypeDModule(algebra_of(standard_pmc("split", 2)), {"x": (1, 2)}, {}))

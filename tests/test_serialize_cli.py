@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import bhf
 from bhf.pmc import standard_pmc
-from bhf.strands import algebra_of, torus_element
-from bhf.dmodules import GateFailure, TypeDDModule, TypeDModule, UTypeDModule, iso_check
+from bhf.strands import AlgebraElement, algebra_of, torus_element
+from bhf.dmodules import (
+    GateFailure, TensorElement, TypeDDModule, TypeDModule, UTypeDModule, iso_check,
+)
 from bhf.f2u import F2UComplex
 from bhf.gf2 import F2ChainComplex
 from bhf.knots import CFKComplex, figure8_cfk, trefoil_cfk, cable21_pattern
@@ -396,6 +398,36 @@ def test_downward_strand_module_is_invalid_input(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "y->x" in err and "((2, 1),)" in err
+
+
+def _partial_placement(kind):
+    """A module whose one arrow holds only the placement (1, 1) of iota0 = (1, 1) + (3, 3).
+
+    Every diagram lies in its arrow's corner, so the module constructor
+    accepts it; only a decomposition finds the missing placement.
+    """
+    alg = algebra_of(standard_pmc("torus"))
+    half = AlgebraElement(4, [((1, 1),)])
+    gens = {"x": (1,), "y": (1,)}
+    if kind == "dmodule":
+        return TypeDModule(alg, gens, {("x", "y"): half})
+    if kind == "udmodule":
+        return UTypeDModule(alg, gens, {("x", "y"): {0: torus_element("iota0"), 1: half}})
+    B = dehn_twist_dd("Tm")  # r -> p carries rho2 (x) iota0; keep one of its placements
+    delta = {**B.delta, ("r", "p"): TensorElement(4, 4, [(((2, 3),), ((1, 1),))])}
+    return TypeDDModule(B.algebra1, B.algebra2, B.generators, delta)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--in", "DOC"), ("reduce", "--in", "DOC"),
+    ("iso", "--in", "DOC", "--right", "h_0"), ("iso", "--in", "h_0", "--right", "DOC"),
+], ids=lambda argv: "-".join(a for a in argv if not a.startswith("-"))[:20])
+@pytest.mark.parametrize("kind", ["dmodule", "udmodule", "ddmodule"])
+def test_dmod_rejects_a_partial_placement(capsys, kind, argv):
+    text = dumps(serialize(_partial_placement(kind)))
+    code, out, err = run_cli(capsys, "dmod", *(text if a == "DOC" else a for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: element holds only some placements of basis")
 
 
 # Diagrams that a module document must not hold, each put in place of the
