@@ -24,25 +24,24 @@ Code that tells the kinds apart tests the exact type.
 ``reduce`` cancels unit arrows (coefficient equal to the idempotent of
 both ends) in the order of the least (src, dst), so its output is a
 function of the module alone.  ``verify_d2`` multiplies raw diagrams and
-never consults the key-level product tables of ``SurfaceAlgebra``, so it
-checks pairings built from those tables independently.  Within one call,
+never consults the key-level tables of ``SurfaceAlgebra``, so it checks
+pairings built from those tables independently.  Within one call,
 ``verify_d2`` and ``reduce`` compute each distinct product (and
-``verify_d2`` each distinct differential) once, in a memo keyed by the
-coefficients' ``_terms``; the construction normalises each distinct
-idempotent once.  No such memo outlives its call.
+``verify_d2`` each distinct differential) once, keyed by the coefficients'
+``_terms``, and pass one ``RawProducts`` through the ``_mul`` and ``_d``
+hooks, so each coefficient's index, each diagram pair's composite and each
+diagram's smoothings are worked out once; ``reduce`` builds each unit once,
+and the construction normalises each distinct idempotent once.  No such
+memo outlives its call.
 
 ``validate`` checks I(src) * coeff * I(dst) = coeff as a filter on terms,
-with no products: each term's ``admissible_corner`` (pairs under its
-starts, pairs under its ends, or None for a diagram that is a term of no
-basis element, such as one with a downward strand) must be the (source,
-target) idempotents.  That is exact for the sandwich: a horizontal section
-of I(S) composed with a diagram d returns d when its points are the starts
-of d and kills it otherwise, so I(S) * d = d exactly when the starts of d
-lie one on each pair of S.  It does not check that a coefficient holds
-every horizontal placement of its basis elements; such a coefficient fails
-at ``decompose``.  A coefficient over another ambient size fails; a DD one
-is checked on both diagrams of every tensor term, and a U-weighted one at
-every power.
+with no products (``SurfaceAlgebra.sandwich`` says why that is exact):
+each term's ``admissible_corner``, None for a diagram that is a term of no
+basis element, must be the (source, target) idempotents.  A coefficient
+that holds only some horizontal placements of a basis element passes, and
+fails at ``decompose``.  A coefficient over another ambient size fails; a
+DD one is checked on both diagrams of every tensor term, and a U-weighted
+one at every power.
 """
 
 from __future__ import annotations
@@ -56,12 +55,11 @@ from functools import lru_cache
 from .cancel import _adjacency, _cancel_all
 from .strands import (
     AlgebraElement,
+    AmbientMismatch,
     NotInSpan,
+    RawProducts,
     StrandError,
     SurfaceAlgebra,
-    compose_diagrams,
-    diagram_ends,
-    diagram_starts,
 )
 
 
@@ -116,36 +114,20 @@ class TensorElement:
     def __hash__(self):
         return hash((self.n1, self.n2, self.terms))
 
+    def _ambient(self, other: "TensorElement"):
+        if (self.n1, self.n2) != (other.n1, other.n2):
+            raise AmbientMismatch(f"ambient {(self.n1, self.n2)} != {(other.n1, other.n2)}")
+        return self.n1, self.n2
+
     def __add__(self, other: "TensorElement") -> "TensorElement":
-        return TensorElement(self.n1, self.n2, self.terms ^ other.terms)
+        return TensorElement(*self._ambient(other), self.terms ^ other.terms)
 
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        # a term of self meets only the terms of other that start at its ends
-        right: dict[tuple, list] = {}
-        for b1, b2 in other.terms:
-            right.setdefault((diagram_starts(b1), diagram_starts(b2)), []).append((b1, b2))
-        acc = set()
-        for a1, a2 in self.terms:
-            for b1, b2 in right.get((diagram_ends(a1), diagram_ends(a2)), ()):
-                c1 = compose_diagrams(a1, b1)
-                if c1 is None:
-                    continue
-                c2 = compose_diagrams(a2, b2)
-                if c2 is None:
-                    continue
-                acc ^= {(c1, c2)}
-        return TensorElement(self.n1, self.n2, acc)
+    def __mul__(self, other: "TensorElement", records: RawProducts | None = None) -> "TensorElement":
+        n1, n2 = self._ambient(other)
+        return TensorElement(n1, n2, (records or RawProducts()).tensor_mul(self.terms, other.terms))
 
-    def d(self) -> "TensorElement":
-        from .strands import differentiate_diagram
-
-        acc = set()
-        for a1, a2 in self.terms:
-            for s in differentiate_diagram(a1):
-                acc ^= {(s, a2)}
-            for s in differentiate_diagram(a2):
-                acc ^= {(a1, s)}
-        return TensorElement(self.n1, self.n2, acc)
+    def d(self, records: RawProducts | None = None) -> "TensorElement":
+        return TensorElement(self.n1, self.n2, (records or RawProducts()).tensor_d(self.terms))
 
     def decompose(self, alg1: SurfaceAlgebra, alg2: SurfaceAlgebra):
         """Write the element in the product basis key1 (x) key2.
@@ -166,14 +148,10 @@ class TensorElement:
         return sorted(self.terms)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for a, b in self.sorted_terms():
-            sa = "".join(f"({s}>{t})" for s, t in a) or "1"
-            sb = "".join(f"({s}>{t})" for s, t in b) or "1"
-            bits.append(f"{sa}|{sb}")
-        return "+".join(bits)
+        def word(diag):
+            return "".join(f"({s}>{t})" for s, t in diag) or "1"
+
+        return "+".join(f"{word(a)}|{word(b)}" for a, b in self.sorted_terms()) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +209,9 @@ class TypeDModule:
     def _unit(self, idem):
         return self.algebra.expand(((), idem))
 
-    _mul = staticmethod(operator.mul)
+    _mul = staticmethod(lambda c1, c2, records=None: c1.__mul__(c2, records))
+    _d = staticmethod(lambda coeff, records=None: coeff.d(records))
     _add = staticmethod(operator.add)
-    _d = staticmethod(operator.methodcaller("d"))
     _terms = staticmethod(operator.attrgetter("terms"))  # hashable F2 terms
 
     def _residuals(self, src, dst, terms) -> list[tuple]:
@@ -273,7 +251,7 @@ class TypeDModule:
         Each is (src, tgt, element), or (src, tgt, upower, element) for a
         U-weighted module.
         """
-        mul, d, terms = self._mul, self._d, self._terms
+        mul, d, terms, records = self._mul, self._d, self._terms, RawProducts()
         arrows = [(x, y, c, terms(c)) for (x, y), c in self.delta.items()]
         outgoing: dict[str, list] = defaultdict(list)
         for x, y, c, t in arrows:
@@ -287,12 +265,12 @@ class TypeDModule:
         for x, y, c, t in arrows:
             dt = diffs.get(t)
             if dt is None:
-                dt = diffs[t] = terms(d(c))
+                dt = diffs[t] = terms(d(c, records))
             residual[(x, y)].symmetric_difference_update(dt)
             for z, c2, t2 in outgoing.get(y, ()):
                 pt = products.get((t, t2))
                 if pt is None:
-                    pt = products[(t, t2)] = terms(mul(c, c2))
+                    pt = products[(t, t2)] = terms(mul(c, c2, records))
                 residual[(x, z)].symmetric_difference_update(pt)
         out = []
         for (x, z), r in residual.items():
@@ -301,28 +279,39 @@ class TypeDModule:
         return sorted(out)
 
     def is_reduced(self) -> bool:
-        return not any(
-            self._unit_arrow(s, t, c) for (s, t), c in self.delta.items()
-        )
+        unit = self._units()
+        return not any(unit(s, t, c) for (s, t), c in self.delta.items())
+
+    def _units(self):
+        """A unit-arrow test for one call, which builds each distinct
+        idempotent's unit once and compares coefficients against it."""
+        gens, units = self.generators, {}
+
+        def unit(s, t, coeff) -> bool:
+            idem = gens[s]
+            if idem not in units:
+                units[idem] = self._unit(idem)
+            return idem == gens[t] and coeff == units[idem]
+
+        return unit
 
     def _unit_arrow(self, s, t, coeff) -> bool:
-        idem = self.generators[s]
-        return idem == self.generators[t] and coeff == self._unit(idem)
+        return self._units()(s, t, coeff)
 
     def reduce(self):
-        mul, terms = self._mul, self._terms
+        mul, terms, records = self._mul, self._terms, RawProducts()
         products: dict = {}  # each distinct product once, for this call only
 
         def memo_mul(c1, c2):
             key = (terms(c1), terms(c2))
             p = products.get(key)
             if p is None:
-                p = products[key] = mul(c1, c2)
+                p = products[key] = mul(c1, c2, records)
             return p
 
         gens, delta = _cancel_all(
             dict(self.generators), dict(self.delta),
-            unit=self._unit_arrow, mul=memo_mul, add=self._add,
+            unit=self._units(), mul=memo_mul, add=self._add,
         )
         return self._with(gens, delta)
 
@@ -372,12 +361,13 @@ class UTypeDModule(TypeDModule):
         return _by_power([*c1.items(), *c2.items()])
 
     @staticmethod
-    def _mul(c1, c2):
-        return _by_power((m1 + m2, e1 * e2) for m1, e1 in c1.items() for m2, e2 in c2.items())
+    def _mul(c1, c2, records=None):
+        return _by_power((m1 + m2, e1.__mul__(e2, records))
+                         for m1, e1 in c1.items() for m2, e2 in c2.items())
 
     @staticmethod
-    def _d(coeff):
-        return {m: e.d() for m, e in coeff.items()}
+    def _d(coeff, records=None):
+        return {m: e.d(records) for m, e in coeff.items()}
 
     @staticmethod
     def _terms(coeff):
@@ -426,7 +416,8 @@ class TypeDDModule(TypeDModule):
         return fault
 
     def _unit(self, idem):
-        return _unit_tensor(self.algebra1, self.algebra2, *idem)
+        return TensorElement.from_elements(self.algebra1.expand(((), idem[0])),
+                                           self.algebra2.expand(((), idem[1])))
 
     def _residuals(self, src, dst, terms):
         return [(src, dst, TensorElement(self.algebra1.n, self.algebra2.n, terms))]
@@ -437,11 +428,6 @@ class TypeDDModule(TypeDModule):
         gens = {n: self.generators[n] for n in keep}
         delta = {k: c for k, c in self.delta.items() if k[0] in keep and k[1] in keep}
         return self._with(gens, delta)
-
-
-@lru_cache(maxsize=None)
-def _unit_tensor(alg1: SurfaceAlgebra, alg2: SurfaceAlgebra, i1, i2) -> TensorElement:
-    return TensorElement.from_elements(alg1.expand(((), i1)), alg2.expand(((), i2)))
 
 
 # ---------------------------------------------------------------------------

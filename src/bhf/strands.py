@@ -21,11 +21,10 @@ key is the diagram's moving strands plus the pairs of its horizontal
 strands (``key_of``).  Distinct keys have disjoint expansions, so writing
 an element in the basis is a lookup of its terms' keys and a count.
 
-A raw product groups the right factor's terms by their start points, so
-each left term meets only the terms that start at its ends.  The product of
-two basis keys is 0 or one key and is read off the keys
-(``SurfaceAlgebra.key_product``); raw products, which ``verify_d2`` uses,
-check those key products independently.
+Raw products and differentials run through one kernel, ``RawProducts``,
+whose memos live for one call.  The product of two basis keys is 0 or one
+key and is read off the keys (``SurfaceAlgebra.key_product``); raw
+products, which ``verify_d2`` uses, check those key products independently.
 """
 
 from __future__ import annotations
@@ -82,28 +81,16 @@ def make_diagram(n: int, strands) -> Diagram:
 
 
 def diagram_inversions(diag: Diagram) -> list[tuple[int, int]]:
-    """Pairs of start points (i, j), i < j, whose strands cross."""
-    out = []
-    for (s1, t1), (s2, t2) in itertools.combinations(diag, 2):
-        # diag is sorted by start, so s1 < s2
-        if t2 < t1:
-            out.append((s1, s2))
-    return out
+    """Pairs of start points (i, j), i < j, whose strands cross (diag is
+    sorted by start)."""
+    return [(s1, s2) for (s1, t1), (s2, t2) in itertools.combinations(diag, 2) if t2 < t1]
 
 
-def diagram_starts(diag: Diagram) -> tuple[int, ...]:
-    """Start points in order (a diagram is sorted by start)."""
-    return tuple(s for s, _ in diag)
-
-
-def diagram_ends(diag: Diagram) -> tuple[int, ...]:
-    """End points, sorted."""
-    return tuple(sorted(t for _, t in diag))
-
-
-def compose_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
-    """Concatenation of a diagram with one starting at its ends; None when
-    strands double-cross."""
+def multiply_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
+    """Concatenation, or None when endpoints mismatch or strands double-cross:
+    the count-rule reference for ``RawProducts``, inv(a b) = inv(a) + inv(b)."""
+    if sorted(t for _, t in a) != sorted(s for s, _ in b):
+        return None
     nxt = dict(b)
     comp = tuple(sorted((s, nxt[t]) for s, t in a))
     if len(diagram_inversions(comp)) != len(diagram_inversions(a)) + len(diagram_inversions(b)):
@@ -111,25 +98,118 @@ def compose_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
     return comp
 
 
-def multiply_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
-    """Concatenation, or None when endpoints mismatch or strands double-cross."""
-    if diagram_ends(a) != tuple(sorted(diagram_starts(b))):
-        return None
-    return compose_diagrams(a, b)
+def _concatenate(a: Diagram, b: Diagram) -> Diagram | None:
+    """a then b, which starts at the ends of a; None when two paths s -> t -> u
+    cross twice: (s1 - s2)(t1 - t2) < 0 and (t1 - t2)(u1 - u2) < 0.  a is
+    sorted by start, so for i < j that is t_j < t_i and u_i < u_j."""
+    nxt = dict(b)
+    paths = [(t, nxt[t]) for _, t in a]
+    for i, (t1, u1) in enumerate(paths):
+        for t2, u2 in paths[i + 1:]:
+            if t2 < t1 and u1 < u2:
+                return None
+    return tuple([(s, u) for (s, _), (_, u) in zip(a, paths)])  # still sorted by start
 
 
-def differentiate_diagram(diag: Diagram) -> list[Diagram]:
-    """All smoothings of one crossing that drop the crossing count by one."""
-    base = len(diagram_inversions(diag))
+def _smoothings(diag: Diagram) -> tuple[Diagram, ...]:
+    """The smoothings of one crossing that drop the crossing count by one:
+    swapping the ends of strands i < j with t_j < t_i drops it by one plus
+    twice the number of strands between them by start that end in (t_j, t_i)."""
     out = []
-    lookup = dict(diag)
-    for i, j in diagram_inversions(diag):
-        smooth = dict(lookup)
-        smooth[i], smooth[j] = lookup[j], lookup[i]
-        cand = tuple(sorted(smooth.items()))
-        if len(diagram_inversions(cand)) == base - 1:
-            out.append(cand)
-    return out
+    for i, (s1, t1) in enumerate(diag):
+        for j in range(i + 1, len(diag)):
+            s2, t2 = diag[j]
+            if t2 < t1 and not any(t2 < t < t1 for _, t in diag[i + 1:j]):
+                out.append(diag[:i] + ((s1, t2),) + diag[i + 1:j] + ((s2, t1),) + diag[j + 1:])
+    return tuple(out)
+
+
+class RawProducts:
+    """The raw-product kernel, whose memos live for one call (``verify_d2``
+    and ``reduce`` pass one, a lone product or differential makes its own):
+    the (sorted ends, term) list and start buckets of each distinct
+    coefficient, keyed by its F2 set of diagrams or of diagram pairs (so the
+    two kinds never share a key); the composite of each distinct diagram
+    pair; the product of each distinct pair of right-hand sets of a tensor;
+    the smoothings of each distinct diagram."""
+
+    __slots__ = ("_lefts", "_buckets", "_composites", "_seconds", "_smoothings")
+
+    def __init__(self):
+        self._lefts, self._buckets, self._composites = {}, {}, {}
+        self._seconds, self._smoothings = {}, {}
+
+    def _left(self, terms, tensor: bool = False) -> list:
+        """The (sorted ends, term) list of one coefficient; a tensor one is
+        read as terms (left diagram, F2 set of right diagrams)."""
+        lefts = self._lefts.get(terms)
+        if lefts is None:
+            if tensor:
+                rights: dict = {}
+                for d1, d2 in terms:
+                    rights.setdefault(d1, []).append(d2)
+                lefts = [(tuple(sorted([t for _, t in d1])), (d1, frozenset(r)))
+                         for d1, r in rights.items()]
+            else:
+                lefts = [(tuple(sorted([t for _, t in d])), d) for d in terms]
+            self._lefts[terms] = lefts
+        return lefts
+
+    def _right(self, terms, tensor: bool = False) -> dict:
+        """The terms of one coefficient (grouped as in ``_left``) by starts."""
+        buckets = self._buckets.get(terms)
+        if buckets is None:
+            buckets = self._buckets[terms] = {}
+            for term in [entry for _, entry in self._left(terms, True)] if tensor else terms:
+                starts = tuple([s for s, _ in (term[0] if tensor else term)])
+                buckets.setdefault(starts, []).append(term)
+        return buckets
+
+    def _compose(self, a: Diagram, b: Diagram) -> Diagram | None:
+        c = self._composites.get((a, b), self)  # the records are no composite
+        if c is self:
+            c = self._composites[a, b] = _concatenate(a, b)
+        return c
+
+    def mul(self, x, y) -> set:
+        """The terms of x * y, for F2 sets of diagrams x and y."""
+        buckets, compose, acc = self._right(y), self._compose, set()
+        for ends, a in self._left(x):
+            for b in buckets.get(ends, ()):
+                c = compose(a, b)
+                if c is not None:
+                    acc ^= {c}
+        return acc
+
+    def tensor_mul(self, x, y) -> set:
+        """The terms of x * y, for F2 sets of diagram pairs x and y."""
+        buckets, seconds, acc = self._right(y, True), self._seconds, set()
+        for ends, (a1, a2s) in self._left(x, True):
+            for b1, b2s in buckets.get(ends, ()):
+                c2s = seconds.get((a2s, b2s))
+                if c2s is None:
+                    c2s = seconds[a2s, b2s] = self.mul(a2s, b2s)
+                c1 = self._compose(a1, b1) if c2s else None
+                if c1 is not None:
+                    acc.symmetric_difference_update([(c1, c2) for c2 in c2s])
+        return acc
+
+    def d(self, terms) -> set:
+        """The terms of the differential of an F2 set of diagrams."""
+        acc, memo = set(), self._smoothings
+        for diag in terms:
+            if diag not in memo:
+                memo[diag] = _smoothings(diag)
+            acc.symmetric_difference_update(memo[diag])
+        return acc
+
+    def tensor_d(self, terms) -> set:
+        """The terms of the differential of an F2 set of diagram pairs."""
+        acc: set = set()
+        for _, (a1, a2s) in self._left(terms, True):
+            acc.symmetric_difference_update([(s, a2) for s in self.d((a1,)) for a2 in a2s])
+            acc.symmetric_difference_update([(a1, s) for s in self.d(a2s)])
+        return acc
 
 
 class AlgebraElement:
@@ -166,27 +246,13 @@ class AlgebraElement:
             raise AmbientMismatch(f"ambient sizes {self.n} != {other.n}")
         return AlgebraElement(self.n, self.terms ^ other.terms)
 
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __mul__(self, other: "AlgebraElement", records: RawProducts | None = None) -> "AlgebraElement":
         if self.n != other.n:
             raise AmbientMismatch(f"ambient sizes {self.n} != {other.n}")
-        # a term of self meets only the terms of other that start at its ends
-        right: dict[tuple[int, ...], list[Diagram]] = {}
-        for b in other.terms:
-            right.setdefault(diagram_starts(b), []).append(b)
-        acc = set()
-        for a in self.terms:
-            for b in right.get(diagram_ends(a), ()):
-                c = compose_diagrams(a, b)
-                if c is not None:
-                    acc ^= {c}
-        return AlgebraElement(self.n, acc)
+        return AlgebraElement(self.n, (records or RawProducts()).mul(self.terms, other.terms))
 
-    def d(self) -> "AlgebraElement":
-        acc = set()
-        for t in self.terms:
-            for s in differentiate_diagram(t):
-                acc ^= {s}
-        return AlgebraElement(self.n, acc)
+    def d(self, records: RawProducts | None = None) -> "AlgebraElement":
+        return AlgebraElement(self.n, (records or RawProducts()).d(self.terms))
 
     def sorted_terms(self) -> list[Diagram]:
         return sorted(self.terms)
@@ -194,18 +260,14 @@ class AlgebraElement:
     def __repr__(self):
         if not self.terms:
             return f"0_[A({self.n})]"
-        bits = []
-        for t in self.sorted_terms():
-            bits.append("".join(f"({s}>{e})" for s, e in t))
-        return "+".join(bits)
+        return "+".join("".join(f"({s}>{e})" for s, e in t) for t in self.sorted_terms())
 
 
 def inversions(element_or_diagram):
     """Inversion count and inverting start-point pairs of a single diagram."""
-    if isinstance(element_or_diagram, AlgebraElement):
-        (diag,) = element_or_diagram.terms
-    else:
-        diag = element_or_diagram
+    diag = element_or_diagram
+    if isinstance(diag, AlgebraElement):
+        (diag,) = diag.terms
     inv = diagram_inversions(diag)
     return len(inv), inv
 
@@ -234,6 +296,9 @@ class SurfaceAlgebra:
         self._partner = circle.partners
         self._pair_of = circle.pair_names
         self._pairs = circle.pairs
+        # point -> the bit of its pair, and each pair mask met -> its pair names
+        self._pair_bit = {i: 1 << self._pairs.index(p) for i, p in self._pair_of.items()}
+        self._mask_pairs: dict[int, tuple[int, ...]] = {}
 
     def __eq__(self, other):
         return isinstance(other, SurfaceAlgebra) and self.circle == other.circle
@@ -302,16 +367,13 @@ class SurfaceAlgebra:
 
     def expand(self, key: BasisKey) -> AlgebraElement:
         """Sum over all placements of one horizontal strand per chosen pair."""
-        if key in self._expand_cache:
-            return self._expand_cache[key]
-        moving, pairs = key
-        terms = set()
-        feet = [(p, self._partner[p]) for p in pairs]
-        for choice in itertools.product(*feet) if feet else [()]:
-            diag = tuple(sorted(moving + tuple((f, f) for f in choice)))
-            terms.add(diag)
-        elt = AlgebraElement(self.n, terms)
-        self._expand_cache[key] = elt
+        elt = self._expand_cache.get(key)
+        if elt is None:
+            moving, pairs = key
+            feet = [(p, self._partner[p]) for p in pairs]
+            elt = self._expand_cache[key] = AlgebraElement(self.n, [
+                tuple(sorted(moving + tuple((f, f) for f in choice)))
+                for choice in itertools.product(*feet)])
         return elt
 
     def admissible_corner(self, diag: Diagram):
@@ -320,22 +382,21 @@ class SurfaceAlgebra:
 
         This is the one admissibility rule: the strands are sorted by start
         and go up (s <= t), no matched pair lies under two starts or under
-        two ends, and no point lies outside 1..n (pair 0).
+        two ends, and no point lies outside 1..n (it has no pair bit).  One
+        pass gathers both sides as pair masks, read off the algebra's table.
         """
-        pair = self._pair_of.get
-        starts, ends = [], []
-        prev = 0
+        bit = self._pair_bit.get
+        prev = starts = ends = 0
         for s, t in diag:
-            if not prev < s <= t:
+            b, c = bit(s, 0), bit(t, 0)
+            if not (prev < s <= t and b and c) or starts & b or ends & c:
                 return None
-            prev = s
-            starts.append(pair(s, 0))
-            ends.append(pair(t, 0))
-        start_set, end_set = set(starts), set(ends)
-        if (0 in start_set or 0 in end_set
-                or len(start_set) < len(starts) or len(end_set) < len(ends)):
-            return None
-        return tuple(sorted(starts)), tuple(sorted(ends))
+            prev, starts, ends = s, starts | b, ends | c
+        names = self._mask_pairs  # filled as met: a circle has 2^(2k) masks
+        if starts not in names or ends not in names:
+            for mask in (starts, ends):
+                names[mask] = tuple(p for b, p in enumerate(self._pairs) if mask >> b & 1)
+        return names[starts], names[ends]
 
     def key_of(self, diag: Diagram) -> BasisKey:
         """The key of the one basis element that has diag as a term."""
@@ -410,19 +471,13 @@ class SurfaceAlgebra:
         return AlgebraElement(self.n, [d for d in x.terms if self.diagram_corner(d) == corner])
 
     def indecomposable_idempotents(self, weight: int | None = None):
-        out = []
-        for r in range(0, 2 * self.k + 1):
-            if weight is not None and r != weight:
-                continue
-            for pairs in itertools.combinations(self._pairs, r):
-                out.append((pairs, self.idempotent(pairs)))
-        return out
+        return [(pairs, self.idempotent(pairs)) for r in range(2 * self.k + 1)
+                if weight in (None, r) for pairs in itertools.combinations(self._pairs, r)]
 
     def unit(self) -> AlgebraElement:
-        acc = AlgebraElement.zero(self.n)
-        for _, idem in self.indecomposable_idempotents():
-            acc = acc + idem
-        return acc
+        # distinct idempotents have disjoint terms, so their sum is a union
+        return AlgebraElement(self.n, [d for _, idem in self.indecomposable_idempotents()
+                                       for d in idem.terms])
 
     def chord_element(self, chord: Chord | tuple[int, int]) -> AlgebraElement:
         """a(rho): one moving strand plus every admissible horizontal completion."""
@@ -442,11 +497,10 @@ class SurfaceAlgebra:
             raise IncompatibleChordSet(f"chords {moving} share, match or leave 1..{self.n}")
         used = set(corner[0] + corner[1])
         free = [p for p in self._pairs if p not in used]
-        acc = AlgebraElement.zero(self.n)
-        for r in range(0, len(free) + 1):
-            for pairs in itertools.combinations(free, r):
-                acc = acc + self.expand((moving, pairs))
-        return acc
+        # distinct keys have disjoint expansions, so their sum is a union
+        return AlgebraElement(self.n, [d for r in range(len(free) + 1)
+                                       for pairs in itertools.combinations(free, r)
+                                       for d in self.expand((moving, pairs)).terms])
 
     def a_expand(self, S, T, phi: dict) -> AlgebraElement:
         """Expand an admissible triple (S, T, phi) over its fixed points."""

@@ -6,9 +6,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bhf.pmc import standard_pmc
-from bhf.strands import AlgebraElement, algebra_of, make_diagram, multiply_diagrams, torus_element
+from bhf.strands import (
+    AlgebraElement,
+    AmbientMismatch,
+    RawProducts,
+    SurfaceAlgebra,
+    algebra_of,
+    diagram_inversions,
+    make_diagram,
+    multiply_diagrams,
+    torus_element,
+)
 from bhf.dmodules import (
     CapExceeded,
+    GateFailure,
     ModuleError,
     TensorElement,
     TypeDDModule,
@@ -17,11 +28,11 @@ from bhf.dmodules import (
     induced_complex,
     iso_check,
 )
-from bhf.catalog import dd_identity, solid_torus, dehn_twist_dd
+from bhf.catalog import all_underslides, dd_identity, solid_torus, dehn_twist_dd, underslide_dd
 from bhf.serialize import SchemaError, parse_document, serialize
 from bhf.cancel import _cancel_all
 from bhf.checks import _random_bipartite_module, check_reduce_preserves_homology
-from bhf.pairing import _mor_basis
+from bhf.pairing import _mor_basis, mor_dd_d
 
 
 ALG = algebra_of(standard_pmc("torus"))
@@ -301,6 +312,132 @@ def test_bucketed_tensor_product_matches_pairwise_product():
     assert all(count >= 50 for count in seen.values()), seen
 
 
+def _reference_smoothings(diag):
+    """Each crossing smoothed, kept when the crossing count drops by one."""
+    base, ends = len(diagram_inversions(diag)), dict(diag)
+    out = []
+    for i, j in diagram_inversions(diag):
+        cand = tuple(sorted({**ends, i: ends[j], j: ends[i]}.items()))
+        if len(diagram_inversions(cand)) == base - 1:
+            out.append(cand)
+    return out
+
+
+def _reference_tensor_d(x):
+    acc = set()
+    for a1, a2 in x.terms:
+        acc ^= {(s, a2) for s in _reference_smoothings(a1)}
+        acc ^= {(a1, s) for s in _reference_smoothings(a2)}
+    return TensorElement(x.n1, x.n2, acc)
+
+
+def test_raw_kernel_tensor_products_and_differentials_match_the_count_rule():
+    """Through one RawProducts shared by every call (as in ``verify_d2``) and
+    through a fresh one per call; diagrams recur across the elements and
+    on both sides, and may have downward strands."""
+    rng = random.Random("raw-kernel-tensor")
+    n1, n2 = 5, 5
+    records = RawProducts()
+    pool = [(_random_diagram(rng, n1), _random_diagram(rng, n2)) for _ in range(12)]
+    firsts, seconds = [a for a, _ in pool], [b for _, b in pool]
+    seen = {"nonzero": 0, "double crossing": 0, "smoothings": 0}
+    for _ in range(250):
+        # a few left diagrams, each with several right diagrams, as in a DD coefficient
+        x = TensorElement(n1, n2, [(rng.choice(firsts), rng.choice(seconds))
+                                   for _ in range(rng.randint(0, 7))])
+        ys = rng.sample(pool, 2)
+        for a1, a2 in rng.sample(sorted(x.terms), min(3, len(x.terms))):
+            b1, b2 = (make_diagram(n, zip([t for _, t in a], rng.sample(range(1, n + 1), len(a))))
+                      for n, a in ((n1, a1), (n2, a2)))
+            ys += [(b1, b2), (b1, rng.choice(seconds))]
+        y = TensorElement(n1, n2, ys)
+        want = _pairwise_tensor_product(x, y)
+        assert x.__mul__(y, records) == want == x * y
+        assert x.d(records) == _reference_tensor_d(x) == x.d()
+        seen["nonzero"] += bool(want)
+        seen["smoothings"] += len(_reference_tensor_d(x).terms)
+        for a1, a2 in x.terms:
+            for b1, b2 in y.terms:
+                for a, b in ((a1, b1), (a2, b2)):
+                    if sorted(t for _, t in a) == sorted(s for s, _ in b):
+                        seen["double crossing"] += multiply_diagrams(a, b) is None
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_tensor_elements_over_other_ambient_sizes_do_not_combine():
+    x = TensorElement(4, 4, [(((1, 2),), ((1, 2),))])
+    for other in (TensorElement(8, 8, [(((2, 7),), ((2, 8),))]),
+                  TensorElement(4, 8, [(((2, 3),), ((2, 3),))]),
+                  TensorElement(8, 4, [])):
+        with pytest.raises(AmbientMismatch):
+            x * other
+        with pytest.raises(AmbientMismatch):
+            x + other
+        with pytest.raises(AmbientMismatch):
+            other * x
+
+
+def test_the_d2_gate_reads_no_key_table(monkeypatch):
+    """``verify_d2`` multiplies raw diagrams, so it checks the key tables."""
+    circle = standard_pmc("split", 2)
+    modules = [dd_identity(circle), underslide_dd(all_underslides(circle)[0])]
+
+    def refuse(*args):
+        raise AssertionError("the d^2 gate read a key table")
+
+    for name in ("key_product", "key_d", "decompose", "key_of", "expand"):
+        monkeypatch.setattr(SurfaceAlgebra, name, refuse)
+    monkeypatch.setattr(TensorElement, "decompose", refuse)
+    with pytest.raises(AssertionError, match="key table"):
+        modules[0].algebra1.expand(((), (1,)))
+    for module in modules:
+        assert module.gated("built") is module
+
+
+def test_the_d2_gate_names_a_residual_when_a_term_is_dropped():
+    B = underslide_dd(all_underslides(standard_pmc("split", 2))[0])
+    for (s, t), coeff in sorted(B.delta.items())[:6]:
+        for term in sorted(coeff.terms)[:2]:
+            delta = {**B.delta, (s, t): TensorElement(coeff.n1, coeff.n2, coeff.terms - {term})}
+            broken = TypeDDModule(B.algebra1, B.algebra2, B.generators, delta)
+            with pytest.raises(GateFailure, match=r"fails d\^2=0 on [1-9]\d* pairs, first \("):
+                broken.gated("underslide less one term")
+
+
+def test_split3_identity_passes_the_gate():
+    B = dd_identity(standard_pmc("split", 3))
+    assert (len(B.generators), len(B.delta)) == (64, 288)
+    assert B.gated("split:3 identity") is B
+
+
+def _dd_with_unit_arrows():
+    """The torus identity bimodule plus, per generator g, two copies g1 and
+    g2 with unit arrows g1 -> g and g2 -> g."""
+    B = dd_identity(standard_pmc("torus"))
+    gens, delta = dict(B.generators), dict(B.delta)
+    for g, idem in B.generators.items():
+        for copy in (f"{g}1", f"{g}2"):
+            gens[copy] = idem
+            delta[(copy, g)] = B._unit(idem)
+    return TypeDDModule(B.algebra1, B.algebra2, gens, delta)
+
+
+@pytest.mark.parametrize("kind", [TypeDModule, TypeDDModule])
+def test_reduce_builds_each_unit_once(monkeypatch, kind):
+    module = {TypeDModule: lambda: mor_dd_d(dehn_twist_dd("Tm"), solid_torus("0")),
+              TypeDDModule: _dd_with_unit_arrows}[kind]()
+    seen = []
+    unit = kind._unit
+    monkeypatch.setattr(kind, "_unit", lambda self, idem: seen.append(idem) or unit(self, idem))
+    assert not module.is_reduced() and len(seen) == len(set(seen))
+    seen.clear()
+    reduced = module.reduce()
+    assert len(reduced.generators) < len(module.generators)
+    assert seen and len(seen) == len(set(seen))
+    seen.clear()
+    assert reduced.is_reduced() and len(seen) == len(set(seen))
+
+
 @pytest.mark.parametrize("bad", [[[True, 2]], [[1.0, 2]], [[1, 2, 3]], [[1]], "12"])
 def test_ddmodule_document_with_repeated_and_malformed_diagrams(bad):
     """Each distinct diagram of a document is parsed once; one that equals an
@@ -428,7 +565,8 @@ def test_memoized_verify_d2_and_reduce_match_plain_loops(M):
 def test_verify_d2_multiplies_a_repeated_coefficient_pair_once(monkeypatch):
     calls = []
     mul = AlgebraElement.__mul__
-    monkeypatch.setattr(AlgebraElement, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    monkeypatch.setattr(AlgebraElement, "__mul__",
+                        lambda a, b, *records: calls.append(1) or mul(a, b, *records))
     assert rho_square().verify_d2() == []  # rho12 + rho12 = 0
     assert len(calls) == 1
 

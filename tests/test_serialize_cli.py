@@ -430,6 +430,20 @@ def test_dmod_rejects_a_partial_placement(capsys, kind, argv):
     assert err.startswith("error: element holds only some placements of basis")
 
 
+@pytest.mark.parametrize("kind, argv", [
+    ("dmodule", ("--left", "DOC", "--right", "h_0")),
+    ("dmodule", ("--left", "h_0", "--right", "DOC")),
+    ("udmodule", ("--left", "h_0", "--right", "DOC")),
+    ("ddmodule", ("--left", "h_0", "--dd", "DOC")),
+    ("ddmodule", ("--left", "h_0", "--dd", "DOC", "--side", "right", "--right", "h_0")),
+], ids=lambda v: v if isinstance(v, str) else "-".join(a[2:] for a in v if a.startswith("--")))
+def test_pair_rejects_a_partial_placement(capsys, kind, argv):
+    text = dumps(serialize(_partial_placement(kind)))
+    code, out, err = run_cli(capsys, "pair", *(text if a == "DOC" else a for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: element holds only some placements of basis")
+
+
 # Diagrams that a module document must not hold, each put in place of the
 # first diagram [[1, 2]] of a copy of the first term of the first arrow.  The
 # bool and the float equal that diagram as JSON values, so a reader that

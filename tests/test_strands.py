@@ -14,7 +14,9 @@ from bhf.strands import (
     IncompatibleChordSet,
     NotAdmissible,
     NotInSpan,
+    RawProducts,
     algebra_of,
+    diagram_inversions,
     drop_w_projection,
     inversions,
     make_diagram,
@@ -380,6 +382,112 @@ def test_bucketed_product_matches_pairwise_product():
                 elif multiply_diagrams(a, b) is None:
                     seen["double crossing"] += 1
     assert all(count >= 50 for count in seen.values()), seen
+
+
+def reference_d(x):
+    """The differential by the count rule: each crossing smoothed, kept when
+    the crossing count drops by exactly one."""
+    acc = set()
+    for diag in x.terms:
+        base, ends = len(diagram_inversions(diag)), dict(diag)
+        for i, j in diagram_inversions(diag):
+            smooth = {**ends, i: ends[j], j: ends[i]}
+            cand = tuple(sorted(smooth.items()))
+            if len(diagram_inversions(cand)) == base - 1:
+                acc ^= {cand}
+    return AlgebraElement(x.n, acc)
+
+
+def test_raw_kernel_matches_the_count_rule():
+    """Products and differentials through one RawProducts shared by every
+    call, as ``verify_d2`` shares one, and through a fresh one per call,
+    against the count-rule references, on diagrams with downward strands."""
+    rng = random.Random("raw-kernel")
+    n = 6
+    records = RawProducts()
+    pool = [random_diagram(rng, n) for _ in range(60)]  # terms recur, so memos are hit
+    seen = {"nonzero": 0, "double crossing": 0, "smoothing kept": 0, "smoothing dropped": 0}
+    for _ in range(300):
+        x = AlgebraElement(n, rng.sample(pool, rng.randint(0, 5)))
+        ys = rng.sample(pool, 2)
+        for a in rng.sample(sorted(x.terms), min(3, len(x.terms))):
+            ends = [t for _, t in a]
+            ys.append(make_diagram(n, zip(ends, rng.sample(range(1, n + 1), len(ends)))))
+        y = AlgebraElement(n, ys)
+        want = pairwise_product(x, y)
+        assert x.__mul__(y, records) == want == x * y
+        assert x.d(records) == reference_d(x) == x.d()
+        seen["nonzero"] += bool(want)
+        for a in x.terms:
+            for b in y.terms:
+                if sorted(t for _, t in a) == sorted(s for s, _ in b):
+                    seen["double crossing"] += multiply_diagrams(a, b) is None
+            base = len(diagram_inversions(a))
+            for i, j in diagram_inversions(a):
+                ends = dict(a)
+                cand = tuple(sorted({**ends, i: ends[j], j: ends[i]}.items()))
+                kept = len(diagram_inversions(cand)) == base - 1
+                seen["smoothing kept" if kept else "smoothing dropped"] += 1
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def reference_corner(alg, diag):
+    """``admissible_corner`` as pair lists, one pass per rule."""
+    pair = alg.circle.pair_names.get
+    starts, ends, prev = [], [], 0
+    for s, t in diag:
+        if not prev < s <= t:
+            return None
+        prev = s
+        starts.append(pair(s, 0))
+        ends.append(pair(t, 0))
+    if 0 in starts + ends or len(set(starts)) < len(starts) or len(set(ends)) < len(ends):
+        return None
+    return tuple(sorted(starts)), tuple(sorted(ends))
+
+
+@pytest.mark.parametrize("circle", [CIRCLES[0], CIRCLES[1], CIRCLES[-1], standard_pmc("split", 3)],
+                         ids=repr)
+def test_admissible_corner_matches_the_pair_list_reference(circle):
+    rng = random.Random(f"corner/{circle!r}")
+    alg = algebra_of(circle)
+    n = alg.n
+    seen = {"admissible": 0, "unsorted": 0, "downward": 0, "repeated pair": 0, "outside": 0}
+    for _ in range(3000):
+        strands = [(rng.randint(0, n + 1), rng.randint(0, n + 1)) for _ in range(rng.randint(0, 4))]
+        strands = [(s, t) for s, t in strands if 1 <= s <= t <= n]
+        if rng.random() < 0.8:  # then break it in at most one way
+            fault = rng.choice(["unsorted", "downward", "outside", None])
+            strands.sort()
+            if fault == "unsorted" and len(strands) > 1 and strands[0][0] < strands[1][0]:
+                strands[0], strands[1] = strands[1], strands[0]
+            elif fault == "downward" and strands and strands[-1][0] > 1:
+                strands[-1] = (strands[-1][0], rng.randint(1, strands[-1][0] - 1))
+            elif fault == "outside":
+                strands.append(rng.choice([(n, n + 1), (n + 1, n + 1), (0, 1), (-1, 2)]))
+        diag = tuple(strands)
+        want = reference_corner(alg, diag)
+        assert alg.admissible_corner(diag) == want, diag
+        points = [p for strand in diag for p in strand]
+        if want is not None:
+            seen["admissible"] += 1
+        elif any(s > t for s, t in diag):
+            seen["downward"] += 1
+        elif any(not 1 <= p <= n for p in points):
+            seen["outside"] += 1
+        elif [s for s, _ in diag] != sorted(s for s, _ in diag):
+            seen["unsorted"] += 1
+        else:
+            seen["repeated pair"] += 1
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_admissible_corner_on_a_high_genus_circle():
+    """The table of pair masks fills as masks are met; a genus-12 circle has
+    2^24 of them, and reading a few corners must not build them all."""
+    alg = algebra_of(standard_pmc("antipodal", 12))
+    for diag in [(), ((1, 25),), ((1, 2), (3, 30)), ((1, 2), (25, 26)), ((2, 1),), ((1, 49),)]:
+        assert alg.admissible_corner(diag) == reference_corner(alg, diag), diag
 
 
 def raw_key_product(alg, k1, k2):
