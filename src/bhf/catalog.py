@@ -562,17 +562,17 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
 # genus-1 closed-manifold pipeline
 
 
-def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
+def apply_twist_word(word, module: TypeDModule, halves: dict | None = None) -> TypeDModule:
     """Pair the word's bimodules against the module, rightmost letter first.
 
     Each distinct letter's bimodule side of the pairing is prepared once
-    for this call (``BimoduleHalf``) and dropped when it returns.
+    (``BimoduleHalf``) into ``halves``, by default a dict for this call
+    only; a caller that passes its own shares the halves between calls.
     """
-    if isinstance(word, str):
-        raise CatalogError(f"twist word {word!r} is a string; split it with parse_twist_word")
-    halves: dict[str, BimoduleHalf] = {}
+    if halves is None:
+        halves = {}
     out = module
-    for token in reversed(list(word)):
+    for token in reversed(_twist_tokens(word)):
         if token not in halves:
             halves[token] = BimoduleHalf(dehn_twist_dd(token))
         out = mor_dd_d(halves[token], out).reduce()
@@ -582,22 +582,42 @@ def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
 def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "h_0") -> int:
     """Total homology rank of the closed manifold built from a twist word.
 
-    The word acts on the ``base`` solid torus (rightmost letter first); the
-    result is paired against the ``left`` solid torus and the rank of the
-    morphism-complex homology is returned.
+    The word acts on the ``base`` solid torus (rightmost letter first) and
+    the result is paired against the ``left`` one: the rank of the homology
+    of Mor(left, word * base) is returned.  A twist moves across the
+    pairing as its inverse, Mor(L, T * N) ~ Mor(T^-1 * L, N), so the word is
+    split between the two sides: while letters remain, the module with
+    fewer generators takes the next one, the left module the inverse of the
+    leftmost letter and the base (also on a tie) the rightmost letter.  Both
+    sides share one prepared half per distinct letter.
     """
+    word = _twist_tokens(word)
     lm = solid_torus(left) if isinstance(left, str) else left
     bm = solid_torus(base) if isinstance(base, str) else base
-    twisted = apply_twist_word(word, bm)
-    rank, _ = homology_f2(mor_d_d(lm, twisted))
+    halves: dict[str, BimoduleHalf] = {}
+    i, j = 0, len(word)
+    while i < j:
+        if len(lm.generators) < len(bm.generators):
+            lm = apply_twist_word([twist_inverse(word[i])], lm, halves)
+            i += 1
+        else:
+            j -= 1
+            bm = apply_twist_word([word[j]], bm, halves)
+    rank, _ = homology_f2(mor_d_d(lm, bm))
     return rank
+
+
+def _twist_tokens(word) -> list[str]:
+    """The letters of a twist word, each checked before any work is done."""
+    if isinstance(word, str):
+        raise CatalogError(f"twist word {word!r} is a string; split it with parse_twist_word")
+    tokens = list(word)
+    for token in tokens:
+        if token not in TWIST_NAMES:
+            raise CatalogError(f"unknown twist token {token!r}; use {TWIST_NAMES}")
+    return tokens
 
 
 def parse_twist_word(text: str) -> list[str]:
     """Parse words like "Tm Tm Tl'" (whitespace separated, trailing ' = inverse)."""
-    out = []
-    for token in text.split():
-        if token not in TWIST_NAMES:
-            raise CatalogError(f"unknown twist token {token!r}; use {TWIST_NAMES}")
-        out.append(token)
-    return out
+    return _twist_tokens(text.split())

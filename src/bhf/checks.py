@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .pmc import standard_pmc, reverse
 from .strands import (
     AlgebraElement,
+    RawProducts,
     algebra_of,
     make_diagram,
     to_opposite,
@@ -151,12 +152,13 @@ def check_closure(max_genus: int = 2):
             for w in range(0, 2 * k + 1):
                 keys = alg.basis_keys(w)
                 elts = [alg.expand(key) for key in keys]
+                records = RawProducts()  # one memo for every product of this weight
                 for a in elts:
-                    da = a.d()
+                    da = a.d(records)
                     if not da.is_zero() and not alg.contains(da):
                         problems.append(f"{kind}:{k} differential escapes the span")
                 for a, b in itertools.product(elts, repeat=2):
-                    p = a * b
+                    p = a.__mul__(b, records)
                     if not p.is_zero() and not alg.contains(p):
                         problems.append(f"{kind}:{k} product escapes the span")
             # idempotent counts and unit action

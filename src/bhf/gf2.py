@@ -90,18 +90,24 @@ class F2ChainComplex:
         that generator plus the pivot generators whose rows meet the column.
         Each kernel vector that is independent of the image of d and of the
         vectors picked before it is kept.
+
+        The echelon rows are keyed by their lowest bit, so a row meets only
+        higher pivots.  Back-substitution takes the pivots highest first:
+        every higher row is then already reduced and holds no pivot but its
+        own, so a row is reduced by XORing in just the rows of the pivots it
+        holds.  The reduced form is unique, whatever the order of the work.
         """
         rref: dict = {}
         for row in self._rows:
             _insert(rref, row)
-        pivots = sorted(rref, reverse=True)
-        for k, p in enumerate(pivots):
-            for q in pivots[k + 1:]:
-                if rref[q] & p:
-                    rref[q] ^= rref[p]
-        free = (1 << len(self.generators)) - 1
-        for p in pivots:
-            free ^= p
+        pivots = 0
+        for p in sorted(rref, reverse=True):
+            row = rref[p]
+            for q in _bits(row & pivots):
+                row ^= rref[1 << q]
+            rref[p] = row
+            pivots |= p
+        free = ((1 << len(self.generators)) - 1) ^ pivots
         kernel = {1 << j: 1 << j for j in _bits(free)}
         for p, row in rref.items():
             for j in _bits(row ^ p):

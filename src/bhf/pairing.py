@@ -29,7 +29,8 @@ its arrows split into keys, its units and output idempotents, and those
 memos on the bimodule's side.  ``mor_dd_d`` and ``mor_d_dd`` build one for
 their call or take one prepared by the caller; ``apply_twist_word`` builds
 one per distinct letter of its word, pairs every letter through it, and
-drops it when the call returns.  The type D outputs are verified to square
+drops it when the call returns, unless its caller passed the dict of halves
+(``hf_genus1`` shares one between the two sides of its pairing).  The type D outputs are verified to square
 to zero on raw-diagram products before being returned.
 """
 

@@ -7,7 +7,8 @@ from bhf.pmc import pair_map_to_reverse, standard_pmc
 from bhf.strands import algebra_of, torus_element
 from bhf.dmodules import TensorElement, TypeDModule, iso_check, mapping_cone
 from bhf import catalog
-from bhf.pairing import mor_dd_d
+from bhf.pairing import BimoduleHalf, homology_f2, mor_d_d, mor_dd_d
+from bhf.knots import cfk_to_cfd, figure8_cfk, trefoil_cfk
 from bhf.serialize import dumps, serialize
 from bhf.checks import lattice_rank
 from bhf.catalog import (
@@ -125,13 +126,83 @@ def test_genus1_insertion_invariance():
     assert hf_genus1(["Tm'", "Tm", "Tm", "Tm"]) == base
 
 
+def _unsplit_rank(word, left, base):
+    """The rank with the whole word applied to the base, as in Mor(L, w * N)."""
+    return homology_f2(mor_d_d(left, apply_twist_word(word, base)))[0]
+
+
 def test_genus1_ranks_match_lattice_oracle():
     import random
 
     rng = random.Random(99)
+    h = solid_torus("zero")
     for _ in range(25):
         word = [rng.choice(TWIST_NAMES) for _ in range(rng.randint(0, 10))]
-        assert hf_genus1(word) == lattice_rank(word), word
+        assert hf_genus1(word) == _unsplit_rank(word, h, h) == lattice_rank(word), word
+
+
+def test_split_word_ranks_match_unsplit_ranks():
+    import random
+
+    rng = random.Random(2024)
+    sides = {
+        "h_0": solid_torus("zero"),
+        "h_inf": solid_torus("inf"),
+        "h_minus1": solid_torus("minus1"),
+        "trefoil+1": cfk_to_cfd(trefoil_cfk(), 1),
+        "figure8": cfk_to_cfd(figure8_cfk(), 0),
+    }
+    lengths = itertools.cycle(range(10))
+    for (lname, left), (bname, base) in itertools.product(sides.items(), repeat=2):
+        for _ in range(4):
+            word = [rng.choice(TWIST_NAMES) for _ in range(next(lengths))]
+            assert hf_genus1(word, left, base) == _unsplit_rank(word, left, base), (
+                lname, bname, word)
+
+
+def test_hf_genus1_gates_each_letter_once(monkeypatch):
+    word = ["Tm", "Tl'", "Tm", "Tm'", "Tl", "Tl'", "Tm", "Tm"]
+    left = solid_torus("zero")
+    left = TypeDModule(left.algebra, left.generators, left.delta, provenance="left")
+    want = _unsplit_rank(word, left, solid_torus("minus1"))
+    halves, calls = set(), {"mor_dd_d": 0, "verify_d2": 0, "BimoduleHalf": 0, "left": 0}
+    init, verify_d2, mor = BimoduleHalf.__init__, TypeDModule.verify_d2, catalog.mor_dd_d
+
+    def counted_init(self, *args, **kwargs):
+        calls["BimoduleHalf"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_verify_d2(self, *args, **kwargs):
+        calls["verify_d2"] += 1
+        return verify_d2(self, *args, **kwargs)
+
+    def counted_mor(half, module, *args):
+        halves.add(half)
+        calls["mor_dd_d"] += 1
+        calls["left"] += module.provenance == "left"
+        return mor(half, module, *args)
+
+    monkeypatch.setattr(BimoduleHalf, "__init__", counted_init)
+    monkeypatch.setattr(TypeDModule, "verify_d2", counted_verify_d2)
+    monkeypatch.setattr(catalog, "mor_dd_d", counted_mor)
+    assert hf_genus1(word, left, "h_minus1") == want
+    # one pairing and one gate per letter, the smaller left side took the
+    # first letter, and both sides shared one prepared half per letter
+    assert calls["mor_dd_d"] == calls["verify_d2"] == len(word)
+    assert calls["left"] == 1
+    assert calls["BimoduleHalf"] == len(halves) <= len(TWIST_NAMES)
+
+
+def test_hf_genus1_rejects_unknown_token_as_given(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("twist work before the word was checked")
+
+    monkeypatch.setattr(catalog, "apply_twist_word", no_work)
+    for word in (["Tx"], ["Tm", "Tm", "Tx"], ["Tx", "Tm", "Tm"]):
+        for left in ("h_0", "h_minus1"):
+            with pytest.raises(CatalogError) as info:
+                hf_genus1(word, left=left)
+            assert str(info.value).startswith("unknown twist token 'Tx';"), word
 
 
 def test_twist_words_match_letter_by_letter_pairing():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bhf.pmc import standard_pmc
 from bhf.strands import algebra_of
@@ -18,7 +20,7 @@ from bhf.pairing import (
 )
 from bhf.catalog import apply_twist_word, dd_identity, dehn_twist_dd, solid_torus
 from bhf.knots import cable21_pattern
-from bhf.gf2 import F2ChainComplex, NotAComplex
+from bhf.gf2 import F2ChainComplex, NotAComplex, _insert
 from bhf.serialize import dumps, serialize
 
 
@@ -145,6 +147,71 @@ def test_twist_pairing_gives_twisted_tori():
 def test_homology_rejects_non_complex():
     with pytest.raises(NotAComplex):
         F2ChainComplex(["a", "b", "c"], [("a", "b"), ("b", "c")])
+
+
+def _representatives_by_pairwise_substitution(complex_):
+    """Homology representatives with the O(r^2) back-substitution: each
+    pivot row, highest first, is XORed into every lower row that holds the
+    pivot."""
+    n, index = len(complex_.generators), complex_.index
+    rows, cols = [0] * n, [0] * n
+    for s, t in complex_.entries:
+        rows[index[t]] |= 1 << index[s]
+        cols[index[s]] |= 1 << index[t]
+    rref: dict = {}
+    for row in rows:
+        _insert(rref, row)
+    pivots = sorted(rref, reverse=True)
+    for k, p in enumerate(pivots):
+        for q in pivots[k + 1:]:
+            if rref[q] & p:
+                rref[q] ^= rref[p]
+    free = (1 << n) - 1
+    for p in pivots:
+        free ^= p
+    kernel = {1 << j: 1 << j for j in range(n) if free >> j & 1}
+    for p, row in rref.items():
+        for j in range(n):
+            if (row ^ p) >> j & 1:
+                kernel[1 << j] |= p
+    span: dict = {}
+    for col in cols:
+        _insert(span, col)
+    reps = []
+    for f in sorted(kernel):
+        if _insert(span, kernel[f]):
+            reps.append({complex_.generators[i]: 1 for i in range(n) if kernel[f] >> i & 1})
+    return reps
+
+
+@st.composite
+def conjugated_differentials(draw):
+    """d = P D P^-1 on up to 60 generators: D sends generator 2i+1 to 2i
+    for i below its rank, and P is a product of elementary matrices
+    E = I + e_ij, each its own inverse, so conjugating by E adds row j to
+    row i and then column i to column j."""
+    n = draw(st.integers(1, 60))
+    rank = draw(st.integers(0, n // 2))
+    m = [[0] * n for _ in range(n)]  # m[t][s] = 1 iff generator s maps onto t
+    for i in range(rank):
+        m[2 * i][2 * i + 1] = 1
+    for _ in range(draw(st.integers(0, 4 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            m[i] = [a ^ b for a, b in zip(m[i], m[j])]
+            for row in m:
+                row[j] ^= row[i]
+    return n, rank, [(f"g{s}", f"g{t}") for t in range(n) for s in range(n) if m[t][s]]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(conjugated_differentials())
+def test_homology_representatives_match_pairwise_substitution(drawn):
+    n, rank, entries = drawn
+    complex_ = F2ChainComplex([f"g{i}" for i in range(n)], entries)
+    reps = complex_.homology_representatives()
+    assert complex_.homology_rank() == len(reps) == n - 2 * rank
+    assert reps == _representatives_by_pairwise_substitution(complex_)
 
 
 @pytest.mark.parametrize("side", [1, 2])
