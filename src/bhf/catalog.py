@@ -261,6 +261,17 @@ def dehn_twist_dd(which: str) -> TypeDDModule:
     return out.gated(f"twist bimodule {which}")
 
 
+@lru_cache(maxsize=None)
+def twist_half(which: str) -> BimoduleHalf:
+    """The twist bimodule's side of ``mor_dd_d``, prepared once per process.
+
+    Its memos, product records included, grow with the modules paired
+    through it and stay bounded: they are keyed by the bimodule's
+    generators and the torus algebra's keys and coefficients.
+    """
+    return BimoduleHalf(dehn_twist_dd(which))
+
+
 def twist_inverse(which: str) -> str:
     return which[:-1] if which.endswith("'") else which + "'"
 
@@ -562,20 +573,17 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
 # genus-1 closed-manifold pipeline
 
 
-def apply_twist_word(word, module: TypeDModule, halves: dict | None = None) -> TypeDModule:
+def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
     """Pair the word's bimodules against the module, rightmost letter first.
 
-    Each distinct letter's bimodule side of the pairing is prepared once
-    (``BimoduleHalf``) into ``halves``, by default a dict for this call
-    only; a caller that passes its own shares the halves between calls.
+    Each letter pairs through its twist's prepared half (``twist_half``),
+    which gates the output and is shared by every call in the process; the
+    output is reduced through that half's product records.
     """
-    if halves is None:
-        halves = {}
     out = module
     for token in reversed(_twist_tokens(word)):
-        if token not in halves:
-            halves[token] = BimoduleHalf(dehn_twist_dd(token))
-        out = mor_dd_d(halves[token], out).reduce()
+        half = twist_half(token)
+        out = mor_dd_d(half, out).reduce(half.records)
     return out
 
 
@@ -589,20 +597,19 @@ def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "
     split between the two sides: while letters remain, the module with
     fewer generators takes the next one, the left module the inverse of the
     leftmost letter and the base (also on a tie) the rightmost letter.  Both
-    sides share one prepared half per distinct letter.
+    sides pair through the same process-wide half per twist (``twist_half``).
     """
     word = _twist_tokens(word)
     lm = solid_torus(left) if isinstance(left, str) else left
     bm = solid_torus(base) if isinstance(base, str) else base
-    halves: dict[str, BimoduleHalf] = {}
     i, j = 0, len(word)
     while i < j:
         if len(lm.generators) < len(bm.generators):
-            lm = apply_twist_word([twist_inverse(word[i])], lm, halves)
+            lm = apply_twist_word([twist_inverse(word[i])], lm)
             i += 1
         else:
             j -= 1
-            bm = apply_twist_word([word[j]], bm, halves)
+            bm = apply_twist_word([word[j]], bm)
     rank, _ = homology_f2(mor_d_d(lm, bm))
     return rank
 

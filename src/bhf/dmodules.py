@@ -25,14 +25,15 @@ Code that tells the kinds apart tests the exact type.
 both ends) in the order of the least (src, dst), so its output is a
 function of the module alone.  ``verify_d2`` multiplies raw diagrams and
 never consults the key-level tables of ``SurfaceAlgebra``, so it checks
-pairings built from those tables independently.  Within one call,
-``verify_d2`` and ``reduce`` compute each distinct product (and
-``verify_d2`` each distinct differential) once, keyed by the coefficients'
-``_terms``, and pass one ``RawProducts`` through the ``_mul`` and ``_d``
-hooks, so each coefficient's index, each diagram pair's composite and each
-diagram's smoothings are worked out once; ``reduce`` builds each unit once,
-and the construction normalises each distinct idempotent once.  No such
-memo outlives its call.
+pairings built from those tables independently.  ``verify_d2`` and
+``reduce`` pass one ``RawProducts`` through the ``_mul`` and ``_d`` hooks,
+and it memoizes each distinct product (and differential), keyed by the
+coefficients' ``_terms``, along with each coefficient's index, each diagram
+pair's composite and each diagram's smoothings.  The records live for one
+call unless the caller passes its own (``gated``, ``verify_d2`` and
+``reduce`` take ``records``), as a prepared pairing half does for all of
+its outputs.  ``reduce`` builds each unit once per call, and the
+construction normalises each distinct idempotent once.
 
 ``validate`` checks I(src) * coeff * I(dst) = coeff as a filter on terms,
 with no products (``SurfaceAlgebra.sandwich`` says why that is exact):
@@ -238,40 +239,49 @@ class TypeDModule:
     def arrows(self):
         return sorted(self.delta.items())
 
-    def gated(self, what: str):
+    def gated(self, what: str, records: RawProducts | None = None):
         """``self`` when it satisfies the structure equation, else GateFailure."""
-        bad = self.verify_d2()
+        bad = self.verify_d2(records)
         if bad:
             raise GateFailure(f"{what} fails d^2=0 on {len(bad)} pairs, first {bad[0]}")
         return self
 
-    def verify_d2(self) -> list[tuple]:
+    def _records(self, records: RawProducts | None):
+        """The records, for one call unless the caller shares its own, and
+        their memos of this kind's products and differentials over this
+        algebra, each keyed by the ``_terms`` of its operands.  Keying the
+        memos by kind and algebra keeps one kind's result, or one ambient
+        size's, from answering for another's."""
+        records = records or RawProducts()
+        memos = records.coefficients.setdefault((type(self), self.algebra), ({}, {}))
+        return records, *memos
+
+    def verify_d2(self, records: RawProducts | None = None) -> list[tuple]:
         """Nonzero residual terms of the structure equation, per (src, tgt).
 
         Each is (src, tgt, element), or (src, tgt, upower, element) for a
         U-weighted module.
         """
-        mul, d, terms, records = self._mul, self._d, self._terms, RawProducts()
+        mul, d, terms = self._mul, self._d, self._terms
+        records, products, diffs = self._records(records)
         arrows = [(x, y, c, terms(c)) for (x, y), c in self.delta.items()]
         outgoing: dict[str, list] = defaultdict(list)
         for x, y, c, t in arrows:
             outgoing[x].append((y, c, t))
-        # The terms of each distinct differential and product, keyed by the
-        # terms of the coefficients, for this call only.  A product that
-        # reaches one (x, z) twice is added twice, so it cancels mod 2.
-        diffs: dict = {}
-        products: dict = {}
+        # Each distinct differential and product is keyed by the terms of
+        # the coefficients.  A product that reaches one (x, z) twice is
+        # added twice, so it cancels mod 2.
         residual: dict[tuple[str, str], set] = defaultdict(set)
         for x, y, c, t in arrows:
-            dt = diffs.get(t)
-            if dt is None:
-                dt = diffs[t] = terms(d(c, records))
-            residual[(x, y)].symmetric_difference_update(dt)
+            dc = diffs.get(t)
+            if dc is None:
+                dc = diffs[t] = d(c, records)
+            residual[(x, y)].symmetric_difference_update(terms(dc))
             for z, c2, t2 in outgoing.get(y, ()):
-                pt = products.get((t, t2))
-                if pt is None:
-                    pt = products[(t, t2)] = terms(mul(c, c2, records))
-                residual[(x, z)].symmetric_difference_update(pt)
+                p = products.get((t, t2))
+                if p is None:
+                    p = products[(t, t2)] = mul(c, c2, records)
+                residual[(x, z)].symmetric_difference_update(terms(p))
         out = []
         for (x, z), r in residual.items():
             if r:
@@ -295,12 +305,9 @@ class TypeDModule:
 
         return unit
 
-    def _unit_arrow(self, s, t, coeff) -> bool:
-        return self._units()(s, t, coeff)
-
-    def reduce(self):
-        mul, terms, records = self._mul, self._terms, RawProducts()
-        products: dict = {}  # each distinct product once, for this call only
+    def reduce(self, records: RawProducts | None = None):
+        mul, terms = self._mul, self._terms
+        records, products, _ = self._records(records)
 
         def memo_mul(c1, c2):
             key = (terms(c1), terms(c2))

@@ -25,13 +25,14 @@ once, and each (generator, key) row of key products through the
 generator's arrows is computed once; no such memo outlives the call.
 
 A ``BimoduleHalf`` holds everything that depends on the bimodule alone:
-its arrows split into keys, its units and output idempotents, and those
-memos on the bimodule's side.  ``mor_dd_d`` and ``mor_d_dd`` build one for
-their call or take one prepared by the caller; ``apply_twist_word`` builds
-one per distinct letter of its word, pairs every letter through it, and
-drops it when the call returns, unless its caller passed the dict of halves
-(``hf_genus1`` shares one between the two sides of its pairing).  The type D outputs are verified to square
-to zero on raw-diagram products before being returned.
+its arrows split into keys, its units and output idempotents, those memos
+on the bimodule's side, and the product records (``RawProducts``) that
+gate its outputs.  ``mor_dd_d`` and ``mor_d_dd`` build one for their call
+when given a bimodule, or take one prepared by the caller; the catalog
+keeps one per Dehn twist for the life of the process (``twist_half``), and
+``apply_twist_word`` also reduces each output through that half's records.
+The type D outputs are verified to square to zero on raw-diagram products
+before being returned.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from .gf2 import F2ChainComplex
 from .f2u import F2UComplex
 from .pmc import pair_map_to_reverse
-from .strands import AlgebraElement, BasisKey, SurfaceAlgebra, algebra_of, to_opposite
+from .strands import AlgebraElement, BasisKey, RawProducts, SurfaceAlgebra, algebra_of, to_opposite
 from .dmodules import TypeDModule, TypeDDModule, UTypeDModule
 
 
@@ -221,11 +222,13 @@ class BimoduleHalf:
     idempotents, the output algebra and its units, the provenance, the
     arrows split into keys, and memos of the corner keys per idempotent
     pair, of key names and of the bimodule-side product rows per
-    (bimodule generator, basis key).  ``pair`` pairs one module against
-    it.  Out of B, the unused action survives as a right action and is
-    rewritten over the opposite algebra (the reversed circle).  The memos
-    live as long as the half, so a caller that pairs many modules against
-    one bimodule builds it once and drops it when done.
+    (bimodule generator, basis key), and ``records``, the raw-product
+    records that gate every output (and that a caller may reduce the
+    outputs through).  ``pair`` pairs one module against it.  Out of B, the
+    unused action survives as a right action and is rewritten over the
+    opposite algebra (the reversed circle).  The memos live as long as the
+    half, so a caller that pairs many modules against one bimodule builds it
+    once and drops it when done.
     """
 
     def __init__(self, B: TypeDDModule, side: int = 1, into_b: bool = False):
@@ -259,6 +262,7 @@ class BimoduleHalf:
         self.rows = _product_rows(shared, arrows, key_first=into_b)
         self.corners: dict[tuple, list] = {}
         self.key_names: dict[BasisKey, str] = {}
+        self.records = RawProducts()
 
     def pair(self, M: TypeDModule) -> TypeDModule:
         """Morphisms M -> B or B -> M, a type D module over the unused
@@ -283,7 +287,7 @@ class BimoduleHalf:
         gens = {names[t]: self.b_out[t[end]] for t in basis}
         delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items()}
         out = TypeDModule(out_alg, gens, delta, provenance=self.provenance)
-        return out.gated("pairing output")
+        return out.gated("pairing output", self.records)
 
 
 def _half(B, side: int, into_b: bool) -> BimoduleHalf:
@@ -324,7 +328,3 @@ def mor_d_ud(M: TypeDModule, P: UTypeDModule) -> F2UComplex:
 
     gens, diff = _mor_modules(M, P, lambda src, upower: (upower or 0,), u_split)
     return F2UComplex(gens, {k: sum(1 << m for m in ms) for k, ms in diff.items()})
-
-
-def corner_dimension(alg: SurfaceAlgebra, left_pairs, right_pairs) -> int:
-    return len(alg.corner_keys(left_pairs, right_pairs))

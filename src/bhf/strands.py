@@ -22,9 +22,10 @@ strands (``key_of``).  Distinct keys have disjoint expansions, so writing
 an element in the basis is a lookup of its terms' keys and a count.
 
 Raw products and differentials run through one kernel, ``RawProducts``,
-whose memos live for one call.  The product of two basis keys is 0 or one
-key and is read off the keys (``SurfaceAlgebra.key_product``); raw
-products, which ``verify_d2`` uses, check those key products independently.
+whose memos live as long as the records object that holds them.  The
+product of two basis keys is 0 or one key and is read off the keys
+(``SurfaceAlgebra.key_product``); raw products, which ``verify_d2`` uses,
+check those key products independently.
 """
 
 from __future__ import annotations
@@ -125,19 +126,24 @@ def _smoothings(diag: Diagram) -> tuple[Diagram, ...]:
 
 
 class RawProducts:
-    """The raw-product kernel, whose memos live for one call (``verify_d2``
-    and ``reduce`` pass one, a lone product or differential makes its own):
-    the (sorted ends, term) list and start buckets of each distinct
-    coefficient, keyed by its F2 set of diagrams or of diagram pairs (so the
-    two kinds never share a key); the composite of each distinct diagram
-    pair; the product of each distinct pair of right-hand sets of a tensor;
-    the smoothings of each distinct diagram."""
+    """The raw-product kernel and its memos, which live as long as the
+    records object: a lone product or differential makes its own,
+    ``verify_d2`` and ``reduce`` make one per call unless given one, and a
+    prepared pairing half keeps one for all of its outputs.  It memoizes the
+    (sorted ends, term) list and start buckets of each distinct coefficient,
+    keyed by its F2 set of diagrams or of diagram pairs (so the two kinds
+    never share a key); the composite of each distinct diagram pair; the
+    product of each distinct pair of right-hand sets of a tensor; the
+    smoothings of each distinct diagram.  ``coefficients`` holds the whole
+    products and differentials of module coefficients, which the modules
+    fill (``TypeDModule.verify_d2`` and ``reduce``)."""
 
-    __slots__ = ("_lefts", "_buckets", "_composites", "_seconds", "_smoothings")
+    __slots__ = ("_lefts", "_buckets", "_composites", "_seconds", "_smoothings",
+                 "coefficients")
 
     def __init__(self):
         self._lefts, self._buckets, self._composites = {}, {}, {}
-        self._seconds, self._smoothings = {}, {}
+        self._seconds, self._smoothings, self.coefficients = {}, {}, {}
 
     def _left(self, terms, tensor: bool = False) -> list:
         """The (sorted ends, term) list of one coefficient; a tensor one is

@@ -5,7 +5,7 @@ import pytest
 
 from bhf.pmc import pair_map_to_reverse, standard_pmc
 from bhf.strands import algebra_of, torus_element
-from bhf.dmodules import TensorElement, TypeDModule, iso_check, mapping_cone
+from bhf.dmodules import GateFailure, TensorElement, TypeDModule, iso_check, mapping_cone
 from bhf import catalog
 from bhf.pairing import BimoduleHalf, homology_f2, mor_d_d, mor_dd_d
 from bhf.knots import cfk_to_cfd, figure8_cfk, trefoil_cfk
@@ -165,16 +165,24 @@ def test_hf_genus1_gates_each_letter_once(monkeypatch):
     left = solid_torus("zero")
     left = TypeDModule(left.algebra, left.generators, left.delta, provenance="left")
     want = _unsplit_rank(word, left, solid_torus("minus1"))
-    halves, calls = set(), {"mor_dd_d": 0, "verify_d2": 0, "BimoduleHalf": 0, "left": 0}
+    halves = set()
+    calls = {"mor_dd_d": 0, "verify_d2": 0, "BimoduleHalf": 0, "left": 0,
+             "decompose": 0, "arrows": 0}
     init, verify_d2, mor = BimoduleHalf.__init__, TypeDModule.verify_d2, catalog.mor_dd_d
+    decompose = TensorElement.decompose
 
-    def counted_init(self, *args, **kwargs):
+    def counted_init(self, B, *args, **kwargs):
         calls["BimoduleHalf"] += 1
-        init(self, *args, **kwargs)
+        calls["arrows"] += len(B.delta)
+        init(self, B, *args, **kwargs)
 
     def counted_verify_d2(self, *args, **kwargs):
         calls["verify_d2"] += 1
         return verify_d2(self, *args, **kwargs)
+
+    def counted_decompose(*args, **kwargs):
+        calls["decompose"] += 1
+        return decompose(*args, **kwargs)
 
     def counted_mor(half, module, *args):
         halves.add(half)
@@ -185,12 +193,22 @@ def test_hf_genus1_gates_each_letter_once(monkeypatch):
     monkeypatch.setattr(BimoduleHalf, "__init__", counted_init)
     monkeypatch.setattr(TypeDModule, "verify_d2", counted_verify_d2)
     monkeypatch.setattr(catalog, "mor_dd_d", counted_mor)
+    monkeypatch.setattr(TensorElement, "decompose", counted_decompose)
+    catalog.twist_half.cache_clear()
     assert hf_genus1(word, left, "h_minus1") == want
     # one pairing and one gate per letter, the smaller left side took the
     # first letter, and both sides shared one prepared half per letter
     assert calls["mor_dd_d"] == calls["verify_d2"] == len(word)
     assert calls["left"] == 1
     assert calls["BimoduleHalf"] == len(halves) <= len(TWIST_NAMES)
+    assert calls["decompose"] == calls["arrows"]
+    # a second call pairs and gates every letter again through the same
+    # halves: no half is built and no twist arrow is decomposed again
+    assert hf_genus1(word, left, "h_minus1") == want
+    assert calls["mor_dd_d"] == calls["verify_d2"] == 2 * len(word)
+    assert calls["left"] == 2
+    assert calls["BimoduleHalf"] == len(halves)
+    assert calls["decompose"] == calls["arrows"]
 
 
 def test_hf_genus1_rejects_unknown_token_as_given(monkeypatch):
@@ -232,10 +250,77 @@ def test_twist_word_prepares_each_letter_once(monkeypatch):
     monkeypatch.setattr(catalog, "mor_dd_d", counted("mor_dd_d", catalog.mor_dd_d))
     monkeypatch.setattr(TensorElement, "decompose", counted("decompose", TensorElement.decompose))
     monkeypatch.setattr(TypeDModule, "verify_d2", counted("verify_d2", TypeDModule.verify_d2))
+    catalog.twist_half.cache_clear()
     apply_twist_word(word, solid_torus("zero"))
     # one call per letter through the catalog's name, each output gated once,
     # and each distinct letter's arrows split into keys once
     assert calls == {"mor_dd_d": len(word), "decompose": arrows, "verify_d2": len(word)}
+    # the halves outlive the call: a second one splits no arrow again
+    apply_twist_word(word, solid_torus("inf"))
+    assert calls == {"mor_dd_d": 2 * len(word), "decompose": arrows, "verify_d2": 2 * len(word)}
+
+
+def test_warm_and_cold_twist_halves_give_identical_dumps():
+    import random
+
+    rng = random.Random(31)
+    words = [[rng.choice(TWIST_NAMES) for _ in range(rng.randint(1, 12))] for _ in range(30)]
+    bases = [solid_torus(("inf", "minus1", "zero")[i % 3]) for i in range(30)]
+
+    def dumps_of(cold: bool) -> list[str]:
+        out = []
+        for word, base in zip(words, bases):
+            if cold:
+                catalog.twist_half.cache_clear()
+            out.append(dumps(serialize(apply_twist_word(word, base))))
+        return out
+
+    # cold, then warm from those halves; and warm (from one clear), then cold
+    cold_first, warm_after = dumps_of(cold=True), dumps_of(cold=False)
+    catalog.twist_half.cache_clear()
+    warm_first, cold_after = dumps_of(cold=False), dumps_of(cold=True)
+    assert cold_first == warm_after == warm_first == cold_after
+
+
+def test_caller_bimodule_gets_a_fresh_half_each_call(monkeypatch):
+    B = dehn_twist_dd("Tm").rename(lambda g: g + "2")
+    cached = catalog.twist_half("Tm")
+    built = []
+    init = BimoduleHalf.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BimoduleHalf, "__init__", counted_init)
+    M = solid_torus("minus1")
+    first, second = mor_dd_d(B, M), mor_dd_d(B, M)
+    assert len(built) == 2 and built[0] is not built[1] and cached not in built
+    assert built[0].records is not built[1].records
+    assert dumps(serialize(first)) == dumps(serialize(second))
+    assert catalog.twist_half("Tm") is cached
+
+
+def test_warm_twist_records_still_catch_a_broken_square():
+    half = catalog.twist_half("Tm")
+    apply_twist_word(["Tm", "Tl'"] * 4, solid_torus("zero"))  # warm the records
+    # rho1 then rho2 with no rho12 arrow from x to z: d^2 = rho12 != 0
+    broken = catalog._torus_mod({"x": (1,), "y": (2,), "z": (1,)},
+                                [("x", "rho1", "y"), ("y", "rho2", "z")])
+    assert broken.algebra == half.out_alg
+    with pytest.raises(GateFailure):
+        broken.gated("hand-made module", half.records)
+    # dropping any one arrow of a gated pairing output: the warm records
+    # find exactly the residuals that fresh ones do
+    out = mor_dd_d(half, apply_twist_word(["Tl'", "Tm"], solid_torus("minus1")))
+    broke = 0
+    for arrow in out.delta:
+        M = TypeDModule(out.algebra, out.generators,
+                        {k: c for k, c in out.delta.items() if k != arrow})
+        cold = M.verify_d2()
+        assert M.verify_d2(half.records) == cold, arrow
+        broke += bool(cold)
+    assert broke
 
 
 def test_string_twist_word_is_rejected():

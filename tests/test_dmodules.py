@@ -500,7 +500,7 @@ def reference_verify_d2(M):
 def reference_reduce(M):
     """reduce with the kind's plain product, no memo."""
     return _cancel_all(dict(M.generators), dict(M.delta),
-                       unit=M._unit_arrow, mul=M._mul, add=M._add)
+                       unit=M._units(), mul=M._mul, add=M._add)
 
 
 def twin(M, g):

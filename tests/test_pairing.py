@@ -10,7 +10,6 @@ from bhf.dmodules import TypeDModule, iso_check
 from bhf.pairing import (
     AlgebraMismatch,
     BimoduleHalf,
-    corner_dimension,
     homology_f2,
     identity_morphism,
     mor_d_d,
@@ -43,7 +42,7 @@ def test_mor_basis_counts_match_corner_dimensions():
         M, N = solid_torus(m_name), solid_torus(n_name)
         C = mor_d_d(M, N)
         expected = sum(
-            corner_dimension(ALG, ix, iy)
+            len(ALG.corner_keys(ix, iy))
             for ix in M.generators.values()
             for iy in N.generators.values()
         )
