@@ -10,6 +10,7 @@ genus-1 closed-manifold pipeline built from them.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,21 +55,40 @@ def _torus_mod(gens, arrows) -> TypeDModule:
     return TypeDModule(alg, gens, delta)
 
 
-@lru_cache(maxsize=None)
+_TORUS_NAMES = {
+    "inf": "inf", "infinity": "inf", "h_inf": "inf",
+    "-1": "minus1", "minus1": "minus1", "h_minus1": "minus1",
+    "0": "zero", "zero": "zero", "h_0": "zero",
+}
+
+
+def torus_name(which: str) -> str:
+    """The canonical name of a solid torus: one per group of aliases."""
+    try:
+        return _TORUS_NAMES[which]
+    except KeyError:
+        raise CatalogError(f"unknown solid torus {which!r}") from None
+
+
 def solid_torus(which: str) -> TypeDModule:
     """The framed solid-torus modules of the surgery triangle.
 
     infinity: one generator r with d(r) = rho23 r.
     minus1:   generators a, b with d(a) = (rho1 + rho3) b.
     zero:     one generator n with d(n) = rho12 n.
+
+    Aliases of one torus (``torus_name``) give the very same object.
     """
-    if which in ("inf", "infinity", "h_inf"):
+    return _solid_torus(torus_name(which))
+
+
+@lru_cache(maxsize=None)
+def _solid_torus(name: str) -> TypeDModule:
+    if name == "inf":
         return _torus_mod({"r": (2,)}, [("r", "rho23", "r")])
-    if which in ("-1", "minus1", "h_minus1"):
+    if name == "minus1":
         return _torus_mod({"a": (1,), "b": (2,)}, [("a", "rho1", "b"), ("a", "rho3", "b")])
-    if which in ("0", "zero", "h_0"):
-        return _torus_mod({"n": (1,)}, [("n", "rho12", "n")])
-    raise CatalogError(f"unknown solid torus {which!r}")
+    return _torus_mod({"n": (1,)}, [("n", "rho12", "n")])
 
 
 ModuleMap = dict[str, list[tuple[AlgebraElement, str]]]
@@ -578,13 +598,49 @@ def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
 
     Each letter pairs through its twist's prepared half (``twist_half``),
     which gates the output and is shared by every call in the process; the
-    output is reduced through that half's product records.
+    output is reduced through that half's product records.  Every letter is
+    paired and gated on every call; ``hf_genus1`` steps named solid tori
+    through ``twist_step`` instead, so there each distinct state is paired
+    and gated once per process.
     """
     out = module
     for token in reversed(_twist_tokens(word)):
         half = twist_half(token)
         out = mor_dd_d(half, out).reduce(half.records)
     return out
+
+
+# The states that twist_step has built, least recently used first.
+_TWISTED_TORI_MAX = 1024
+_twisted_tori: OrderedDict[tuple[str, tuple[str, ...]], TypeDModule] = OrderedDict()
+
+
+def twist_step(letter: str, key: tuple | None, module: TypeDModule) -> tuple:
+    """Pair one letter onto a side of ``hf_genus1``; returns the new (key, module).
+
+    A module that the caller passed has key None and is paired on every
+    call.  A named solid torus twisted by a word has key (``torus_name``,
+    word) and module ``apply_twist_word(word, solid_torus(name))``; such
+    states live in a process-wide memo, with least-recently-used eviction
+    past ``_TWISTED_TORI_MAX`` states.  A miss pairs the one letter onto the
+    module in hand, and so is gated exactly once; a hit returns the very
+    module that passed its gate.
+
+    The bound caps the number of states held, not their size: a state's
+    generators, and their names, grow with its word.  It sits well above
+    the roughly 245 states of one pass of the genus1 bench workload.
+    """
+    if key is None:
+        return None, apply_twist_word([letter], module)
+    key = (key[0], (letter,) + key[1])
+    out = _twisted_tori.get(key)
+    if out is None:
+        out = _twisted_tori[key] = apply_twist_word([letter], module)
+        if len(_twisted_tori) > _TWISTED_TORI_MAX:
+            _twisted_tori.popitem(last=False)
+    else:
+        _twisted_tori.move_to_end(key)
+    return key, out
 
 
 def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "h_0") -> int:
@@ -598,20 +654,29 @@ def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "
     fewer generators takes the next one, the left module the inverse of the
     leftmost letter and the base (also on a tie) the rightmost letter.  Both
     sides pair through the same process-wide half per twist (``twist_half``).
+    A side given by name steps through ``twist_step``'s memo, which both
+    sides and every call share, so each distinct state is paired and gated
+    once per process; a side given as a module is paired on every call.
     """
     word = _twist_tokens(word)
-    lm = solid_torus(left) if isinstance(left, str) else left
-    bm = solid_torus(base) if isinstance(base, str) else base
+    (lkey, lm), (bkey, bm) = _genus1_side(left), _genus1_side(base)
     i, j = 0, len(word)
     while i < j:
         if len(lm.generators) < len(bm.generators):
-            lm = apply_twist_word([twist_inverse(word[i])], lm)
+            lkey, lm = twist_step(twist_inverse(word[i]), lkey, lm)
             i += 1
         else:
             j -= 1
-            bm = apply_twist_word([word[j]], bm)
+            bkey, bm = twist_step(word[j], bkey, bm)
     rank, _ = homology_f2(mor_d_d(lm, bm))
     return rank
+
+
+def _genus1_side(which: str | TypeDModule) -> tuple:
+    if isinstance(which, str):
+        name = torus_name(which)
+        return (name, ()), solid_torus(name)
+    return None, which
 
 
 def _twist_tokens(word) -> list[str]:

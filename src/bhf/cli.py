@@ -348,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hf3m", help="genus-1 closed manifold rank from a twist word")
     p.add_argument("--word", default="", help="e.g. \"Tm Tm Tl'\" (trailing ' = inverse)")
-    p.add_argument("--left", default="h_0")
-    p.add_argument("--base", default="h_0")
+    tori = "h_0/0/zero, h_inf/inf/infinity or h_minus1/-1/minus1 (default h_0)"
+    p.add_argument("--left", default="h_0", help=f"the solid torus on the left: {tori}")
+    p.add_argument("--base", default="h_0", help=f"the solid torus the word acts on: {tori}")
     p.set_defaults(fn=cmd_hf3m)
 
     p = sub.add_parser("catalog", help="dump built-in objects as JSON fixtures")

@@ -196,15 +196,6 @@ def mor_d_d(M: TypeDModule, N: TypeDModule) -> F2ChainComplex:
     return F2ChainComplex(gens, diff)
 
 
-def identity_morphism(M: TypeDModule) -> list[str]:
-    """Generator names of the identity cocycle in mor_d_d(M, M)."""
-    out = []
-    for x, ix in sorted(M.generators.items()):
-        key = ((), tuple(ix))
-        out.append(mor_generator_name(x, key, x))
-    return out
-
-
 def homology_f2(complex_: F2ChainComplex):
     """Rank and deterministic representatives of an F2 chain complex (which
     its constructor has checked to square to zero)."""

@@ -212,17 +212,3 @@ def connected_sum(z1: PointedMatchedCircle, z2: PointedMatchedCircle) -> Pointed
         table[i + shift] = z2.partner(i) + shift
     out = make_pmc(z1.genus + z2.genus, table)
     return PointedMatchedCircle(out.genus, out.matching, seam=shift)
-
-
-def split_summands(circle: PointedMatchedCircle) -> tuple[PointedMatchedCircle, PointedMatchedCircle]:
-    """Recover (Z1, Z2) from a connected sum with a recorded seam."""
-    if circle.seam is None:
-        raise PMCError("circle has no recorded seam")
-    p = circle.seam
-    if p % 4 != 0:
-        raise PMCError(f"seam {p} is not a block boundary")
-    left = {i: circle.partner(i) for i in range(1, p + 1)}
-    right = {i - p: circle.partner(i) - p for i in range(p + 1, circle.n_points + 1)}
-    if any(not (1 <= v <= p) for v in left.values()):
-        raise PMCError("matching crosses the seam; not a connected sum")
-    return make_pmc(p // 4, left), make_pmc(circle.genus - p // 4, right)

@@ -160,6 +160,12 @@ def test_split_word_ranks_match_unsplit_ranks():
                 lname, bname, word)
 
 
+def _clear_twist_caches():
+    """Start cold: no prepared twist half and no memoized twisted solid torus."""
+    catalog.twist_half.cache_clear()
+    catalog._twisted_tori.clear()
+
+
 def test_hf_genus1_gates_each_letter_once(monkeypatch):
     word = ["Tm", "Tl'", "Tm", "Tm'", "Tl", "Tl'", "Tm", "Tm"]
     left = solid_torus("zero")
@@ -169,7 +175,7 @@ def test_hf_genus1_gates_each_letter_once(monkeypatch):
     calls = {"mor_dd_d": 0, "verify_d2": 0, "BimoduleHalf": 0, "left": 0,
              "decompose": 0, "arrows": 0}
     init, verify_d2, mor = BimoduleHalf.__init__, TypeDModule.verify_d2, catalog.mor_dd_d
-    decompose = TensorElement.decompose
+    decompose, step = TensorElement.decompose, catalog.twist_step
 
     def counted_init(self, B, *args, **kwargs):
         calls["BimoduleHalf"] += 1
@@ -187,28 +193,142 @@ def test_hf_genus1_gates_each_letter_once(monkeypatch):
     def counted_mor(half, module, *args):
         halves.add(half)
         calls["mor_dd_d"] += 1
-        calls["left"] += module.provenance == "left"
         return mor(half, module, *args)
+
+    def counted_step(letter, key, module):
+        calls["left"] += key is None  # the left side, passed as a module
+        return step(letter, key, module)
 
     monkeypatch.setattr(BimoduleHalf, "__init__", counted_init)
     monkeypatch.setattr(TypeDModule, "verify_d2", counted_verify_d2)
     monkeypatch.setattr(catalog, "mor_dd_d", counted_mor)
+    monkeypatch.setattr(catalog, "twist_step", counted_step)
     monkeypatch.setattr(TensorElement, "decompose", counted_decompose)
-    catalog.twist_half.cache_clear()
+    _clear_twist_caches()
     assert hf_genus1(word, left, "h_minus1") == want
-    # one pairing and one gate per letter, the smaller left side took the
-    # first letter, and both sides shared one prepared half per letter
+    # one pairing and one gate per letter, both sides took letters, and both
+    # shared one prepared half per letter
     assert calls["mor_dd_d"] == calls["verify_d2"] == len(word)
-    assert calls["left"] == 1
+    on_left = calls["left"]
+    assert 0 < on_left < len(word)
+    assert len(catalog._twisted_tori) == len(word) - on_left
     assert calls["BimoduleHalf"] == len(halves) <= len(TWIST_NAMES)
     assert calls["decompose"] == calls["arrows"]
-    # a second call pairs and gates every letter again through the same
-    # halves: no half is built and no twist arrow is decomposed again
+    # a second call pairs and gates again only the left side's letters: the
+    # base's states are memo hits, no half is built and no twist arrow is
+    # decomposed again
     assert hf_genus1(word, left, "h_minus1") == want
-    assert calls["mor_dd_d"] == calls["verify_d2"] == 2 * len(word)
-    assert calls["left"] == 2
+    assert calls["mor_dd_d"] == calls["verify_d2"] == len(word) + on_left
+    assert calls["left"] == 2 * on_left
+    assert len(catalog._twisted_tori) == len(word) - on_left
     assert calls["BimoduleHalf"] == len(halves)
     assert calls["decompose"] == calls["arrows"]
+
+
+def _count_pairings(monkeypatch) -> dict:
+    calls = {"mor_dd_d": 0}
+    mor = catalog.mor_dd_d
+
+    def counted(*args):
+        calls["mor_dd_d"] += 1
+        return mor(*args)
+
+    monkeypatch.setattr(catalog, "mor_dd_d", counted)
+    return calls
+
+
+def test_memoized_twisted_tori_match_cold_twist_words():
+    import random
+
+    rng = random.Random(57)
+    names = ("h_inf", "h_minus1", "h_0")
+    for i in range(30):
+        word = [rng.choice(TWIST_NAMES) for _ in range(rng.randint(1, 10))]
+        _clear_twist_caches()
+        hf_genus1(word, names[i % 3], names[i // 3 % 3])
+        states = list(catalog._twisted_tori.items())
+        assert states
+        for (name, w), module in states:
+            _clear_twist_caches()
+            cold = apply_twist_word(list(w), solid_torus(name))
+            assert dumps(serialize(module)) == dumps(serialize(cold)), (name, w)
+
+
+def test_warm_twisted_tori_give_lattice_ranks():
+    import random
+
+    rng = random.Random(8)
+    for p in range(1, 41):
+        assert hf_genus1(["Tm"] * p) == p
+    for _ in range(40):
+        word = [rng.choice(TWIST_NAMES) for _ in range(rng.randint(0, 12))]
+        assert hf_genus1(word) == lattice_rank(word), word
+
+
+def test_twisted_tori_pair_only_new_states(monkeypatch):
+    calls = _count_pairings(monkeypatch)
+    _clear_twist_caches()
+    assert hf_genus1(["Tm"] * 8) == 8
+    # each side took four letters, each state paired once
+    assert calls["mor_dd_d"] == len(catalog._twisted_tori) == 8
+    assert hf_genus1(["Tm"] * 8) == 8
+    assert calls["mor_dd_d"] == 8
+    # a longer word with the same prefix pairs one new state per side
+    assert hf_genus1(["Tm"] * 10) == 10
+    assert calls["mor_dd_d"] == len(catalog._twisted_tori) == 10
+    five = {("zero", ("Tm'",) * 5), ("zero", ("Tm",) * 5)}
+    assert five <= set(catalog._twisted_tori)
+    # a hit counts as a use: Tm^8's states move behind Tm^10's new ones,
+    # which are now the first to be evicted
+    assert hf_genus1(["Tm"] * 8) == 8
+    assert calls["mor_dd_d"] == 10
+    assert set(list(catalog._twisted_tori)[:2]) == five
+
+
+def test_solid_torus_aliases_share_twisted_tori(monkeypatch):
+    for group in (("h_0", "0", "zero"), ("h_inf", "inf", "infinity"), ("h_minus1", "-1", "minus1")):
+        assert len({catalog.torus_name(a) for a in group}) == 1
+        assert len({id(solid_torus(a)) for a in group}) == 1
+    with pytest.raises(CatalogError, match="unknown solid torus"):
+        hf_genus1(["Tm"], left="h_1")
+    word = ["Tm", "Tm", "Tl'", "Tm"]
+    calls = _count_pairings(monkeypatch)
+    _clear_twist_caches()
+    want = hf_genus1(word, left="0", base="h_minus1")
+    paired, keys = calls["mor_dd_d"], set(catalog._twisted_tori)
+    assert {name for name, _ in keys} <= {"zero", "minus1"}
+    for left, base in (("zero", "-1"), ("h_0", "minus1")):
+        assert hf_genus1(word, left=left, base=base) == want
+    assert calls["mor_dd_d"] == paired and set(catalog._twisted_tori) == keys
+
+
+def test_solid_torus_objects_are_paired_every_call(monkeypatch):
+    word = ["Tm", "Tl'", "Tm", "Tm"]
+    renamed = solid_torus("zero").rename(lambda g: g + "2")
+    calls = _count_pairings(monkeypatch)
+    _clear_twist_caches()
+    for module in (renamed, renamed, solid_torus("zero")):
+        before = calls["mor_dd_d"]
+        assert hf_genus1(word, module, module) == lattice_rank(word)
+        assert calls["mor_dd_d"] - before == len(word)
+    assert not catalog._twisted_tori
+
+
+def test_twisted_tori_stay_within_their_bound(monkeypatch):
+    import random
+
+    rng = random.Random(21)
+    words = [[rng.choice(TWIST_NAMES) for _ in range(rng.randint(0, 12))] for _ in range(20)]
+    words += [["Tm"] * p for p in (12, 3, 20)]
+    monkeypatch.setattr(catalog, "_TWISTED_TORI_MAX", 6)
+    _clear_twist_caches()
+    for word in words[::-1] + words:
+        assert hf_genus1(word) == lattice_rank(word), word
+        assert len(catalog._twisted_tori) <= 6
+    # least recently used goes first: Tm^20 ends on the two ten-letter
+    # states, and its short states are gone
+    assert set(list(catalog._twisted_tori)[-2:]) == {("zero", ("Tm",) * 10), ("zero", ("Tm'",) * 10)}
+    assert ("zero", ("Tm",)) not in catalog._twisted_tori
 
 
 def test_hf_genus1_rejects_unknown_token_as_given(monkeypatch):
@@ -250,7 +370,7 @@ def test_twist_word_prepares_each_letter_once(monkeypatch):
     monkeypatch.setattr(catalog, "mor_dd_d", counted("mor_dd_d", catalog.mor_dd_d))
     monkeypatch.setattr(TensorElement, "decompose", counted("decompose", TensorElement.decompose))
     monkeypatch.setattr(TypeDModule, "verify_d2", counted("verify_d2", TypeDModule.verify_d2))
-    catalog.twist_half.cache_clear()
+    _clear_twist_caches()
     apply_twist_word(word, solid_torus("zero"))
     # one call per letter through the catalog's name, each output gated once,
     # and each distinct letter's arrows split into keys once

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from bhf.f2u import (
     F2UComplex,
+    F2UDecomposition,
     InhomogeneousInput,
     poly_degree,
     poly_divmod,
@@ -17,7 +18,7 @@ from bhf.f2u import (
     poly_valuation,
 )
 from bhf.gf2 import NotAComplex
-from bhf.checks import check_snf_oracle, random_f2u_complex, random_graded_f2u_complex
+from bhf.checks import check_snf_oracle, random_f2u_complex
 
 
 def test_poly_arithmetic():
@@ -168,6 +169,52 @@ def test_decomposition_invariant_under_basis_change():
 def test_snf_oracle_sample():
     ok, detail = check_snf_oracle(samples=200, seed=12)
     assert ok, detail
+
+
+def random_graded_f2u_complex(rng: random.Random, max_gens: int = 8, max_degree: int = 3):
+    """A random graded complex and the decomposition it is built from.
+
+    Elementary pieces d(g_{i+1}) = U^k g_i with gr(g_i) = gr(g_{i+1}) + k,
+    and free generators, are conjugated by homogeneous transvections
+    e_a <- e_a + U^t e_b with t = gr(b) - gr(a) >= 0.
+    """
+    n = rng.randint(1, max_gens)
+    gens = [f"g{i}" for i in range(n)]
+    gr = [0] * n
+    mat = [[0] * n for _ in range(n)]  # mat[target][source]
+    free, torsion = [], []
+    i = 0
+    while i < n:
+        gr[i] = rng.randint(-3, 3)
+        if i + 1 < n and rng.random() < 0.6:
+            k = rng.randint(0, max_degree)
+            gr[i + 1] = gr[i] - k
+            mat[i][i + 1] = 1 << k
+            if k:
+                torsion.append((k, gr[i]))
+            i += 2
+        else:
+            free.append(gr[i])
+            i += 1
+    for _ in range(3 * n if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        if gr[a] > gr[b]:
+            a, b = b, a
+        t = gr[b] - gr[a]
+        # row b += U^t row a, then col a += U^t col b
+        for c in range(n):
+            mat[b][c] ^= mat[a][c] << t
+        for r in range(n):
+            mat[r][a] ^= mat[r][b] << t
+    diff = {(gens[j], gens[i]): mat[i][j] for i in range(n) for j in range(n) if mat[i][j]}
+    complex_ = F2UComplex(gens, diff, gradings=dict(zip(gens, gr)))
+    want = F2UDecomposition(
+        free_rank=len(free),
+        torsion=tuple(sorted((k for k, _ in torsion), reverse=True)),
+        free_gradings=tuple(sorted(free, reverse=True)),
+        torsion_gradings=tuple(sorted(torsion, reverse=True)),
+    )
+    return complex_, want
 
 
 def test_graded_decomposition_matches_construction():

@@ -11,11 +11,11 @@ from bhf.pairing import (
     AlgebraMismatch,
     BimoduleHalf,
     homology_f2,
-    identity_morphism,
     mor_d_d,
     mor_d_dd,
     mor_d_ud,
     mor_dd_d,
+    mor_generator_name,
 )
 from bhf.catalog import apply_twist_word, dd_identity, dehn_twist_dd, solid_torus
 from bhf.knots import cable21_pattern
@@ -47,6 +47,15 @@ def test_mor_basis_counts_match_corner_dimensions():
             for iy in N.generators.values()
         )
         assert len(C.generators) == expected
+
+
+def identity_morphism(M: TypeDModule) -> list[str]:
+    """Generator names of the identity cocycle in mor_d_d(M, M)."""
+    out = []
+    for x, ix in sorted(M.generators.items()):
+        key = ((), tuple(ix))
+        out.append(mor_generator_name(x, key, x))
+    return out
 
 
 def test_identity_morphism_is_a_cycle():

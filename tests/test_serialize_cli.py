@@ -195,6 +195,20 @@ def test_cli_hf3m(capsys):
     assert json.loads(out)["rank"] == 3
 
 
+def test_cli_hf3m_names_its_solid_tori(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["hf3m", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for names in ("h_0/0/zero", "h_inf/inf/infinity", "h_minus1/-1/minus1"):
+        assert text.count(names) == 2, names
+    for left, base in (("0", "minus1"), ("zero", "h_minus1"), ("h_0", "-1")):
+        code, out, _ = run_cli(capsys, "hf3m", "--word", "Tm Tm", "--left", left, "--base", base)
+        assert code == 0 and json.loads(out)["rank"] == 3
+    code, _, err = run_cli(capsys, "hf3m", "--word", "Tm", "--base", "h_1")
+    assert code == 1 and "unknown solid torus 'h_1'" in err
+
+
 def test_cli_satellite(capsys):
     code, out, _ = run_cli(
         capsys, "knot", "satellite", "--in", "trefoil", "--framing", "-2"
