@@ -324,12 +324,6 @@ class ArcSlide:
     u_interval: int
     u_prime_interval: int
 
-    def interval_pairs(self):
-        n = self.source.n_points
-        src = [i for i in range(1, n) if i != self.u_interval]
-        tgt = [i for i in range(1, n) if i != self.u_prime_interval]
-        return list(zip(src, tgt))
-
     def pair_bijection(self):
         """Matched pairs of the source mapped to matched pairs of the target."""
         pmap = dict(self.point_map)

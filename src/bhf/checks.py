@@ -20,7 +20,7 @@ from .strands import (
     torus_element,
     TORUS_NAMES,
 )
-from .dmodules import iso_check, induced_complex
+from .dmodules import TypeDModule, iso_check, induced_complex
 from .pairing import mor_d_d, mor_dd_d, homology_f2
 from .f2u import F2UComplex, F2UDecomposition
 from .knots import (
@@ -117,29 +117,16 @@ def _random_diagram(rng: random.Random, n: int):
 
 def check_strand_properties(samples: int = 10000, seed: int = 2024):
     rng = random.Random(seed)
-    bad = 0
-    detail = ""
-    count = 0
-    while count < samples:
+    for _ in range(samples):
         n = rng.randint(1, 6)
-        diags = [_random_diagram(rng, n) for _ in range(3)]
-        if any(d is None for d in diags):
-            continue
-        count += 1
-        a, b, c = (AlgebraElement(n, [d]) for d in diags)
+        a, b, c = (AlgebraElement(n, [_random_diagram(rng, n)]) for _ in range(3))
         if not a.d().d().is_zero():
-            bad += 1
-            detail = f"d^2 != 0 on {a!r}"
-            break
+            return False, f"d^2 != 0 on {a!r}"
         if (a * b).d() != a.d() * b + a * b.d():
-            bad += 1
-            detail = f"Leibniz fails on {a!r}, {b!r}"
-            break
+            return False, f"Leibniz fails on {a!r}, {b!r}"
         if (a * b) * c != a * (b * c):
-            bad += 1
-            detail = f"associativity fails on {a!r}, {b!r}, {c!r}"
-            break
-    return bad == 0, detail or f"{count} random samples: d^2=0, Leibniz, associativity"
+            return False, f"associativity fails on {a!r}, {b!r}, {c!r}"
+    return True, f"{samples} random samples: d^2=0, Leibniz, associativity"
 
 
 def check_closure(max_genus: int = 2):
@@ -209,10 +196,8 @@ def check_opposite():
 
 def check_surgery_triangle():
     tri = catalog.solid_tori()
-    ok = tri.report["exact"]
-    ok = ok and not tri.h_infinity.verify_d2()
-    ok = ok and not tri.h_minus1.verify_d2()
-    ok = ok and not tri.h_zero.verify_d2()
+    ok = tri.report["exact"] and not any(
+        M.verify_d2() for M in (tri.h_infinity, tri.h_minus1, tri.h_zero))
     return ok, str(tri.report)
 
 
@@ -317,19 +302,12 @@ def check_genus1_lattice(samples: int = 60, max_length: int = 12, seed: int = 11
 
 
 def check_knot_invariants():
-    problems = []
-    if tau(trefoil_cfk()) != -1:
-        problems.append("tau(trefoil) != -1")
-    if tau(figure8_cfk()) != 0:
-        problems.append("tau(figure8) != 0")
-    if tau(unknot_cfk()) != 0:
-        problems.append("tau(unknot) != 0")
-    if alexander_polynomial(trefoil_cfk()) != {1: 1, 0: -1, -1: 1}:
-        problems.append("Alexander(trefoil) wrong")
-    if alexander_polynomial(figure8_cfk()) != {1: -1, 0: 3, -1: -1}:
-        problems.append("Alexander(figure8) wrong")
-    if alexander_polynomial(unknot_cfk()) != {0: 1}:
-        problems.append("Alexander(unknot) wrong")
+    knots = {"trefoil": trefoil_cfk(), "figure8": figure8_cfk(), "unknot": unknot_cfk()}
+    taus = {"trefoil": -1, "figure8": 0, "unknot": 0}
+    polys = {"trefoil": {1: 1, 0: -1, -1: 1}, "figure8": {1: -1, 0: 3, -1: -1}, "unknot": {0: 1}}
+    problems = [f"tau({k}) != {t}" for k, t in taus.items() if tau(knots[k]) != t]
+    problems += [f"Alexander({k}) wrong" for k, poly in polys.items()
+                 if alexander_polynomial(knots[k]) != poly]
     return not problems, "; ".join(problems) or "tau and Alexander polynomials match"
 
 
@@ -517,8 +495,6 @@ def _random_bipartite_module(rng: random.Random, alg, layers: int = 2):
                         if rng.random() < 0.5:
                             coeff = coeff + alg.expand(key)
                     delta[(src, dst)] = coeff  # the module drops a zero one
-    from .dmodules import TypeDModule
-
     return TypeDModule(alg, gens, delta)
 
 

@@ -33,6 +33,7 @@ from .pairing import AlgebraMismatch, homology_f2, mor_d_d, mor_dd_d, mor_d_ud
 from .gf2 import F2ChainComplex, NotAComplex
 from .f2u import F2UComplex, InhomogeneousInput
 from .knots import (
+    PATTERNS,
     CFKComplex,
     CFKError,
     alexander_polynomial,
@@ -333,18 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.set_defaults(fn=cmd_homology)
 
-    p = sub.add_parser("knot", help="knot complex invariants")
-    p.add_argument("action", choices=("tau", "alexander", "cfd", "satellite"))
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--framing", type=int, default=0)
-    p.add_argument("--pattern", default="cable21")
-    p.set_defaults(fn=cmd_knot)
-
-    p = sub.add_parser("satellite", help="satellite pairing (alias of knot satellite)")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--framing", type=int, default=0)
-    p.add_argument("--pattern", default="cable21")
-    p.set_defaults(fn=cmd_knot, action="satellite")
+    knot = sub.add_parser("knot", help="knot complex invariants")
+    knot.add_argument("action", choices=("tau", "alexander", "cfd", "satellite"))
+    knot.set_defaults(fn=cmd_knot)
+    sat = sub.add_parser("satellite", help="satellite pairing (alias of knot satellite)")
+    sat.set_defaults(fn=cmd_knot, action="satellite")
+    for p in (knot, sat):
+        p.add_argument("--in", dest="input", required=True, help="a catalog knot (trefoil, "
+                       "figure8 or fig8, unknot), or a cfk document or its path")
+        p.add_argument("--framing", type=int, default=0, help="the framing, an integer (default 0)")
+        p.add_argument("--pattern", default="cable21",
+                       help=f"the pattern: {', '.join(sorted(PATTERNS))} (default cable21)")
 
     p = sub.add_parser("hf3m", help="genus-1 closed manifold rank from a twist word")
     p.add_argument("--word", default="", help="e.g. \"Tm Tm Tl'\" (trailing ' = inverse)")

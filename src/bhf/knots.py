@@ -10,18 +10,21 @@ The associated graded complex keeps exactly the grading-homogeneous
 entries; its graded homology over F2[U] yields tau.  A filtered change of
 basis making the complex both horizontally and vertically simplified feeds
 the translation to a type D module over the torus algebra, and pairing
-that module against a U-weighted pattern module computes satellites.
+that module against a U-weighted pattern module computes satellites.  A
+named pattern's side of that pairing is prepared once per process
+(``pattern_half``), so a sweep over companions or framings pays only for
+each companion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .f2u import F2UComplex, poly_exponents
-from .pmc import standard_pmc
-from .strands import AlgebraElement, algebra_of, torus_element
+from .strands import AlgebraElement, torus_algebra, torus_element, torus_records
 from .dmodules import TypeDModule, UTypeDModule
-from .pairing import mor_d_ud
+from .pairing import TargetHalf, mor_d_ud
 
 
 class CFKError(ValueError):
@@ -334,6 +337,9 @@ def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
     The simplified basis elements become the iota0 generators; each vertical
     or horizontal arrow contributes a chain of iota1 generators, and the
     framing-dependent unstable chain joins the distinguished generators.
+    Every output is gated on d^2 = 0 through the process-wide torus records
+    (``torus_records``): each coefficient is a sum of the named torus
+    elements, so only the product memos are shared and they stay bounded.
     """
     simple, report = simplify_basis(complex_)
     arrows = classify_arrows(simple)
@@ -342,7 +348,7 @@ def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
         raise NotSimplified("no distinguished generators; not a knot complex")
     t = tau(simple)
 
-    alg = algebra_of(standard_pmc("torus"))
+    alg = torus_algebra()
     i0, i1 = (1,), (2,)
     gens: dict[str, tuple[int, ...]] = {g: i0 for g in simple.generators}
     delta: dict[tuple[str, str], AlgebraElement] = {}
@@ -389,7 +395,7 @@ def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
         add(xi0, eta0, "rho12")
 
     out = TypeDModule(alg, gens, delta, provenance=f"cfk_to_cfd(framing={framing})")
-    return out.gated("translated module")
+    return out.gated("translated module", torus_records())
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +443,7 @@ def staircase_cfk(steps) -> CFKComplex:
 
 def cable21_pattern() -> UTypeDModule:
     """U-weighted type D module of the (2,1)-cable pattern in the solid torus."""
-    alg = algebra_of(standard_pmc("torus"))
+    alg = torus_algebra()
     i0, i1 = (1,), (2,)
     gens = {"x": i1, "y1": i0, "y2": i0}
     delta = {
@@ -452,6 +458,22 @@ def cable21_pattern() -> UTypeDModule:
 PATTERNS = {"cable21": cable21_pattern}
 
 
+@lru_cache(maxsize=None)
+def pattern_half(name: str) -> TargetHalf:
+    """The named pattern's side of ``mor_d_ud``, prepared once per process.
+
+    Building it builds and gates the pattern once.  Its memos grow with the
+    companions paired against it and stay bounded: they are keyed by the
+    pattern's generators and the torus algebra's keys.  An unknown name
+    raises ``CFKError`` and is not cached.
+    """
+    try:
+        build = PATTERNS[name]
+    except KeyError:
+        raise CFKError(f"unknown pattern {name!r}; have {sorted(PATTERNS)}")
+    return TargetHalf(build())
+
+
 @dataclass
 class SatelliteResult:
     mor_complex: F2UComplex
@@ -460,14 +482,16 @@ class SatelliteResult:
 
 
 def satellite(pattern: UTypeDModule | str, companion: CFKComplex, framing: int) -> SatelliteResult:
-    """Pair the companion's framed complement module against a pattern module."""
+    """Pair the companion's framed complement module against a pattern module.
+
+    A pattern given by name pairs through its process-wide half
+    (``pattern_half``), so each call pays only for the companion: its
+    translation and gate, the Mor complex and its homology.  A pattern
+    given as a module is paired through a new half on every call.
+    """
     if isinstance(pattern, str):
-        try:
-            pattern = PATTERNS[pattern]()
-        except KeyError:
-            raise CFKError(f"unknown pattern {pattern!r}; have {sorted(PATTERNS)}")
-    cfd = cfk_to_cfd(companion, framing)
-    mor = mor_d_ud(cfd, pattern)
+        pattern = pattern_half(pattern)
+    mor = mor_d_ud(cfk_to_cfd(companion, framing), pattern)
     dec = mor.homology()
     u0 = mor.specialize_u0().homology_rank()
     return SatelliteResult(mor, dec, u0)

@@ -22,7 +22,8 @@ arrows at the triple's two ends.  Arrow coefficients are split into basis
 keys once per call.  Within one call, each distinct corner's keys and key
 names are listed once, each distinct type D coefficient is decomposed
 once, and each (generator, key) row of key products through the
-generator's arrows is computed once; no such memo outlives the call.
+generator's arrows is computed once; no such memo outlives the call
+unless a prepared half below holds it.
 
 A ``BimoduleHalf`` holds everything that depends on the bimodule alone:
 its arrows split into keys, its units and output idempotents, those memos
@@ -33,9 +34,16 @@ keeps one per Dehn twist for the life of the process (``twist_half``), and
 ``apply_twist_word`` also reduces each output through that half's records.
 The type D outputs are verified to square to zero on raw-diagram products
 before being returned.
+
+A ``TargetHalf`` does the same for the target of ``mor_d_d`` and
+``mor_d_ud``.  ``mor_d_ud`` also takes one prepared by the caller, and the
+knot layer keeps one per named pattern for the life of the process
+(``knots.pattern_half``); its F2[U] output checks d^2 = 0 as it is built.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .gf2 import F2ChainComplex
 from .f2u import F2UComplex
@@ -115,15 +123,17 @@ def _bimodule_split(B: TypeDDModule, side: int, coeff_of):
     return split
 
 
-def _product_rows(alg: SurfaceAlgebra, arrows: dict[str, list], key_first: bool):
+def _product_rows(alg: SurfaceAlgebra, arrows: dict[str, list], key_first: bool,
+                  product=None):
     """The row of (other end, product key, tag) for each (end, key a), memoized.
 
     ``arrows`` maps an end to its (other end, key c, tag) arrows, as from
     ``_keyed_arrows``; the row holds the keys of a * c when ``key_first``,
     else of c * a, in arrow order.  The memo lives as long as the function.
+    ``product`` is ``alg.key_product`` unless the caller memoizes it.
     """
     rows: dict[tuple, list] = {}
-    product = alg.key_product
+    product = product or alg.key_product
 
     def row(end, a):
         out = rows.get((end, a))
@@ -178,21 +188,45 @@ def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, atoms,
     return basis, names, {k: v for k, v in acc.items() if v}
 
 
-def _mor_modules(M: TypeDModule, N: TypeDModule, atoms, split=None):
-    """Generator names and differential of Mor(M, N) over their one algebra;
-    ``split`` splits the coefficients of N as in ``_keyed_arrows``."""
-    if M.algebra != N.algebra:
-        raise AlgebraMismatch("modules over different algebras")
-    alg = M.algebra
-    incoming = _product_rows(alg, _keyed_arrows(M, by_target=True), key_first=False)
-    outgoing = _product_rows(alg, _keyed_arrows(N, by_target=False, split=split), key_first=True)
-    basis, names, diff = _mor_complex(alg, M.generators, N.generators, incoming, outgoing, atoms)
-    return [names[b] for b in basis], diff
+class TargetHalf:
+    """The target's side of ``mor_d_d(M, N)`` or ``mor_d_ud(M, P)``.
+
+    Everything here depends on the target alone: its arrows split into
+    (key, U power) pairs (the power is None on a plain type D module), the
+    rows of key products through them per (target generator, basis key),
+    and memos of the corner keys, of key names and of the key products on
+    the source side.  ``pair`` builds the Mor complex of one source module
+    against it.  The memos live as long as the half.
+    """
+
+    def __init__(self, N: TypeDModule):
+        alg = self.algebra = N.algebra
+        self.generators, split = N.generators, None
+        if type(N) is UTypeDModule:
+            def split(coeff):
+                return [(key, m) for m, e in coeff.items() for key in alg.decompose(e)]
+        arrows = _keyed_arrows(N, by_target=False, split=split)
+        self.rows = _product_rows(alg, arrows, key_first=True)
+        self.corners: dict[tuple, list] = {}
+        self.key_names: dict[BasisKey, str] = {}
+        self.product = lru_cache(maxsize=None)(alg.key_product)
+
+    def pair(self, M: TypeDModule):
+        """Generator names and differential of Mor(M, target); the
+        differential maps (src, dst) to the U powers of its terms."""
+        if M.algebra != self.algebra:
+            raise AlgebraMismatch("modules over different algebras")
+        incoming = _product_rows(self.algebra, _keyed_arrows(M, by_target=True),
+                                 key_first=False, product=self.product)
+        basis, names, diff = _mor_complex(self.algebra, M.generators, self.generators, incoming,
+                                          self.rows, lambda src, upower: (upower or 0,),
+                                          self.corners, self.key_names)
+        return [names[b] for b in basis], diff
 
 
 def mor_d_d(M: TypeDModule, N: TypeDModule) -> F2ChainComplex:
     """Morphism complex of two type D modules over the same algebra."""
-    gens, diff = _mor_modules(M, N, lambda src, tag: (0,))
+    gens, diff = TargetHalf(N).pair(M)
     return F2ChainComplex(gens, diff)
 
 
@@ -311,11 +345,10 @@ def mor_d_dd(M: TypeDModule, B: TypeDDModule | BimoduleHalf, side: int = 1) -> T
     return _half(B, side, into_b=True).pair(M)
 
 
-def mor_d_ud(M: TypeDModule, P: UTypeDModule) -> F2UComplex:
-    """Morphism complex into a U-weighted type D module, over F2[U]."""
+def mor_d_ud(M: TypeDModule, P: UTypeDModule | TargetHalf) -> F2UComplex:
+    """Morphism complex into a U-weighted type D module, over F2[U].
 
-    def u_split(coeff):
-        return ((key, m) for m, e in coeff.items() for key in P.algebra.decompose(e))
-
-    gens, diff = _mor_modules(M, P, lambda src, upower: (upower or 0,), u_split)
+    ``P`` may be a ``TargetHalf(P)`` prepared for many source modules.
+    """
+    gens, diff = (P if isinstance(P, TargetHalf) else TargetHalf(P)).pair(M)
     return F2UComplex(gens, {k: sum(1 << m for m in ms) for k, ms in diff.items()})

@@ -81,24 +81,6 @@ def make_diagram(n: int, strands) -> Diagram:
     return strands
 
 
-def diagram_inversions(diag: Diagram) -> list[tuple[int, int]]:
-    """Pairs of start points (i, j), i < j, whose strands cross (diag is
-    sorted by start)."""
-    return [(s1, s2) for (s1, t1), (s2, t2) in itertools.combinations(diag, 2) if t2 < t1]
-
-
-def multiply_diagrams(a: Diagram, b: Diagram) -> Diagram | None:
-    """Concatenation, or None when endpoints mismatch or strands double-cross:
-    the count-rule reference for ``RawProducts``, inv(a b) = inv(a) + inv(b)."""
-    if sorted(t for _, t in a) != sorted(s for s, _ in b):
-        return None
-    nxt = dict(b)
-    comp = tuple(sorted((s, nxt[t]) for s, t in a))
-    if len(diagram_inversions(comp)) != len(diagram_inversions(a)) + len(diagram_inversions(b)):
-        return None
-    return comp
-
-
 def _concatenate(a: Diagram, b: Diagram) -> Diagram | None:
     """a then b, which starts at the ends of a; None when two paths s -> t -> u
     cross twice: (s1 - s2)(t1 - t2) < 0 and (t1 - t2)(u1 - u2) < 0.  a is
@@ -136,7 +118,10 @@ class RawProducts:
     product of each distinct pair of right-hand sets of a tensor; the
     smoothings of each distinct diagram.  ``coefficients`` holds the whole
     products and differentials of module coefficients, which the modules
-    fill (``TypeDModule.verify_d2`` and ``reduce``)."""
+    fill (``TypeDModule.verify_d2`` and ``reduce``).  A product of two
+    diagrams is their concatenation, zero when the ends of the first miss
+    the starts of the second or two strands cross twice, which is the
+    count rule inv(a b) = inv(a) + inv(b) that the tests check it against."""
 
     __slots__ = ("_lefts", "_buckets", "_composites", "_seconds", "_smoothings",
                  "coefficients")
@@ -231,10 +216,6 @@ class AlgebraElement:
     def zero(cls, n: int) -> "AlgebraElement":
         return cls(n)
 
-    @classmethod
-    def from_strands(cls, n: int, strands) -> "AlgebraElement":
-        return cls(n, [make_diagram(n, strands)])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -267,15 +248,6 @@ class AlgebraElement:
         if not self.terms:
             return f"0_[A({self.n})]"
         return "+".join("".join(f"({s}>{e})" for s, e in t) for t in self.sorted_terms())
-
-
-def inversions(element_or_diagram):
-    """Inversion count and inverting start-point pairs of a single diagram."""
-    diag = element_or_diagram
-    if isinstance(diag, AlgebraElement):
-        (diag,) = diag.terms
-    inv = diagram_inversions(diag)
-    return len(inv), inv
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +480,6 @@ class SurfaceAlgebra:
                                        for pairs in itertools.combinations(free, r)
                                        for d in self.expand((moving, pairs)).terms])
 
-    def a_expand(self, S, T, phi: dict) -> AlgebraElement:
-        """Expand an admissible triple (S, T, phi) over its fixed points."""
-        if set(phi) != set(S) or set(phi.values()) != set(T):
-            raise NotAdmissible("phi is not a bijection S -> T")
-        try:
-            return self.expand(self.key_of(tuple(sorted(phi.items()))))
-        except NotInSpan as e:
-            raise NotAdmissible(str(e))
-
     # -- structure maps
 
     def key_left_pairs(self, key: BasisKey) -> tuple[int, ...]:
@@ -692,12 +655,21 @@ _TORUS_STRANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def torus_algebra() -> SurfaceAlgebra:
     from .pmc import standard_pmc
 
     return algebra_of(standard_pmc("torus"))
 
 
+@lru_cache(maxsize=None)
+def torus_records() -> RawProducts:
+    """Raw-product records shared by the gates of torus modules whose
+    coefficients are sums of the named elements, so their memos stay bounded."""
+    return RawProducts()
+
+
+@lru_cache(maxsize=None)
 def torus_element(name: str) -> AlgebraElement:
     """Named basis of the weight-1 torus summand: iota0, iota1, rho*. """
     alg = torus_algebra()

@@ -12,9 +12,7 @@ from bhf.strands import (
     RawProducts,
     SurfaceAlgebra,
     algebra_of,
-    diagram_inversions,
     make_diagram,
-    multiply_diagrams,
     torus_element,
 )
 from bhf.dmodules import (
@@ -33,6 +31,7 @@ from bhf.serialize import SchemaError, parse_document, serialize
 from bhf.cancel import _cancel_all
 from bhf.checks import _random_bipartite_module, check_reduce_preserves_homology
 from bhf.pairing import _mor_basis, mor_dd_d
+from test_strands import diagram_inversions, multiply_diagrams
 
 
 ALG = algebra_of(standard_pmc("torus"))

@@ -2,26 +2,33 @@ import random
 
 import pytest
 
+from bhf import knots
 from bhf.knots import (
     CFKComplex,
+    CFKError,
     FiltrationViolation,
     NotReduced,
     ParityMissing,
     ParityViolation,
     alexander_polynomial,
     alexander_polynomial_str,
+    cable21_pattern,
     cfk_to_cfd,
     classify_arrows,
     figure8_cfk,
+    pattern_half,
     satellite,
     simplify_basis,
+    staircase_cfk,
     tau,
     trefoil_cfk,
     unknot_cfk,
 )
-from bhf.dmodules import iso_check
+from bhf.dmodules import GateFailure, TypeDModule, iso_check
 from bhf.catalog import solid_torus
-from bhf.strands import torus_element
+from bhf.f2u import F2UComplex
+from bhf.pairing import TargetHalf
+from bhf.strands import torus_algebra, torus_element, torus_records
 
 
 def test_validate_builtins():
@@ -282,3 +289,134 @@ def test_staircase_torus_knot_complex():
         m = cfk_to_cfd(c, n)
         mus = [g for g in m.generators if g.startswith("mu")]
         assert len(mus) == abs(-4 - n)
+
+
+# ---------------------------------------------------------------------------
+# the pattern's prepared half
+
+
+def _companions():
+    """Staircases of 5, 7, 9 and 11 generators, then the catalog knots, each
+    at the framings 2 tau - 1, 2 tau and 2 tau + 1 (the three branches of
+    ``cfk_to_cfd``)."""
+    stairs = [[1, 2, 2, 1], [2, 1, 1, 1, 1, 2], [1] * 8, [1, 2, 1, 1, 1, 1, 1, 1, 2, 1]]
+    companions = [staircase_cfk(steps) for steps in stairs]
+    companions += [trefoil_cfk(), figure8_cfk(), unknot_cfk()]
+    return [(c, 2 * tau(c) + shift) for c in companions for shift in (-1, 0, 1)]
+
+
+def _outcome(res):
+    C = res.mor_complex
+    return C.generators, C.differential, res.decomposition, res.u0_rank
+
+
+@pytest.mark.parametrize("warm_first", [True, False])
+def test_warm_pattern_half_matches_a_fresh_pattern(warm_first):
+    cases = _companions()
+
+    def warm():  # one half for the whole sweep, cold at the first case only
+        return [_outcome(satellite("cable21", c, f)) for c, f in cases]
+
+    def cold():  # a new pattern module, and so a new half, per case
+        return [_outcome(satellite(cable21_pattern(), c, f)) for c, f in cases]
+
+    pattern_half.cache_clear()
+    first = warm() if warm_first else cold()
+    pattern_half.cache_clear()
+    second = cold() if warm_first else warm()
+    assert first == second
+    assert {len(gens) for gens, *_ in first} >= {7, 29}  # the unknot and the trefoil at -2
+
+
+def _count_satellite_work(monkeypatch) -> dict:
+    calls = {"pattern": 0, "half": 0, "pattern module": 0, "translated module": 0,
+             "mor": [], "validated": []}
+    build, init, mor = knots.PATTERNS["cable21"], TargetHalf.__init__, knots.mor_d_ud
+    gated, validate = TypeDModule.gated, F2UComplex.validate
+
+    def counted_build():
+        calls["pattern"] += 1
+        return build()
+
+    def counted_init(self, N):
+        calls["half"] += 1
+        init(self, N)
+
+    def counted_gated(self, what, records=None):
+        calls[what] += 1
+        return gated(self, what, records)
+
+    def counted_validate(self):
+        calls["validated"].append(self)
+        return validate(self)
+
+    def counted_mor(M, P):
+        out = mor(M, P)
+        calls["mor"].append(out)
+        return out
+
+    monkeypatch.setitem(knots.PATTERNS, "cable21", counted_build)
+    monkeypatch.setattr(knots, "mor_d_ud", counted_mor)
+    monkeypatch.setattr(TargetHalf, "__init__", counted_init)
+    monkeypatch.setattr(TypeDModule, "gated", counted_gated)
+    monkeypatch.setattr(F2UComplex, "validate", counted_validate)
+    return calls
+
+
+def test_named_pattern_is_built_and_gated_once_per_process(monkeypatch):
+    calls = _count_satellite_work(monkeypatch)
+    pattern_half.cache_clear()
+    cases = _companions()
+    for c, f in cases:
+        satellite("cable21", c, f)
+    assert calls["pattern"] == calls["half"] == calls["pattern module"] == 1
+    assert calls["translated module"] == len(calls["mor"]) == len(cases)
+    # every Mor complex checked d^2 = 0 over F2[U] as it was built
+    assert all(any(C is V for V in calls["validated"]) for C in calls["mor"])
+
+
+def test_pattern_passed_as_a_module_gets_a_half_per_call(monkeypatch):
+    pattern_half.cache_clear()
+    satellite("cable21", trefoil_cfk(), -2)
+    half = pattern_half("cable21")
+    memos = (dict(half.corners), dict(half.key_names), half.product.cache_info().currsize)
+    info = pattern_half.cache_info()
+    calls = _count_satellite_work(monkeypatch)
+    pattern = cable21_pattern()
+    for c, f in _companions()[:5]:
+        satellite(pattern, c, f)
+    assert calls["half"] == 5 and calls["pattern"] == 0
+    assert pattern_half.cache_info() == info
+    assert (dict(half.corners), dict(half.key_names), half.product.cache_info().currsize) == memos
+
+
+def test_unknown_pattern_name_raises_and_caches_nothing():
+    pattern_half.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CFKError, match="unknown pattern 'nope'"):
+            satellite("nope", trefoil_cfk(), -2)
+        with pytest.raises(CFKError):
+            pattern_half("nope")
+    assert pattern_half.cache_info().currsize == 0
+
+
+def test_warm_torus_records_still_fail_a_broken_module():
+    for c, f in _companions():  # warm the shared records with every translation
+        satellite("cable21", c, f)
+    alg = torus_algebra()
+    broken = [
+        # rho1 then rho2 leaves rho12 at (x, x)
+        TypeDModule(alg, {"x": (1,), "y": (2,)},
+                    {("x", "y"): torus_element("rho1"), ("y", "x"): torus_element("rho2")}),
+    ]
+    # a translated trefoil with one more arrow, a -> rho1 mu1: its product
+    # with mu1 -> rho23 mu2 is one the warm records have met
+    good = cfk_to_cfd(trefoil_cfk(), 1)
+    assert ("a", "mu1") not in good.delta
+    broken.append(TypeDModule(alg, good.generators,
+                              {**good.delta, ("a", "mu1"): torus_element("rho1")}))
+    for M in broken:
+        fresh = M.verify_d2()
+        assert fresh and M.verify_d2(torus_records()) == fresh
+        with pytest.raises(GateFailure, match=f"fails d\\^2=0 on {len(fresh)} pairs"):
+            M.gated("translated module", torus_records())

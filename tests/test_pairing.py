@@ -10,6 +10,7 @@ from bhf.dmodules import TypeDModule, iso_check
 from bhf.pairing import (
     AlgebraMismatch,
     BimoduleHalf,
+    TargetHalf,
     homology_f2,
     mor_d_d,
     mor_d_dd,
@@ -252,3 +253,23 @@ def test_prepared_half_is_for_one_pairing_only():
         mor_d_dd(M, half)
     with pytest.raises(AlgebraMismatch):
         mor_dd_d(half, TypeDModule(algebra_of(standard_pmc("split", 2)), {"x": (1, 2)}, {}))
+
+
+def test_prepared_target_half_matches_one_shot_calls():
+    from bhf.knots import cfk_to_cfd, figure8_cfk, trefoil_cfk
+
+    modules = [
+        solid_torus("inf"),
+        cfk_to_cfd(trefoil_cfk(), 1),
+        solid_torus("zero"),
+        cfk_to_cfd(figure8_cfk(), -1),
+        apply_twist_word(["Tm"] * 3, solid_torus("zero")),
+    ]
+    P = cable21_pattern()
+    half = TargetHalf(P)
+    for i in (0, 1, 2, 3, 4, 1, 0, 3, 2, 4):
+        M = modules[i]
+        warm, cold = mor_d_ud(M, half), mor_d_ud(M, P)
+        assert (warm.generators, warm.differential) == (cold.generators, cold.differential), i
+    with pytest.raises(AlgebraMismatch):
+        mor_d_ud(TypeDModule(algebra_of(standard_pmc("split", 2)), {"x": (1, 2)}, {}), half)

@@ -218,6 +218,22 @@ def test_cli_satellite(capsys):
     assert doc["mor_generators"] == 29 and doc["u0_rank"] == 5
 
 
+@pytest.mark.parametrize("argv", [["satellite"], ["knot", "satellite"]])
+def test_cli_satellite_options_have_help(capsys, argv):
+    from bhf.knots import PATTERNS
+
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for words in ("trefoil", "figure8 or fig8", "unknot", "cfk document", "an integer",
+                  *PATTERNS):
+        assert words in text, words
+    code, out, err = run_cli(capsys, *argv, "--in", "trefoil", "--pattern", "nope")
+    assert code == 1 and not out
+    assert err == f"error: unknown pattern 'nope'; have {sorted(PATTERNS)}\n"
+
+
 def test_cli_algebra_mul(capsys):
     code, out, _ = run_cli(capsys, "--format", "text", "algebra", "mul", "rho1", "rho2")
     assert code == 0 and out.strip() == "rho12"
