@@ -10,10 +10,9 @@ genus-1 closed-manifold pipeline built from them.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 
+from .memo import memo
 from .pmc import (
     PMCError, PointedMatchedCircle, make_pmc, pair_map_to_reverse, reverse, standard_pmc,
 )
@@ -82,7 +81,7 @@ def solid_torus(which: str) -> TypeDModule:
     return _solid_torus(torus_name(which))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _solid_torus(name: str) -> TypeDModule:
     if name == "inf":
         return _torus_mod({"r": (2,)}, [("r", "rho23", "r")])
@@ -145,7 +144,7 @@ def solid_tori() -> SurgeryTriangle:
 # split handlebodies
 
 
-@lru_cache(maxsize=None)
+@memo
 def handlebody(k: int) -> TypeDModule:
     """The standard genus-k handlebody module: one generator, k chord loops.
 
@@ -224,7 +223,7 @@ def _dd_gen_name(s, t) -> str:
 TWIST_NAMES = ("Tm", "Tm'", "Tl", "Tl'")
 
 
-@lru_cache(maxsize=None)
+@memo
 def dehn_twist_dd(which: str) -> TypeDDModule:
     """The four torus Dehn-twist DD bimodules (meridian, longitude, inverses).
 
@@ -281,9 +280,9 @@ def dehn_twist_dd(which: str) -> TypeDDModule:
     return out.gated(f"twist bimodule {which}")
 
 
-@lru_cache(maxsize=None)
+@memo
 def twist_half(which: str) -> BimoduleHalf:
-    """The twist bimodule's side of ``mor_dd_d``, prepared once per process.
+    """The twist bimodule's side of ``mor_dd_d``, prepared once until ``bhf.memo.clear()``.
 
     Its memos, product records included, grow with the modules paired
     through it and stay bounded: they are keyed by the bimodule's
@@ -604,9 +603,15 @@ def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
     return out
 
 
-# The states that twist_step has built, least recently used first.
-_TWISTED_TORI_MAX = 1024
-_twisted_tori: OrderedDict[tuple[str, tuple[str, ...]], TypeDModule] = OrderedDict()
+@memo(maxsize=1024)
+def _twisted_torus(name: str, word: tuple[str, ...]) -> TypeDModule:
+    """``apply_twist_word(word, solid_torus(name))``: the first letter paired
+    onto the memoized rest of the word.  A registered memo (``bhf.memo``;
+    ``memo.clear()`` resets it) that evicts the least recently used state
+    past 1,024: well above the roughly 245 states of one genus1 bench pass,
+    but a state's generators, and their names, grow with its word."""
+    rest = _twisted_torus(name, word[1:]) if len(word) > 1 else _solid_torus(name)
+    return apply_twist_word(word[:1], rest)
 
 
 def twist_step(letter: str, key: tuple | None, module: TypeDModule) -> tuple:
@@ -614,27 +619,15 @@ def twist_step(letter: str, key: tuple | None, module: TypeDModule) -> tuple:
 
     A module that the caller passed has key None and is paired on every
     call.  A named solid torus twisted by a word has key (``torus_name``,
-    word) and module ``apply_twist_word(word, solid_torus(name))``; such
-    states live in a process-wide memo, with least-recently-used eviction
-    past ``_TWISTED_TORI_MAX`` states.  A miss pairs the one letter onto the
-    module in hand, and so is gated exactly once; a hit returns the very
-    module that passed its gate.
-
-    The bound caps the number of states held, not their size: a state's
-    generators, and their names, grow with its word.  It sits well above
-    the roughly 245 states of one pass of the genus1 bench workload.
+    word) and module ``_twisted_torus(*key)``, whose memo both sides and
+    every call share.  The side's previous state entered that memo one or
+    two steps earlier, so a miss pairs one letter and is gated once, and a
+    hit returns the very module that passed its gate.
     """
     if key is None:
         return None, apply_twist_word([letter], module)
     key = (key[0], (letter,) + key[1])
-    out = _twisted_tori.get(key)
-    if out is None:
-        out = _twisted_tori[key] = apply_twist_word([letter], module)
-        if len(_twisted_tori) > _TWISTED_TORI_MAX:
-            _twisted_tori.popitem(last=False)
-    else:
-        _twisted_tori.move_to_end(key)
-    return key, out
+    return key, _twisted_torus(*key)
 
 
 def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "h_0") -> int:
@@ -648,9 +641,9 @@ def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "
     fewer generators takes the next one, the left module the inverse of the
     leftmost letter and the base (also on a tie) the rightmost letter.  Both
     sides pair through the same process-wide half per twist (``twist_half``).
-    A side given by name steps through ``twist_step``'s memo, which both
-    sides and every call share, so each distinct state is paired and gated
-    once per process; a side given as a module is paired on every call.
+    A side given by name steps through ``twist_step``'s registered memo
+    (reset by ``bhf.memo.clear()``), so each distinct state is paired and
+    gated once; a side given as a module is paired on every call.
     """
     word = _twist_tokens(word)
     (lkey, lm), (bkey, bm) = _genus1_side(left), _genus1_side(base)

@@ -208,8 +208,7 @@ def cmd_pair(args):
         return 0
     C = mor_d_d(left, right)
     if args.homology:
-        rank, _ = homology_f2(C)
-        _emit(args, {"schema": "bhf/result@1", "rank": rank})
+        _emit(args, {"schema": "bhf/result@1", "rank": C.homology_rank()})
     else:
         _emit(args, C)
     return 0

@@ -19,8 +19,8 @@ each companion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
+from .memo import memo
 from .f2u import F2UComplex, poly_exponents
 from .strands import AlgebraElement, torus_algebra, torus_element, torus_records
 from .dmodules import TypeDModule, UTypeDModule
@@ -458,9 +458,9 @@ def cable21_pattern() -> UTypeDModule:
 PATTERNS = {"cable21": cable21_pattern}
 
 
-@lru_cache(maxsize=None)
+@memo
 def pattern_half(name: str) -> TargetHalf:
-    """The named pattern's side of ``mor_d_ud``, prepared once per process.
+    """The named pattern's side of ``mor_d_ud``, prepared once until ``bhf.memo.clear()``.
 
     Building it builds and gates the pattern once.  Its memos grow with the
     companions paired against it and stay bounded: they are keyed by the

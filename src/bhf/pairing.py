@@ -31,7 +31,8 @@ on the bimodule's side, and the product records (``RawProducts``) that
 gate its outputs.  ``mor_dd_d`` and ``mor_d_dd`` build one for their call
 when given a bimodule, or take one prepared by the caller; the catalog
 keeps one per Dehn twist for the life of the process (``twist_half``), and
-``apply_twist_word`` also reduces each output through that half's records.
+``apply_twist_word`` also reduces each output through that half's records;
+such halves sit in registered memos, which ``bhf.memo.clear()`` resets.
 The type D outputs are verified to square to zero on raw-diagram products
 before being returned.
 
@@ -60,10 +61,6 @@ def key_name(key: BasisKey) -> str:
     moving, pairs = key
     bits = [f"{s}>{t}" for s, t in moving] + [f"p{p}" for p in pairs]
     return ".".join(bits) if bits else "idem"
-
-
-def mor_generator_name(x: str, key: BasisKey, y: str) -> str:
-    return f"{x}|{key_name(key)}|{y}"
 
 
 def _mor_basis(alg: SurfaceAlgebra, left, right, corners=None):

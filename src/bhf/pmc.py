@@ -14,7 +14,9 @@ after the basepoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
+
+from .memo import memo
 
 
 class PMCError(ValueError):
@@ -166,7 +168,7 @@ def make_pmc(genus: int, matching) -> PointedMatchedCircle:
     return PointedMatchedCircle(genus, matching_t)
 
 
-@lru_cache(maxsize=None)
+@memo
 def standard_pmc(kind: str, k: int = 1) -> PointedMatchedCircle:
     """Named families: split(k), antipodal(k), torus (= split(1)).
 

@@ -31,8 +31,8 @@ check those key products independently.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
+from .memo import memo
 from .pmc import PointedMatchedCircle, Chord
 
 Strand = tuple[int, int]
@@ -44,10 +44,6 @@ class StrandError(ValueError):
 
 
 class AmbientMismatch(StrandError):
-    pass
-
-
-class NotAdmissible(StrandError):
     pass
 
 
@@ -601,7 +597,7 @@ class SurfaceAlgebra:
         return keys
 
 
-@lru_cache(maxsize=None)
+@memo
 def algebra_of(circle: PointedMatchedCircle) -> SurfaceAlgebra:
     return SurfaceAlgebra(circle)
 
@@ -655,21 +651,21 @@ _TORUS_STRANDS = {
 }
 
 
-@lru_cache(maxsize=None)
+@memo
 def torus_algebra() -> SurfaceAlgebra:
     from .pmc import standard_pmc
 
     return algebra_of(standard_pmc("torus"))
 
 
-@lru_cache(maxsize=None)
+@memo
 def torus_records() -> RawProducts:
-    """Raw-product records shared by the gates of torus modules whose
-    coefficients are sums of the named elements, so their memos stay bounded."""
+    """Raw-product records shared by the gates of torus modules whose coefficients
+    sum named elements, so their memos stay bounded; kept until ``bhf.memo.clear()``."""
     return RawProducts()
 
 
-@lru_cache(maxsize=None)
+@memo
 def torus_element(name: str) -> AlgebraElement:
     """Named basis of the weight-1 torus summand: iota0, iota1, rho*. """
     alg = torus_algebra()

@@ -6,7 +6,7 @@ import pytest
 from bhf.pmc import pair_map_to_reverse, standard_pmc
 from bhf.strands import algebra_of, torus_element
 from bhf.dmodules import GateFailure, TensorElement, TypeDModule, iso_check, mapping_cone
-from bhf import catalog
+from bhf import catalog, memo
 from bhf.pairing import BimoduleHalf, homology_f2, mor_d_d, mor_dd_d
 from bhf.knots import cfk_to_cfd, figure8_cfk, trefoil_cfk
 from bhf.serialize import dumps, serialize
@@ -160,10 +160,9 @@ def test_split_word_ranks_match_unsplit_ranks():
                 lname, bname, word)
 
 
-def _clear_twist_caches():
-    """Start cold: no prepared twist half and no memoized twisted solid torus."""
-    catalog.twist_half.cache_clear()
-    catalog._twisted_tori.clear()
+def _held() -> int:
+    """The number of twisted solid tori in the memo."""
+    return catalog._twisted_torus.cache_info().currsize
 
 
 def test_hf_genus1_gates_each_letter_once(monkeypatch):
@@ -204,14 +203,17 @@ def test_hf_genus1_gates_each_letter_once(monkeypatch):
     monkeypatch.setattr(catalog, "mor_dd_d", counted_mor)
     monkeypatch.setattr(catalog, "twist_step", counted_step)
     monkeypatch.setattr(TensorElement, "decompose", counted_decompose)
-    _clear_twist_caches()
+    # only the memos counted here: a full clear would also rebuild and gate
+    # the twist bimodules
+    catalog.twist_half.cache_clear()
+    catalog._twisted_torus.cache_clear()
     assert hf_genus1(word, left, "h_minus1") == want
     # one pairing and one gate per letter, both sides took letters, and both
     # shared one prepared half per letter
     assert calls["mor_dd_d"] == calls["verify_d2"] == len(word)
     on_left = calls["left"]
     assert 0 < on_left < len(word)
-    assert len(catalog._twisted_tori) == len(word) - on_left
+    assert _held() == len(word) - on_left
     assert calls["BimoduleHalf"] == len(halves) <= len(TWIST_NAMES)
     assert calls["decompose"] == calls["arrows"]
     # a second call pairs and gates again only the left side's letters: the
@@ -220,7 +222,7 @@ def test_hf_genus1_gates_each_letter_once(monkeypatch):
     assert hf_genus1(word, left, "h_minus1") == want
     assert calls["mor_dd_d"] == calls["verify_d2"] == len(word) + on_left
     assert calls["left"] == 2 * on_left
-    assert len(catalog._twisted_tori) == len(word) - on_left
+    assert _held() == len(word) - on_left
     assert calls["BimoduleHalf"] == len(halves)
     assert calls["decompose"] == calls["arrows"]
 
@@ -237,19 +239,35 @@ def _count_pairings(monkeypatch) -> dict:
     return calls
 
 
-def test_memoized_twisted_tori_match_cold_twist_words():
+def _record_states(monkeypatch) -> dict:
+    """Every (key, module) that ``twist_step`` returns, by key."""
+    states = {}
+    step = catalog.twist_step
+
+    def recorded(letter, key, module):
+        key, out = step(letter, key, module)
+        states[key] = out
+        return key, out
+
+    monkeypatch.setattr(catalog, "twist_step", recorded)
+    return states
+
+
+def test_memoized_twisted_tori_match_cold_twist_words(monkeypatch):
     import random
 
     rng = random.Random(57)
     names = ("h_inf", "h_minus1", "h_0")
+    states = _record_states(monkeypatch)
     for i in range(30):
         word = [rng.choice(TWIST_NAMES) for _ in range(rng.randint(1, 10))]
-        _clear_twist_caches()
+        memo.clear()
+        states.clear()
         hf_genus1(word, names[i % 3], names[i // 3 % 3])
-        states = list(catalog._twisted_tori.items())
-        assert states
-        for (name, w), module in states:
-            _clear_twist_caches()
+        assert states and _held() == len(states)
+        assert all(catalog._twisted_torus(*key) is module for key, module in states.items())
+        for (name, w), module in states.items():
+            memo.clear()
             cold = apply_twist_word(list(w), solid_torus(name))
             assert dumps(serialize(module)) == dumps(serialize(cold)), (name, w)
 
@@ -265,24 +283,37 @@ def test_warm_twisted_tori_give_lattice_ranks():
         assert hf_genus1(word) == lattice_rank(word), word
 
 
+def _bound_twisted_tori(monkeypatch, maxsize: int):
+    """An empty memo of twisted solid tori, evicting past ``maxsize``."""
+    monkeypatch.setattr(catalog, "_twisted_torus",
+                        functools.lru_cache(maxsize)(catalog._twisted_torus.__wrapped__))
+
+
 def test_twisted_tori_pair_only_new_states(monkeypatch):
     calls = _count_pairings(monkeypatch)
-    _clear_twist_caches()
+    states = _record_states(monkeypatch)
+    _bound_twisted_tori(monkeypatch, 10)
     assert hf_genus1(["Tm"] * 8) == 8
     # each side took four letters, each state paired once
-    assert calls["mor_dd_d"] == len(catalog._twisted_tori) == 8
+    assert calls["mor_dd_d"] == _held() == 8
     assert hf_genus1(["Tm"] * 8) == 8
     assert calls["mor_dd_d"] == 8
     # a longer word with the same prefix pairs one new state per side
     assert hf_genus1(["Tm"] * 10) == 10
-    assert calls["mor_dd_d"] == len(catalog._twisted_tori) == 10
+    assert calls["mor_dd_d"] == _held() == 10
     five = {("zero", ("Tm'",) * 5), ("zero", ("Tm",) * 5)}
-    assert five <= set(catalog._twisted_tori)
-    # a hit counts as a use: Tm^8's states move behind Tm^10's new ones,
-    # which are now the first to be evicted
+    assert five <= set(states)
+    # a hit counts as a use: Tm^8's states move behind Tm^10's two new
+    # five-letter ones, so two more new states evict exactly those
     assert hf_genus1(["Tm"] * 8) == 8
     assert calls["mor_dd_d"] == 10
-    assert set(list(catalog._twisted_tori)[:2]) == five
+    assert hf_genus1(["Tl", "Tl"]) == lattice_rank(["Tl", "Tl"])
+    assert calls["mor_dd_d"] == 12 and _held() == 10
+    assert hf_genus1(["Tm"] * 8) == 8
+    assert calls["mor_dd_d"] == 12
+    for key in five:
+        catalog._twisted_torus(*key)  # its four-letter rest is held
+    assert calls["mor_dd_d"] == 14
 
 
 def test_solid_torus_aliases_share_twisted_tori(monkeypatch):
@@ -293,25 +324,26 @@ def test_solid_torus_aliases_share_twisted_tori(monkeypatch):
         hf_genus1(["Tm"], left="h_1")
     word = ["Tm", "Tm", "Tl'", "Tm"]
     calls = _count_pairings(monkeypatch)
-    _clear_twist_caches()
+    states = _record_states(monkeypatch)
+    memo.clear()
     want = hf_genus1(word, left="0", base="h_minus1")
-    paired, keys = calls["mor_dd_d"], set(catalog._twisted_tori)
-    assert {name for name, _ in keys} <= {"zero", "minus1"}
+    paired, keys = calls["mor_dd_d"], set(states)
+    assert {name for name, _ in keys} <= {"zero", "minus1"} and paired == _held() == len(keys)
     for left, base in (("zero", "-1"), ("h_0", "minus1")):
         assert hf_genus1(word, left=left, base=base) == want
-    assert calls["mor_dd_d"] == paired and set(catalog._twisted_tori) == keys
+    assert calls["mor_dd_d"] == paired and set(states) == keys and _held() == len(keys)
 
 
 def test_solid_torus_objects_are_paired_every_call(monkeypatch):
     word = ["Tm", "Tl'", "Tm", "Tm"]
     renamed = solid_torus("zero").rename(lambda g: g + "2")
     calls = _count_pairings(monkeypatch)
-    _clear_twist_caches()
+    memo.clear()
     for module in (renamed, renamed, solid_torus("zero")):
         before = calls["mor_dd_d"]
         assert hf_genus1(word, module, module) == lattice_rank(word)
         assert calls["mor_dd_d"] - before == len(word)
-    assert not catalog._twisted_tori
+    assert _held() == 0
 
 
 def test_twisted_tori_stay_within_their_bound(monkeypatch):
@@ -320,15 +352,18 @@ def test_twisted_tori_stay_within_their_bound(monkeypatch):
     rng = random.Random(21)
     words = [[rng.choice(TWIST_NAMES) for _ in range(rng.randint(0, 12))] for _ in range(20)]
     words += [["Tm"] * p for p in (12, 3, 20)]
-    monkeypatch.setattr(catalog, "_TWISTED_TORI_MAX", 6)
-    _clear_twist_caches()
+    _bound_twisted_tori(monkeypatch, 6)
     for word in words[::-1] + words:
         assert hf_genus1(word) == lattice_rank(word), word
-        assert len(catalog._twisted_tori) <= 6
-    # least recently used goes first: Tm^20 ends on the two ten-letter
-    # states, and its short states are gone
-    assert set(list(catalog._twisted_tori)[-2:]) == {("zero", ("Tm",) * 10), ("zero", ("Tm'",) * 10)}
-    assert ("zero", ("Tm",)) not in catalog._twisted_tori
+        assert _held() <= 6
+    # least recently used goes first: Tm^20 ends on its two ten-letter
+    # states, which are held, and its one-letter states are gone
+    calls = _count_pairings(monkeypatch)
+    catalog._twisted_torus("zero", ("Tm",) * 10)
+    catalog._twisted_torus("zero", ("Tm'",) * 10)
+    assert calls["mor_dd_d"] == 0
+    catalog._twisted_torus("zero", ("Tm",))
+    assert calls["mor_dd_d"] == 1
 
 
 def test_hf_genus1_rejects_unknown_token_as_given(monkeypatch):
@@ -370,7 +405,9 @@ def test_twist_word_prepares_each_letter_once(monkeypatch):
     monkeypatch.setattr(catalog, "mor_dd_d", counted("mor_dd_d", catalog.mor_dd_d))
     monkeypatch.setattr(TensorElement, "decompose", counted("decompose", TensorElement.decompose))
     monkeypatch.setattr(TypeDModule, "verify_d2", counted("verify_d2", TypeDModule.verify_d2))
-    _clear_twist_caches()
+    # only the memo counted here: a full clear would also rebuild and gate
+    # the twist bimodules
+    catalog.twist_half.cache_clear()
     apply_twist_word(word, solid_torus("zero"))
     # one call per letter through the catalog's name, each output gated once,
     # and each distinct letter's arrows split into keys once

@@ -12,11 +12,11 @@ from bhf.pairing import (
     BimoduleHalf,
     TargetHalf,
     homology_f2,
+    key_name,
     mor_d_d,
     mor_d_dd,
     mor_d_ud,
     mor_dd_d,
-    mor_generator_name,
 )
 from bhf.catalog import apply_twist_word, dd_identity, dehn_twist_dd, solid_torus
 from bhf.knots import cable21_pattern
@@ -55,7 +55,7 @@ def identity_morphism(M: TypeDModule) -> list[str]:
     out = []
     for x, ix in sorted(M.generators.items()):
         key = ((), tuple(ix))
-        out.append(mor_generator_name(x, key, x))
+        out.append(f"{x}|{key_name(key)}|{x}")
     return out
 
 

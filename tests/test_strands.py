@@ -12,7 +12,6 @@ from bhf.strands import (
     AlgebraElement,
     AmbientMismatch,
     IncompatibleChordSet,
-    NotAdmissible,
     NotInSpan,
     RawProducts,
     algebra_of,
@@ -25,6 +24,10 @@ from bhf.strands import (
     TORUS_NAMES,
 )
 from bhf.checks import check_strand_properties, check_closure, check_torus_algebra
+
+
+class NotAdmissible(StrandError):
+    """A triple (S, T, phi) that names no basis element."""
 
 
 def elem(n, strands):
