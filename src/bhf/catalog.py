@@ -644,8 +644,20 @@ def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "
     A side given by name steps through ``twist_step``'s registered memo
     (reset by ``bhf.memo.clear()``), so each distinct state is paired and
     gated once; a side given as a module is paired on every call.
+
+    Pairing with a twist and then its inverse is homotopy equivalent to the
+    identity, T * T^-1 * N ~ N, so the word is first freely reduced: each
+    letter next to its inverse is dropped, and only the mapping class's
+    reduced spelling is paired.  No torus relation is used, and
+    ``apply_twist_word`` still pairs every letter as spelled.
     """
-    word = _twist_tokens(word)
+    reduced: list[str] = []
+    for token in _twist_tokens(word):
+        if reduced and reduced[-1] == twist_inverse(token):
+            reduced.pop()
+        else:
+            reduced.append(token)
+    word = reduced
     (lkey, lm), (bkey, bm) = _genus1_side(left), _genus1_side(base)
     i, j = 0, len(word)
     while i < j:

@@ -165,8 +165,41 @@ def _held() -> int:
     return catalog._twisted_torus.cache_info().currsize
 
 
+def _freely_reduced(word) -> list:
+    """The word with adjacent inverse pairs deleted until none is left."""
+    word, i = list(word), 0
+    while i + 1 < len(word):
+        if word[i + 1] == twist_inverse(word[i]):
+            del word[i:i + 2]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return word
+
+
+def test_cancelled_inverse_pairs_keep_the_rank():
+    import random
+
+    rng = random.Random(314)
+    sides = [("h_inf", solid_torus("inf")), ("h_minus1", solid_torus("minus1")),
+             ("h_0", solid_torus("zero"))]
+    sides += [(m, m) for m in (cfk_to_cfd(trefoil_cfk(), n) for n in (-3, 0, 2))]
+    for (lname, left), (bname, base) in itertools.product(sides, repeat=2):
+        for _ in range(2):
+            word = [rng.choice(TWIST_NAMES) for _ in range(rng.randint(0, 5))]
+            for _ in range(rng.randint(1, 3)):
+                t = rng.choice(TWIST_NAMES)
+                at = rng.randint(0, len(word))
+                word[at:at] = [t, twist_inverse(t)]
+            assert hf_genus1(word, lname, bname) == _unsplit_rank(word, left, base), word
+    with pytest.raises(CatalogError, match="unknown twist token 'Tx'"):
+        hf_genus1(["Tm", "Tm'", "Tx"])
+    assert hf_genus1(["Tm", "Tl'", "Tl", "Tm'"]) == hf_genus1([]) == 2
+
+
 def test_hf_genus1_gates_each_letter_once(monkeypatch):
-    word = ["Tm", "Tl'", "Tm", "Tm'", "Tl", "Tl'", "Tm", "Tm"]
+    word = ["Tm", "Tl'", "Tm", "Tm", "Tl", "Tm'", "Tl'", "Tm"]
+    assert _freely_reduced(word) == word
     left = solid_torus("zero")
     left = TypeDModule(left.algebra, left.generators, left.delta, provenance="left")
     want = _unsplit_rank(word, left, solid_torus("minus1"))
@@ -225,6 +258,15 @@ def test_hf_genus1_gates_each_letter_once(monkeypatch):
     assert _held() == len(word) - on_left
     assert calls["BimoduleHalf"] == len(halves)
     assert calls["decompose"] == calls["arrows"]
+    # a word with inverse pairs pairs and gates only its reduced letters
+    word = ["Tm", "Tl'", "Tm", "Tm'", "Tl", "Tl'", "Tm", "Tm"]
+    reduced = _freely_reduced(word)
+    assert reduced == ["Tm", "Tl'", "Tm", "Tm"]
+    want = _unsplit_rank(word, left, solid_torus("minus1"))
+    catalog._twisted_torus.cache_clear()
+    calls.update(mor_dd_d=0, verify_d2=0)
+    assert hf_genus1(word, left, "h_minus1") == want
+    assert calls["mor_dd_d"] == calls["verify_d2"] == len(reduced)
 
 
 def _count_pairings(monkeypatch) -> dict:
@@ -264,7 +306,7 @@ def test_memoized_twisted_tori_match_cold_twist_words(monkeypatch):
         memo.clear()
         states.clear()
         hf_genus1(word, names[i % 3], names[i // 3 % 3])
-        assert states and _held() == len(states)
+        assert bool(states) == bool(_freely_reduced(word)) and _held() == len(states)
         assert all(catalog._twisted_torus(*key) is module for key, module in states.items())
         for (name, w), module in states.items():
             memo.clear()
