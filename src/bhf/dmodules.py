@@ -38,7 +38,9 @@ construction normalises each distinct idempotent once.
 ``validate`` checks I(src) * coeff * I(dst) = coeff as a filter on terms,
 with no products (``SurfaceAlgebra.sandwich`` says why that is exact):
 each term's ``admissible_corner``, None for a diagram that is a term of no
-basis element, must be the (source, target) idempotents.  A coefficient
+basis element, must be the (source, target) idempotents.  The algebra keeps
+the corner of every admissible diagram it has met, so a module loaded after
+a build over the same algebra reads its corners off that table.  A coefficient
 that holds only some horizontal placements of a basis element passes, and
 fails at ``decompose``.  A coefficient over another ambient size fails; a
 DD one is checked on both diagrams of every tensor term, and a U-weighted
@@ -51,7 +53,6 @@ import copy
 import itertools
 import operator
 from collections import defaultdict
-from functools import lru_cache
 
 from .cancel import _adjacency, _cancel_all
 from .strands import (
@@ -193,15 +194,14 @@ class TypeDModule:
     def _corner_fault(self):
         """A check for one ``validate`` call: (source idempotent, coefficient,
         target idempotent) -> None, or why the coefficient is off that corner."""
-        # each distinct diagram's corner is found once, and only for this call
-        corner = lru_cache(maxsize=None)(self.algebra.admissible_corner)
-        n = self.algebra.n
+        corner, n = self.algebra.admissible_corner, self.algebra.n
 
         def fault(i, coeff, j):
             if coeff.n != n:
                 return f"not idempotent-compatible: ambient {coeff.n} != {n}"
+            want = (i, j)
             for d in coeff.terms:
-                if corner(d) != (i, j):
+                if corner(d) != want:
                     return f"not idempotent-compatible at term {d}"
             return None
 
@@ -406,17 +406,16 @@ class TypeDDModule(TypeDModule):
         return (_norm_idem(self.algebra1, i1), _norm_idem(self.algebra2, i2))
 
     def _corner_fault(self):
-        # each distinct diagram's corner is found once, and only for this call
-        corner1 = lru_cache(maxsize=None)(self.algebra1.admissible_corner)
-        corner2 = lru_cache(maxsize=None)(self.algebra2.admissible_corner)
+        corner1, corner2 = self.algebra1.admissible_corner, self.algebra2.admissible_corner
         sizes = (self.algebra1.n, self.algebra2.n)
 
         def fault(i, coeff, j):
             (s1, s2), (t1, t2) = i, j
             if (coeff.n1, coeff.n2) != sizes:
                 return f"not idempotent-compatible: ambient {(coeff.n1, coeff.n2)} != {sizes}"
+            want1, want2 = (s1, t1), (s2, t2)
             for d1, d2 in coeff.terms:
-                if corner1(d1) != (s1, t1) or corner2(d2) != (s2, t2):
+                if corner1(d1) != want1 or corner2(d2) != want2:
                     return f"not idempotent-compatible at term {d1} (x) {d2}"
             return None
 

@@ -7,8 +7,11 @@ algebras and the torus elements) is a ``functools.lru_cache`` made by
 and a half's own memos (``TargetHalf.product``) are not.  ``clear()``
 empties every registered memo, circles, algebras (with their own caches)
 and torus elements included: these compare by value, so what was built
-before a clear still works with what is built after it.  ``sizes()``
-counts the entries of each memo.
+before a clear still works with what is built after it.  An algebra's own
+caches include its corner table (``SurfaceAlgebra.admissible_corner``),
+which every module check over that algebra shares; it goes with the
+algebra, so it needs no entry here.  ``sizes()`` counts the entries of
+each memo.
 """
 
 import functools

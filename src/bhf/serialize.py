@@ -195,6 +195,12 @@ def _layout(value, newline: str, out: list) -> None:
         if not value:
             out.append("[]")
             return
+        first = value[0]
+        if type(first) is list and first and type(first[0]) is int:
+            text = _diagram_text(value, newline)  # most such lists are diagrams
+            if text is not None:
+                out.append(text)
+                return
         inner = newline + "  "
         sep, comma = "[" + inner, "," + inner
         for item in value:
@@ -209,6 +215,22 @@ def _layout(value, newline: str, out: list) -> None:
         out.append(_ATOMS[value])
     else:
         raise TypeError(f"dumps cannot write {kind.__name__}")
+
+
+def _diagram_text(value, newline: str) -> str | None:
+    """``_layout``'s text of value in one piece when value holds only lists
+    of two ints (a diagram), else None.  Types are exact: a bool is no int."""
+    inner = newline + "  "
+    deeper = inner + "  "
+    strands = []
+    for strand in value:
+        if type(strand) is not list or len(strand) != 2:
+            return None
+        s, t = strand
+        if type(s) is not int or type(t) is not int:
+            return None
+        strands.append(f"[{deeper}{s},{deeper}{t}{inner}]")
+    return "[" + inner + ("," + inner).join(strands) + newline + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +286,18 @@ def _int_pairs(value, what: str) -> list[tuple[int, int]]:
 
 
 class _Diagrams(dict):
-    """The raw diagrams of one document: checked pairs -> diagram, each
-    distinct one sorted once.
+    """The raw diagrams of one document (of one side of a DD document):
+    checked pairs -> diagram, each distinct one sorted once.
 
     Exact types are checked on every read, before the memo is consulted.
-    Validity is checked elsewhere: in a module document by the module
-    constructor's corner check, which is stricter than ``make_diagram`` and
-    sees every term that survives; in a bare element by ``check``.
-    ``listed`` counts the terms read, so that ``recheck`` can tell when some
-    cancelled in pairs and so never met the corner check.
+    ``read`` reads one diagram; the DD reader in ``_deserialize`` makes the
+    same checks and lookups inline on both diagrams of each term, and counts
+    ``listed`` once per arrow.  Validity is checked elsewhere: in a module
+    document by the module constructor's corner check, which is stricter
+    than ``make_diagram`` and sees every term that survives; in a bare
+    element by ``check``.  ``listed`` counts the terms read, so that
+    ``recheck`` can tell when some cancelled in pairs and so never met the
+    corner check.
     """
 
     listed = 0
@@ -401,16 +426,37 @@ def _deserialize(schema: str, doc: dict):
         }
         delta: dict = {}
         diagrams1, diagrams2 = _Diagrams(), _Diagrams()
-        read1, read2 = diagrams1.read, diagrams2.read
+        listed = 0
         for e in _objects(doc, "delta"):
             key = (_field(e, "src", str), _field(e, "dst", str))
-            terms = set()
-            for term in _field(e, "terms", list):
+            raw = _field(e, "terms", list)
+            listed += len(raw)
+            terms: set = set()
+            for term in raw:
                 if not isinstance(term, list) or len(term) != 2:
                     raise SchemaError("a tensor term must be a [left, right] pair of diagrams")
-                terms ^= {(read1(term[0]), read2(term[1]))}
+                left, right = term
+                try:  # _Diagrams.read on both sides, inline: this runs once per term
+                    if not (isinstance(left, list) and isinstance(right, list)):
+                        raise TypeError
+                    left, right = tuple(map(tuple, left)), tuple(map(tuple, right))
+                    for a, b in left + right:  # exact types first, then the memos
+                        if type(a) is not int or type(b) is not int:
+                            raise TypeError
+                except (TypeError, ValueError):  # not a list, or a strand not a pair
+                    raise SchemaError("a diagram must be a list of integer pairs") from None
+                d1, d2 = diagrams1.get(left), diagrams2.get(right)
+                if d1 is None:
+                    d1 = diagrams1[left] = tuple(sorted(left))
+                if d2 is None:
+                    d2 = diagrams2[right] = tuple(sorted(right))
+                if (pair := (d1, d2)) in terms:  # a term listed twice cancels
+                    terms.discard(pair)
+                else:
+                    terms.add(pair)
             t = TensorElement(alg1.n, alg2.n, terms)
             delta[key] = delta[key] + t if key in delta else t
+        diagrams1.listed = diagrams2.listed = listed
         module = TypeDDModule(alg1, alg2, gens, delta)
         diagrams1.recheck(module, alg1.n)
         diagrams2.recheck(module, alg2.n)

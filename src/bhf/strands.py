@@ -266,6 +266,7 @@ class SurfaceAlgebra:
         self.k = circle.genus
         self._basis_cache: dict[int, list[BasisKey]] = {}
         self._expand_cache: dict[BasisKey, AlgebraElement] = {}
+        self._corners: dict[Diagram, tuple] = {}  # admissible diagram -> its corner
         self._d_cache: dict[BasisKey, tuple[BasisKey, ...]] = {}
         self._partner = circle.partners
         self._pair_of = circle.pair_names
@@ -358,7 +359,13 @@ class SurfaceAlgebra:
         and go up (s <= t), no matched pair lies under two starts or under
         two ends, and no point lies outside 1..n (it has no pair bit).  One
         pass gathers both sides as pair masks, read off the algebra's table.
+        Each admissible diagram's corner is kept in ``_corners``, so it is
+        found once per algebra; the table holds only terms of basis
+        elements, a finite set, and a diagram that fails is tried again.
         """
+        corner = self._corners.get(diag)
+        if corner is not None:
+            return corner
         bit = self._pair_bit.get
         prev = starts = ends = 0
         for s, t in diag:
@@ -370,7 +377,8 @@ class SurfaceAlgebra:
         if starts not in names or ends not in names:
             for mask in (starts, ends):
                 names[mask] = tuple(p for b, p in enumerate(self._pairs) if mask >> b & 1)
-        return names[starts], names[ends]
+        corner = self._corners[diag] = names[starts], names[ends]
+        return corner
 
     def key_of(self, diag: Diagram) -> BasisKey:
         """The key of the one basis element that has diag as a term."""

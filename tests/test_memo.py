@@ -3,16 +3,22 @@ registered, ``clear`` leaves none warm, and a clean slate gives the same
 answers as a warm process."""
 
 import importlib
+import json
 import pkgutil
 import random
 
+import pytest
+
 import bhf
 from bhf import catalog, memo
-from bhf.catalog import TWIST_NAMES, apply_twist_word, dd_identity, hf_genus1, solid_torus
+from bhf.catalog import (
+    TWIST_NAMES, apply_twist_word, dd_identity, dehn_twist_dd, hf_genus1, solid_torus,
+)
 from bhf.checks import lattice_rank
 from bhf.knots import cfk_to_cfd, satellite, staircase_cfk, tau, trefoil_cfk
 from bhf.pmc import standard_pmc
-from bhf.serialize import dumps, serialize
+from bhf.serialize import ValidationError, dumps, parse_document, serialize
+from bhf.strands import algebra_of
 
 MEMOS = {
     "bhf.catalog._solid_torus", "bhf.catalog.handlebody", "bhf.catalog.dehn_twist_dd",
@@ -88,3 +94,30 @@ def test_a_clean_slate_gives_the_warm_answers():
     assert ranks[:len(words)] == [lattice_rank(w) for w in words]
     memo.clear()
     assert _sweep(kept) == warm
+
+
+def test_the_corner_table_of_an_algebra_leaks_nothing():
+    # an algebra keeps the corner of every admissible diagram it has met, so
+    # a load after a build reads its corners off the build's table; a rho2
+    # term on an arrow whose corner is rho1's must fail the same either way
+    doc = serialize(dehn_twist_dd("Tm"))
+    first = doc["delta"][0]["terms"][0]
+    assert first[0] == [[1, 2]]
+    doc["delta"][0]["terms"].append([[[2, 3]], first[1]])
+    text = json.dumps(doc)
+
+    def torus_corners():
+        return algebra_of(standard_pmc("torus"))._corners
+
+    memo.clear()
+    assert torus_corners() == {}
+    with pytest.raises(ValidationError) as cold:
+        parse_document(text)
+    memo.clear()
+    assert torus_corners() == {}
+    dehn_twist_dd("Tm")
+    assert torus_corners()
+    with pytest.raises(ValidationError) as warm:
+        parse_document(text)
+    assert str(warm.value) == str(cold.value)
+    assert "not idempotent-compatible at term ((2, 3),) (x) " in str(cold.value)

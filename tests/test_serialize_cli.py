@@ -136,12 +136,17 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 @example({"": [], "a": {}, "b": [[], {}, [[{}]]], "c": [True, False, None, -7, -2**80]})
 @example(['"quoted" \\ back/slash', "\x00\x1f\x7f tab\t nl\n", "\u00e9\u4e2d\U0001f600", "\ud800\udfff"])
+# lists of int pairs (diagrams), laid out in one piece, next to near misses
+@example([[[1, 2], [3, 4]], [[True, 2]], [[1, 2], [0, False]], [[1, 2], [3, 4, 5]],
+          [[1, 2], [3]], [[1, 2], "ab"], [[1, 2], [None, 2]], [[-1, 2**70]], [[[1, 2]]]])
 def test_writer_matches_json_dumps(value):
     assert dumps({"v": value}) == json.dumps({"v": value}, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [1.5, {1: "int key"}, {"s": {1, 2}}, [object()]],
-                         ids=["float", "int_key", "set", "object"])
+@pytest.mark.parametrize("value", [1.5, {1: "int key"}, {"s": {1, 2}}, [object()],
+                                   [[1, 2], [1.5, 2]], [[1, 2], {3: 4}], [[1, 2], {3, 4}]],
+                         ids=["float", "int_key", "set", "object", "float_in_strand",
+                              "int_key_after_strand", "set_after_strand"])
 def test_writer_raises_type_error_on_what_it_does_not_write(value):
     with pytest.raises(TypeError):
         dumps({"v": value})
@@ -489,12 +494,14 @@ BAD_DIAGRAMS = {
 }
 
 
-def _add_copy_of_first_term(doc, diagram, copies=1):
+def _add_copy_of_first_term(doc, diagram, copies=1, right=False):
+    """The document with the first term again, its diagram (a DD term's left
+    one, or its right one when ``right``) replaced, ``copies`` times."""
     arrow = doc["delta"][0]
     if doc["schema"] == "bhf/ddmodule@1":
         first = arrow["terms"][0]
-        assert first[0] == [[1, 2]]
-        arrow["terms"] += [[diagram, first[1]]] * copies
+        assert first[0] == [[1, 2]] and first[1]
+        arrow["terms"] += [[first[0], diagram] if right else [diagram, first[1]]] * copies
     else:
         assert arrow["coeff"]["terms"][0]["strands"] == [[1, 2]]
         arrow["coeff"]["terms"] += [{"n": 4, "strands": diagram}] * copies
@@ -502,12 +509,14 @@ def _add_copy_of_first_term(doc, diagram, copies=1):
 
 
 def _diagram_doc(kind, diagram, copies=1):
-    obj = dehn_twist_dd("Tm") if kind == "ddmodule" else solid_torus("minus1")
-    return _add_copy_of_first_term(serialize(obj), diagram, copies)
+    """kind: "dmodule", "ddmodule" (the left diagram of a DD term) or
+    "ddmodule_right" (its right diagram)."""
+    obj = solid_torus("minus1") if kind == "dmodule" else dehn_twist_dd("Tm")
+    return _add_copy_of_first_term(serialize(obj), diagram, copies, kind == "ddmodule_right")
 
 
 @pytest.mark.parametrize("fault", sorted(BAD_DIAGRAMS))
-@pytest.mark.parametrize("kind", ["ddmodule", "dmodule"])
+@pytest.mark.parametrize("kind", ["ddmodule", "dmodule", "ddmodule_right"])
 def test_module_document_rejects_a_bad_diagram(capsys, kind, fault):
     text = _diagram_doc(kind, BAD_DIAGRAMS[fault])
     with pytest.raises((SchemaError, ValidationError)):
@@ -517,11 +526,26 @@ def test_module_document_rejects_a_bad_diagram(capsys, kind, fault):
 
 
 @pytest.mark.parametrize("fault", ["repeated_start", "repeated_end", "point_outside"])
-@pytest.mark.parametrize("kind", ["ddmodule", "dmodule"])
+@pytest.mark.parametrize("kind", ["ddmodule", "dmodule", "ddmodule_right"])
 def test_module_document_rejects_a_bad_diagram_that_cancels(kind, fault):
     # listed twice, the term cancels and the module never holds it
     with pytest.raises(ValidationError):
         parse_document(_diagram_doc(kind, BAD_DIAGRAMS[fault], copies=2))
+
+
+@pytest.mark.parametrize("term", [
+    "[[1, 2]]", {"left": [[1, 2]], "right": [[1, 2]]}, [[[1, 2]]], [[[1, 2]], [[1, 2]], [[1, 2]]],
+], ids=["string", "dict", "one_item", "three_items"])
+def test_dd_document_rejects_a_term_that_is_not_a_pair(capsys, term):
+    doc = serialize(dehn_twist_dd("Tm"))
+    doc["delta"][-1]["terms"].append(term)
+    text = json.dumps(doc)
+    message = "a tensor term must be a [left, right] pair of diagrams"
+    with pytest.raises(SchemaError) as err:
+        parse_document(text)
+    assert str(err.value) == message
+    code, out, err = run_cli(capsys, "dmod", "verify", "--in", text)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("obj", [
