@@ -8,10 +8,12 @@ and a half's own memos (``TargetHalf.product``) are not.  ``clear()``
 empties every registered memo, circles, algebras (with their own caches)
 and torus elements included: these compare by value, so what was built
 before a clear still works with what is built after it.  An algebra's own
-caches include its corner table (``SurfaceAlgebra.admissible_corner``),
-which every module check over that algebra shares; it goes with the
-algebra, so it needs no entry here.  ``sizes()`` counts the entries of
-each memo.
+caches include the corner of each admissible diagram
+(``SurfaceAlgebra.admissible_corner``), which every module check over that
+algebra shares, and its corner-key table, the basis keys of each corner
+filed one weight at a time (``SurfaceAlgebra.corner_keys``), which every
+Mor builder shares; they go with the algebra, so they need no entry here.
+``sizes()`` counts the entries of each memo.
 """
 
 import functools

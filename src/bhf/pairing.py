@@ -18,19 +18,20 @@ the unused algebra.  Two variants exist, both built by ``BimoduleHalf``:
 
 Every builder walks the basis triples once and reads each term of the
 differential off ``SurfaceAlgebra.key_d`` and ``key_product`` through the
-arrows at the triple's two ends.  Arrow coefficients are split into basis
-keys once per call.  Within one call, each distinct corner's keys and key
-names are listed once, each distinct type D coefficient is decomposed
-once, and each (generator, key) row of key products through the
-generator's arrows is computed once; no such memo outlives the call
-unless a prepared half below holds it.
+arrows at the triple's two ends.  The triples come from the algebra's
+corner-key table (``SurfaceAlgebra.corner_keys``), which goes with the
+algebra.  Arrow coefficients are split into basis keys once per call.
+Within one call, each distinct key is named once, each distinct type D
+coefficient is decomposed once, and each (generator, key) row of key
+products through the generator's arrows is computed once; no such memo
+outlives the call unless a prepared half below holds it.
 
 A ``BimoduleHalf`` holds everything that depends on the bimodule alone:
-its arrows split into keys, its units and output idempotents, those memos
-on the bimodule's side, and the product records (``RawProducts``) that
-gate its outputs.  ``mor_dd_d`` and ``mor_d_dd`` build one for their call
-when given a bimodule, or take one prepared by the caller; the catalog
-keeps one per Dehn twist for the life of the process (``twist_half``), and
+its arrows split into keys, its units and output idempotents, its product
+rows, and the product records (``RawProducts``) that gate its outputs.
+``mor_dd_d`` and ``mor_d_dd`` build one for their call when given a
+bimodule, or take one prepared by the caller; the catalog keeps one per
+Dehn twist for the life of the process (``twist_half``), and
 ``apply_twist_word`` also reduces each output through that half's records;
 such halves sit in registered memos, which ``bhf.memo.clear()`` resets.
 The type D outputs are verified to square to zero on raw-diagram products
@@ -63,19 +64,13 @@ def key_name(key: BasisKey) -> str:
     return ".".join(bits) if bits else "idem"
 
 
-def _mor_basis(alg: SurfaceAlgebra, left, right, corners=None):
+def _mor_basis(alg: SurfaceAlgebra, left, right):
     """Sorted triples (x, key, y), key in the corner I(x) * A * I(y); ``left``
-    and ``right`` map generator names to idempotents.  ``corners`` memoizes
-    each distinct corner's keys, by default for this call only."""
-    if corners is None:
-        corners = {}
+    and ``right`` map generator names to idempotents."""
     out = []
     for x, ix in sorted(left.items()):
         for y, iy in sorted(right.items()):
-            keys = corners.get((ix, iy))
-            if keys is None:
-                keys = corners[(ix, iy)] = alg.corner_keys(ix, iy)
-            out.extend((x, key, y) for key in keys)
+            out.extend((x, key, y) for key in alg.corner_keys(ix, iy))
     return out
 
 
@@ -144,8 +139,7 @@ def _product_rows(alg: SurfaceAlgebra, arrows: dict[str, list], key_first: bool,
     return row
 
 
-def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, atoms,
-                 corners=None, key_names=None):
+def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, atoms):
     """The basis triples of Mor(left, right), their names, and the differential.
 
     For each basis triple (x, a, y) the differential has the keys of d(a),
@@ -156,13 +150,9 @@ def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, atoms,
     gives the hashable atoms of its coefficient.  Atoms are added mod 2
     (``SurfaceAlgebra.key_product`` says why that is exact), and the
     differential maps (src name, dst name) to its nonempty atom set.
-    ``corners`` and ``key_names`` memoize corner keys and key names, by
-    default for this call only.
     """
-    basis = _mor_basis(alg, left, right, corners)
-    if key_names is None:
-        key_names = {}
-    names = {}
+    basis = _mor_basis(alg, left, right)
+    key_names, names = {}, {}
     for t in basis:
         x, a, y = t
         name = key_names.get(a)
@@ -191,9 +181,9 @@ class TargetHalf:
     Everything here depends on the target alone: its arrows split into
     (key, U power) pairs (the power is None on a plain type D module), the
     rows of key products through them per (target generator, basis key),
-    and memos of the corner keys, of key names and of the key products on
-    the source side.  ``pair`` builds the Mor complex of one source module
-    against it.  The memos live as long as the half.
+    and a memo of the key products on the source side.  ``pair`` builds the
+    Mor complex of one source module against it.  The memos live as long as
+    the half; corner keys live with the algebra.
     """
 
     def __init__(self, N: TypeDModule):
@@ -204,8 +194,6 @@ class TargetHalf:
                 return [(key, m) for m, e in coeff.items() for key in alg.decompose(e)]
         arrows = _keyed_arrows(N, by_target=False, split=split)
         self.rows = _product_rows(alg, arrows, key_first=True)
-        self.corners: dict[tuple, list] = {}
-        self.key_names: dict[BasisKey, str] = {}
         self.product = lru_cache(maxsize=None)(alg.key_product)
 
     def pair(self, M: TypeDModule):
@@ -216,8 +204,7 @@ class TargetHalf:
         incoming = _product_rows(self.algebra, _keyed_arrows(M, by_target=True),
                                  key_first=False, product=self.product)
         basis, names, diff = _mor_complex(self.algebra, M.generators, self.generators, incoming,
-                                          self.rows, lambda src, upower: (upower or 0,),
-                                          self.corners, self.key_names)
+                                          self.rows, lambda src, upower: (upower or 0,))
         return [names[b] for b in basis], diff
 
 
@@ -242,8 +229,7 @@ class BimoduleHalf:
 
     Everything here depends on the bimodule alone: the shared and output
     idempotents, the output algebra and its units, the provenance, the
-    arrows split into keys, and memos of the corner keys per idempotent
-    pair, of key names and of the bimodule-side product rows per
+    arrows split into keys, a memo of the bimodule-side product rows per
     (bimodule generator, basis key), and ``records``, the raw-product
     records that gate every output (and that a caller may reduce the
     outputs through).  ``pair`` pairs one module against it.  Out of B, the
@@ -282,8 +268,6 @@ class BimoduleHalf:
         arrows = _keyed_arrows(B, by_target=not into_b,
                                split=_bimodule_split(B, side, coeff_of))
         self.rows = _product_rows(shared, arrows, key_first=into_b)
-        self.corners: dict[tuple, list] = {}
-        self.key_names: dict[BasisKey, str] = {}
         self.records = RawProducts()
 
     def pair(self, M: TypeDModule) -> TypeDModule:
@@ -304,8 +288,7 @@ class BimoduleHalf:
         def atoms(src, coeff):
             return units[src[end]] if coeff is None else coeff.terms
 
-        basis, names, terms = _mor_complex(self.shared, *ends, incoming, outgoing, atoms,
-                                           self.corners, self.key_names)
+        basis, names, terms = _mor_complex(self.shared, *ends, incoming, outgoing, atoms)
         gens = {names[t]: self.b_out[t[end]] for t in basis}
         delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items()}
         out = TypeDModule(out_alg, gens, delta, provenance=self.provenance)

@@ -133,12 +133,12 @@ def make_pmc(genus: int, matching) -> PointedMatchedCircle:
     """Validate matching data and build a canonical pointed matched circle.
 
     ``matching`` is either a point->partner mapping on 1..4k or an iterable
-    of pairs.  Raises FixedPoint, NotInvolution or DisconnectedSurgery.
+    of pairs.  Raises FixedPoint, NotInvolution or DisconnectedSurgery, and
+    PMCError when the matching has too few or too many points for the genus,
+    which is checked before anything is sized by the genus.
     """
     if genus < 1:
         raise PMCError(f"genus must be >= 1, got {genus}")
-    n = 4 * genus
-    table = [0] * n
     if isinstance(matching, dict):
         items = matching.items()
     else:
@@ -147,6 +147,10 @@ def make_pmc(genus: int, matching) -> PointedMatchedCircle:
             i, j = pair
             items.append((i, j))
             items.append((j, i))
+    n = 4 * genus
+    if len(items) != n:
+        raise PMCError(f"genus {genus} needs {n} matched points, got {len(items)}")
+    table = [0] * n
     for i, j in items:
         if not (1 <= i <= n and 1 <= j <= n):
             raise PMCError(f"point {i}<->{j} outside 1..{n}")

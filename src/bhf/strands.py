@@ -268,6 +268,7 @@ class SurfaceAlgebra:
         self._expand_cache: dict[BasisKey, AlgebraElement] = {}
         self._corners: dict[Diagram, tuple] = {}  # admissible diagram -> its corner
         self._d_cache: dict[BasisKey, tuple[BasisKey, ...]] = {}
+        self._corner_table: dict[int, dict[tuple, tuple[BasisKey, ...]]] = {}  # weight -> corners
         self._partner = circle.partners
         self._pair_of = circle.pair_names
         self._pairs = circle.pairs
@@ -496,18 +497,22 @@ class SurfaceAlgebra:
         pair_of = self._pair_of
         return tuple(sorted({pair_of[t] for _, t in moving}.union(pairs)))
 
-    def corner_keys(self, left_pairs, right_pairs) -> list[BasisKey]:
-        """Basis keys of the corner I(left) * A * I(right)."""
-        pair_of = self._pair_of
-        left = tuple(sorted(pair_of[p] for p in left_pairs))
-        right = tuple(sorted(pair_of[p] for p in right_pairs))
-        if len(left) != len(right):
-            return []
-        return [
-            key
-            for key in self.basis_keys(len(left))
-            if self.key_left_pairs(key) == left and self.key_right_pairs(key) == right
-        ]
+    def corner_keys(self, left, right) -> tuple[BasisKey, ...]:
+        """Basis keys of the corner I(left) * A * I(right), in basis order.
+
+        ``left`` and ``right`` are idempotents in normal form, tuples of
+        sorted pair names as ``TypeDModule`` stores them.  The first lookup
+        at a weight files every basis key of that weight under its (left
+        pairs, right pairs) in one pass, and the table goes with the algebra.
+        """
+        table = self._corner_table.get(len(left))
+        if table is None:
+            table = {}
+            for key in self.basis_keys(len(left)):
+                table.setdefault((self.key_left_pairs(key), self.key_right_pairs(key)),
+                                 []).append(key)
+            table = self._corner_table[len(left)] = {c: tuple(keys) for c, keys in table.items()}
+        return table.get((left, right), ())
 
     def key_product(self, k1: BasisKey, k2: BasisKey) -> tuple[BasisKey, ...]:
         """Basis keys of expand(k1) * expand(k2): () or one key, off the keys.

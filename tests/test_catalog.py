@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -618,6 +620,32 @@ def test_genus2_underslide_roundtrips_on_handlebody():
         m1 = mor_dd_d(underslide_dd(s), H2).reduce()
         m2 = mor_dd_d(underslide_dd(inv), m1).reduce()
         assert iso_check(m2, H2.reduce()) is not None, (s.b1, s.c1)
+
+
+def test_genus2_underslide_word_warm_and_cold():
+    # handlebody(2) through 20 seeded underslides of the split circle, each
+    # output reduced, then paired with handlebody(2); the second run starts
+    # after every memo (and so every algebra's corner-key table) is cleared
+    split2 = standard_pmc("split", 2)
+    rng = random.Random(0)
+    slides = [rng.choice(all_underslides(split2)) for _ in range(20)]
+    assert all(s.target == split2 for s in slides)
+    built = {}
+    word = [built.setdefault(s, underslide_dd(s)) for s in slides]
+
+    def run():
+        M = handlebody(2)
+        for B in word:
+            M = mor_dd_d(B, M).reduce()
+        return mor_d_d(handlebody(2), M).homology_rank(), dumps(M)
+
+    warm = run()
+    memo.clear()
+    cold = run()
+    assert warm[0] == cold[0] == 15
+    assert warm[1] == cold[1]
+    assert hashlib.sha256(cold[1].encode()).hexdigest() == (
+        "244b2153064cc4444c12824f8bec9e54663c55e2393c389844e4f7a392477f28")
 
 
 # ---------------------------------------------------------------------------

@@ -570,17 +570,19 @@ def test_verify_d2_multiplies_a_repeated_coefficient_pair_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_mor_basis_reads_each_corner_once(monkeypatch):
+def test_mor_basis_builds_each_weights_table_once_per_algebra(monkeypatch):
+    alg = SurfaceAlgebra(ALG.circle)  # a fresh algebra, with an empty table
     seen = []
-    corner_keys = type(ALG).corner_keys
-    monkeypatch.setattr(type(ALG), "corner_keys",
-                        lambda alg, i, j: seen.append((i, j)) or corner_keys(alg, i, j))
+    basis_keys = SurfaceAlgebra.basis_keys
+    monkeypatch.setattr(SurfaceAlgebra, "basis_keys",
+                        lambda a, w: seen.append((a, w)) or basis_keys(a, w))
     left = {f"x{i}": ((1,), (2,))[i % 2] for i in range(6)}
     right = {f"y{i}": ((1,), (2,))[i % 3 == 0] for i in range(5)}
-    basis = _mor_basis(ALG, left, right)
-    assert sorted(seen) == [((1,), (1,)), ((1,), (2,)), ((2,), (1,)), ((2,), (2,))]
-    assert basis == [(x, key, y) for x, ix in sorted(left.items())
-                     for y, iy in sorted(right.items()) for key in corner_keys(ALG, ix, iy)]
+    bases = [_mor_basis(alg, left, right), _mor_basis(alg, right, left)]
+    assert seen == [(alg, 1)]
+    for basis, (one, other) in zip(bases, ((left, right), (right, left))):
+        assert basis == [(x, key, y) for x, ix in sorted(one.items())
+                         for y, iy in sorted(other.items()) for key in ALG.corner_keys(ix, iy)]
 
 
 def test_idempotents_normalised_once_per_construction(monkeypatch):

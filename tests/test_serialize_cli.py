@@ -593,8 +593,17 @@ def _torus_dmodule(generators):
             "delta": []}
 
 
+def _dmodule_on(genus, matching):
+    circle = {"schema": "bhf/pmc@1", "genus": genus, "matching": matching}
+    return dict(_torus_dmodule([{"name": "x", "idempotent": [1]}]), algebra=circle)
+
+
 MALFORMED = {
     "generators_not_a_list": (["dmod", "verify"], _torus_dmodule(5)),
+    # the matching is checked against the genus before anything is sized by it
+    "dmodule_genus_2_to_the_70": (["dmod", "verify"], _dmodule_on(2**70, [[1, 3], [2, 4]])),
+    "dmodule_matching_short": (["dmod", "verify"], _dmodule_on(2, [[1, 3], [2, 4]])),
+    "dmodule_matching_long": (["dmod", "verify"], _dmodule_on(1, [[1, 3], [2, 4], [1, 3]])),
     "dmodule_point_outside": (
         ["dmod", "verify"], _torus_dmodule([{"name": "x", "idempotent": [7]}])),
     "ddmodule_point_outside": (["dmod", "verify"], {

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bhf import memo
 from bhf.dmodules import TensorElement
 from bhf.pmc import DisconnectedSurgery, connected_sum, make_pmc, reverse, standard_pmc
 from bhf.strands import (
@@ -14,6 +15,7 @@ from bhf.strands import (
     IncompatibleChordSet,
     NotInSpan,
     RawProducts,
+    SurfaceAlgebra,
     algebra_of,
     Diagram,
     drop_w_projection,
@@ -524,6 +526,51 @@ def test_admissible_corner_on_a_high_genus_circle():
     alg = algebra_of(standard_pmc("antipodal", 12))
     for diag in [(), ((1, 25),), ((1, 2), (3, 30)), ((1, 2), (25, 26)), ((2, 1),), ((1, 49),)]:
         assert alg.admissible_corner(diag) == reference_corner(alg, diag), diag
+
+
+@pytest.mark.parametrize("circle", [standard_pmc("torus"), standard_pmc("split", 2),
+                                    standard_pmc("antipodal", 2), standard_pmc("split", 3)],
+                         ids=repr)
+def test_corner_keys_match_the_filter_on_every_corner(circle):
+    # the reference is the filter the table replaced, keys of the weight
+    # whose left and right pairs are the corner's; so that split:3 stays
+    # quick, each key's pairs are read once and it runs in two passes
+    alg = algebra_of(circle)
+    for w in range(2 * alg.k + 1):
+        idems = list(itertools.combinations(alg.circle.pairs, w))
+        keys = alg.basis_keys(w)
+        lefts, rights = map(alg.key_left_pairs, keys), map(alg.key_right_pairs, keys)
+        sides = list(zip(keys, lefts, rights))
+        filed = 0
+        for left in idems:
+            row = [(key, r) for key, lp, r in sides if lp == left]
+            for right in idems:
+                want = [key for key, r in row if r == right]
+                assert list(alg.corner_keys(left, right)) == want, (left, right)
+                filed += len(want)
+        assert filed == len(keys)
+    assert alg.corner_keys(alg.circle.pairs[:1], ()) == ()
+
+
+def test_corner_key_table_fills_one_weight_once(monkeypatch):
+    alg = SurfaceAlgebra(standard_pmc("split", 2))
+    seen = []
+    basis_keys = SurfaceAlgebra.basis_keys
+    monkeypatch.setattr(SurfaceAlgebra, "basis_keys",
+                        lambda a, w: seen.append(w) or basis_keys(a, w))
+    for left, right in [((1,), (1,)), ((1,), (5,)), ((2,), (6,)), ((1,), (1,))]:
+        alg.corner_keys(left, right)
+    assert seen == [1] and list(alg._corner_table) == [1]
+
+
+def test_memo_clear_drops_the_corner_key_table():
+    circle = standard_pmc("split", 2)
+    alg = algebra_of(circle)
+    assert alg.corner_keys((1, 5), (2, 6))
+    assert alg._corner_table
+    memo.clear()
+    fresh = algebra_of(circle)
+    assert fresh is not alg and fresh._corner_table == {}
 
 
 def raw_key_product(alg, k1, k2):
