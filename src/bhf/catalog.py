@@ -150,7 +150,8 @@ def handlebody(k: int) -> TypeDModule:
 
     The module sits over the algebra of the reversed split circle (which is
     again the split circle); the occupied idempotent consists of the pairs
-    (4j-2, 4j) and each summand chord runs across one of them.
+    (4j-2, 4j), and the loop across pair p is the strand (p, p + 2) with
+    the other pairs held still.
     """
     if k < 1:
         raise CatalogError("k must be >= 1")
@@ -158,8 +159,8 @@ def handlebody(k: int) -> TypeDModule:
     alg = algebra_of(circle)
     idem = tuple(4 * j - 2 for j in range(1, k + 1))
     total = AlgebraElement.zero(alg.n)
-    for j in range(1, k + 1):
-        total = total + alg.sandwich(idem, alg.chord_element((4 * j - 2, 4 * j)), idem)
+    for p in idem:
+        total = total + alg.expand((((p, p + 2),), tuple(q for q in idem if q != p)))
     return TypeDModule(alg, {"x": idem}, {("x", "x"): total})
 
 
@@ -171,11 +172,11 @@ def dd_identity(circle: PointedMatchedCircle) -> TypeDDModule:
     """CFDD of the identity cobordism: one doubled-chord term per chord.
 
     Generators are the complementary idempotent pairs; the arrow from
-    (s, s^c) to (s', s'^c) carries, for every chord, the sandwiched product
-    of the chord element on the circle and on its reverse.  Each chord
-    element's terms are bucketed once by their (start pairs, end pairs): the
-    bucket (s, s') on the circle pairs with the bucket (s^c, s'^c) on the
-    reverse, and no idempotent is multiplied.
+    (s, s^c) to (s', s'^c) carries, for every chord, the product of the
+    chord element on the circle and on its reverse, cut to those corners.
+    Each chord element's terms are bucketed once by ``admissible_corner``:
+    the bucket (s, s') on the circle pairs with the bucket (s^c, s'^c) on
+    the reverse, and no idempotent is multiplied.
     """
     alg1 = algebra_of(circle)
     rev_circle, pimg = pair_map_to_reverse(circle)
@@ -193,7 +194,7 @@ def dd_identity(circle: PointedMatchedCircle) -> TypeDDModule:
     def buckets(alg, elt):
         out: dict[tuple, list] = {}
         for diag in elt.terms:
-            out.setdefault(alg.diagram_corner(diag), []).append(diag)
+            out.setdefault(alg.admissible_corner(diag), []).append(diag)
         return out
 
     terms: dict[tuple[str, str], set] = {}
@@ -424,7 +425,7 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
     Generators are the near-complementary idempotent pairs.  Coefficients
     are the near-chords: the irreducible non-idempotent elements of the
     near-diagonal algebra.  Its basis, the candidates, are the pairs of
-    basis keys, sandwiched by near-complementary idempotents on both ends,
+    basis keys, cut by near-complementary idempotents on both ends,
     whose supports agree away from the two slide intervals; the output must
     pass the structure equation or the construction fails loudly.
 
@@ -608,7 +609,7 @@ def _twisted_torus(name: str, word: tuple[str, ...]) -> TypeDModule:
     """``apply_twist_word(word, solid_torus(name))``: the first letter paired
     onto the memoized rest of the word.  A registered memo (``bhf.memo``;
     ``memo.clear()`` resets it) that evicts the least recently used state
-    past 1,024: well above the roughly 245 states of one genus1 bench pass,
+    past 1,024: well above the 96-111 states of one genus1 bench pass,
     but a state's generators, and their names, grow with its word."""
     rest = _twisted_torus(name, word[1:]) if len(word) > 1 else _solid_torus(name)
     return apply_twist_word(word[:1], rest)

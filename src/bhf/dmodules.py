@@ -36,9 +36,9 @@ its outputs.  ``reduce`` builds each unit once per call, and the
 construction normalises each distinct idempotent once.
 
 ``validate`` checks I(src) * coeff * I(dst) = coeff as a filter on terms,
-with no products (``SurfaceAlgebra.sandwich`` says why that is exact):
-each term's ``admissible_corner``, None for a diagram that is a term of no
-basis element, must be the (source, target) idempotents.  The algebra keeps
+with no products (``SurfaceAlgebra.admissible_corner`` says why that is
+exact): each term's corner, None for a diagram that is a term of no basis
+element, must be the (source, target) idempotents.  The algebra keeps
 the corner of every admissible diagram it has met, so a module loaded after
 a build over the same algebra reads its corners off that table.  A coefficient
 that holds only some horizontal placements of a basis element passes, and

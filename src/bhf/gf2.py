@@ -76,8 +76,10 @@ class F2ChainComplex:
         self.validate()
 
     def validate(self):
-        if any(gf2_apply(self._cols, col) for col in self._cols):
-            raise NotAComplex("differential does not square to zero")
+        for j, col in enumerate(self._cols):
+            if square := gf2_apply(self._cols, col):
+                a, c = self.generators[j], self.generators[next(_bits(square))]
+                raise NotAComplex(f"differential does not square to zero: d^2({a}) contains {c}")
 
     def homology_rank(self) -> int:
         return len(self.generators) - 2 * gf2_rank(self._cols)

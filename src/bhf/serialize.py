@@ -113,29 +113,18 @@ def serialize(obj) -> dict:
             "delta": delta,
         }
     if isinstance(obj, CFKComplex):
-        gens = []
-        for n in obj.generators:
-            g = {"name": n, "alexander": obj.alexander[n]}
-            if obj.parities is not None:
-                g["parity"] = obj.parities[n]
-            gens.append(g)
+        gens = [{"name": n, "alexander": obj.alexander[n]} for n in obj.generators]
         return {
             "schema": SCHEMAS["cfk"],
-            "generators": gens,
+            "generators": _with_ints(gens, "parity", obj.parities),
             "differential": [
                 {"src": s, "upower": m, "dst": t} for (s, m, t) in obj.entries()
             ],
         }
     if isinstance(obj, F2UComplex):
-        gens = []
-        for n in obj.generators:
-            g = {"name": n}
-            if obj.graded:
-                g["grading"] = obj.gradings[n]
-            gens.append(g)
         return {
             "schema": SCHEMAS["f2u"],
-            "generators": gens,
+            "generators": _with_ints([{"name": n} for n in obj.generators], "grading", obj.gradings),
             "differential": [
                 {"src": s, "dst": t, "exponents": poly_exponents(p)}
                 for (s, t), p in sorted(obj.differential.items())
@@ -148,6 +137,14 @@ def serialize(obj) -> dict:
             "differential": [{"src": s, "dst": t} for s, t in sorted(obj.entries)],
         }
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
+
+
+def _with_ints(generators: list[dict], key: str, values) -> list[dict]:
+    """generators, each with its int field ``key`` from ``values`` unless that is None."""
+    if values is not None:
+        for g in generators:
+            g[key] = values[g["name"]]
+    return generators
 
 
 def dumps(obj) -> str:
@@ -293,9 +290,9 @@ class _Diagrams(dict):
     ``read`` reads one diagram; the DD reader in ``_deserialize`` makes the
     same checks and lookups inline on both diagrams of each term, and counts
     ``listed`` once per arrow.  Validity is checked elsewhere: in a module
-    document by the module constructor's corner check, which is stricter
-    than ``make_diagram`` and sees every term that survives; in a bare
-    element by ``check``.  ``listed`` counts the terms read, so that
+    document by the module constructor's corner check, which sees every term
+    that survives; in a bare element by ``make_diagram``, because nilCoxeter
+    elements may go down.  ``listed`` counts the terms read, so that
     ``recheck`` can tell when some cancelled in pairs and so never met the
     corner check.
     """
@@ -319,15 +316,12 @@ class _Diagrams(dict):
             diag = self[pairs] = tuple(sorted(pairs))
         return diag
 
-    def check(self, n: int) -> None:
-        """``make_diagram``'s check on every distinct diagram read."""
-        for diag in self.values():
-            make_diagram(n, diag)
-
-    def recheck(self, module: TypeDModule, n: int) -> None:
-        """``check``, when fewer terms survive in module than were listed."""
+    def recheck(self, module: TypeDModule, algebra: SurfaceAlgebra) -> None:
+        """The corner rule on every diagram read, when some cancelled in pairs."""
         if self.listed != sum(len(module._terms(c)) for c in module.delta.values()):
-            self.check(n)
+            for diag in self.values():
+                if algebra.admissible_corner(diag) is None:
+                    raise ValidationError(f"diagram {diag} is a term of no basis element")
 
 
 def _coeff_from(doc, algebra: SurfaceAlgebra, diagrams: _Diagrams) -> AlgebraElement:
@@ -395,7 +389,8 @@ def _deserialize(schema: str, doc: dict):
     if schema == SCHEMAS["element"]:  # no constructor check follows
         diagrams = _Diagrams()
         elt = _coeff_from(doc, algebra_of(standard_pmc("torus")), diagrams)  # n from doc
-        diagrams.check(elt.n)
+        for diag in diagrams.values():
+            make_diagram(elt.n, diag)
         return elt
     if schema in (SCHEMAS["dmodule"], SCHEMAS["udmodule"]):
         alg = _algebra_from(doc, "algebra")
@@ -415,7 +410,7 @@ def _deserialize(schema: str, doc: dict):
                 cur = delta.setdefault(key, {})
                 cur[m] = cur.get(m, AlgebraElement.zero(alg.n)) + c
         module = (TypeDModule if schema == SCHEMAS["dmodule"] else UTypeDModule)(alg, gens, delta)
-        diagrams.recheck(module, alg.n)
+        diagrams.recheck(module, alg)
         return module
     if schema == SCHEMAS["ddmodule"]:
         alg1 = _algebra_from(doc, "algebra1")
@@ -458,15 +453,13 @@ def _deserialize(schema: str, doc: dict):
             delta[key] = delta[key] + t if key in delta else t
         diagrams1.listed = diagrams2.listed = listed
         module = TypeDDModule(alg1, alg2, gens, delta)
-        diagrams1.recheck(module, alg1.n)
-        diagrams2.recheck(module, alg2.n)
+        diagrams1.recheck(module, alg1)
+        diagrams2.recheck(module, alg2)
         return module
     if schema == SCHEMAS["cfk"]:
         generators = _objects(doc, "generators")
         gens = {_field(g, "name", str): _field(g, "alexander", int) for g in generators}
-        parities = None
-        if all("parity" in g for g in generators) and generators:
-            parities = {g["name"]: _field(g, "parity", int) for g in generators}
+        parities = _ints_of(generators, "parity")
         entries = [
             (_field(e, "src", str), _upower(e), _field(e, "dst", str))
             for e in _objects(doc, "differential")
@@ -475,9 +468,7 @@ def _deserialize(schema: str, doc: dict):
     if schema == SCHEMAS["f2u"]:
         generators = _objects(doc, "generators")
         gens = [_field(g, "name", str) for g in generators]
-        gradings = None
-        if all("grading" in g for g in generators) and generators:
-            gradings = {g["name"]: _field(g, "grading", int) for g in generators}
+        gradings = _ints_of(generators, "grading")
         diff = {}
         for e in _objects(doc, "differential"):
             exps = _int_list(_field(e, "exponents", list), "exponents")
@@ -493,6 +484,13 @@ def _deserialize(schema: str, doc: dict):
                    for e in _objects(doc, "differential")]
         return F2ChainComplex(gens, entries)
     raise SchemaError(f"unknown schema {schema!r}")
+
+
+def _ints_of(generators: list[dict], key: str) -> dict | None:
+    """Name -> int field ``key``, when every generator (at least one) has it; else None."""
+    if generators and all(key in g for g in generators):
+        return {g["name"]: _field(g, key, int) for g in generators}
+    return None
 
 
 def _upower(entry) -> int:

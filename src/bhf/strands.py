@@ -353,8 +353,8 @@ class SurfaceAlgebra:
         return elt
 
     def admissible_corner(self, diag: Diagram):
-        """The corner of diag (as ``diagram_corner`` reads it) when diag is a
-        term of some basis element, else None.
+        """(pairs under the start points, pairs under the end points), each
+        sorted, when diag is a term of some basis element, else None.
 
         This is the one admissibility rule: the strands are sorted by start
         and go up (s <= t), no matched pair lies under two starts or under
@@ -363,6 +363,12 @@ class SurfaceAlgebra:
         Each admissible diagram's corner is kept in ``_corners``, so it is
         found once per algebra; the table holds only terms of basis
         elements, a finite set, and a diagram that fails is tried again.
+
+        So I(L) * x * I(R) keeps the terms of x with corner (L, R) and drops
+        the rest: I(S) sums the horizontal sections of S, a section h times a
+        diagram d is d when h's points are d's starts and 0 otherwise, and
+        one such section exists exactly when d's starts lie one on each pair
+        of S.
         """
         corner = self._corners.get(diag)
         if corner is not None:
@@ -426,32 +432,6 @@ class SurfaceAlgebra:
     def idempotent(self, pairs) -> AlgebraElement:
         """I(s): the sum over all sections of the given set of matched pairs."""
         return self.expand(((), self.idempotent_pairs(pairs)))
-
-    def diagram_corner(self, diag: Diagram) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(pairs under the start points, pairs under the end points), sorted.
-
-        A pair under two starts (or two ends) is listed twice and a point
-        outside 1..n reads as pair 0, so such a diagram lies in no corner.
-        """
-        pair = self._pair_of.get
-        return (tuple(sorted(pair(s, 0) for s, _ in diag)),
-                tuple(sorted(pair(t, 0) for _, t in diag)))
-
-    def sandwich(self, left, x: AlgebraElement, right) -> AlgebraElement:
-        """I(left) * x * I(right), computed as a filter on the terms of x.
-
-        I(S) is the sum of the horizontal sections of S, and a horizontal
-        diagram h composed with a diagram d is d itself (no new crossing)
-        when the points of h are the starts of d, and 0 otherwise.  At most
-        one section of S has that property, and one exists exactly when the
-        starts of d lie one on each pair of S.  So the sandwich keeps the
-        terms whose starts sit one on each pair of ``left`` and whose ends
-        sit one on each pair of ``right``, and drops the rest.
-        """
-        if x.n != self.n:
-            raise AmbientMismatch(f"ambient {x.n} != {self.n}")
-        corner = (self.idempotent_pairs(left), self.idempotent_pairs(right))
-        return AlgebraElement(self.n, [d for d in x.terms if self.diagram_corner(d) == corner])
 
     def indecomposable_idempotents(self, weight: int | None = None):
         return [(pairs, self.idempotent(pairs)) for r in range(2 * self.k + 1)

@@ -154,8 +154,9 @@ def test_twist_pairing_gives_twisted_tori():
 
 
 def test_homology_rejects_non_complex():
-    with pytest.raises(NotAComplex):
+    with pytest.raises(NotAComplex) as err:
         F2ChainComplex(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    assert str(err.value) == "differential does not square to zero: d^2(a) contains c"
 
 
 def _representatives_by_pairwise_substitution(complex_):

@@ -27,6 +27,7 @@ from bhf.serialize import (
     parse_document,
     serialize,
 )
+from bhf import checks
 from bhf.cli import main
 from bhf.pairing import mor_dd_d
 
@@ -378,6 +379,33 @@ def test_cli_homology_of_dumped_complex(capsys, tmp_path):
     assert json.loads(out)["rank"] == 2
 
 
+def test_cli_homology_names_the_residual_of_a_non_complex(capsys):
+    doc = json.dumps({"schema": "bhf/f2chain@1", "generators": ["a", "b", "c"],
+                      "differential": [{"src": "a", "dst": "b"}, {"src": "b", "dst": "c"}]})
+    code, out, err = run_cli(capsys, "homology", "--in", doc)
+    assert (code, out) == (1, "")
+    assert err == "error: differential does not square to zero: d^2(a) contains c\n"
+
+
+@pytest.mark.parametrize("outcome, code", [("pass", 0), ("fail", 2), ("raise", 2)])
+def test_cli_verify_exit_code(capsys, monkeypatch, outcome, code):
+    """0 when every check passes; 2 when one fails or raises."""
+    def probe():
+        if outcome == "raise":
+            raise RuntimeError("probe raised")
+        return outcome == "pass", f"probe {outcome}"
+
+    monkeypatch.setattr(checks, "ALL_CHECKS", [("ok", lambda: (True, "fine"), {}),
+                                              ("probe", probe, {})])
+    got, out, err = run_cli(capsys, "verify", "--fast")
+    assert (got, err) == (code, "")
+    assert out.splitlines()[0] == "PASS ok: fine"
+    assert out.splitlines()[1].startswith("PASS probe" if code == 0 else "FAIL probe")
+    assert out.endswith(f"{2 if code == 0 else 1}/2 checks passed\n")
+    if outcome == "raise":
+        assert "exception: probe raised" in out
+
+
 def test_import_does_not_load_numpy():
     src = str(Path(bhf.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
@@ -491,6 +519,7 @@ BAD_DIAGRAMS = {
     "repeated_end": [[1, 3], [2, 3]],
     "point_outside": [[1, 5]],
     "downward_strand": [[2, 1]],
+    "two_starts_on_one_pair": [[1, 2], [3, 3]],
 }
 
 
@@ -525,7 +554,8 @@ def test_module_document_rejects_a_bad_diagram(capsys, kind, fault):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("fault", ["repeated_start", "repeated_end", "point_outside"])
+@pytest.mark.parametrize("fault", ["repeated_start", "repeated_end", "point_outside",
+                                   "downward_strand", "two_starts_on_one_pair"])
 @pytest.mark.parametrize("kind", ["ddmodule", "dmodule", "ddmodule_right"])
 def test_module_document_rejects_a_bad_diagram_that_cancels(kind, fault):
     # listed twice, the term cancels and the module never holds it
