@@ -4,7 +4,8 @@ The package computes, in exact F2 and F2[U] arithmetic: strand algebras of
 pointed matched circles, type D modules and DD bimodules with their
 structure-equation checks, morphism-complex pairings, knot Floer complexes
 with tau and Alexander invariants, the framed-complement translation and
-satellite pairing, and closed genus-1 manifold ranks from Dehn-twist words.
+satellite pairing, and closed-manifold ranks from words of Dehn twists or
+underslides.
 """
 
 from .pmc import (

@@ -4,12 +4,13 @@ Everything here is given by closed-form data: the three solid-torus modules
 of the surgery triangle, split handlebodies, the identity DD bimodule of an
 arbitrary circle (one doubled chord term per chord), the four genus-1
 Dehn-twist bimodules, arc-slides and their underslide DD bimodules, and the
-genus-1 closed-manifold pipeline built from them.
+closed-manifold pipeline that pairs words of twists or slides.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .memo import memo
@@ -283,17 +284,22 @@ def dehn_twist_dd(which: str) -> TypeDDModule:
 
 @memo
 def twist_half(which: str) -> BimoduleHalf:
-    """The twist bimodule's side of ``mor_dd_d``, prepared once until ``bhf.memo.clear()``.
+    """A letter's side of ``mor_dd_d`` (``_letter``), prepared once until ``bhf.memo.clear()``.
 
     Its memos, product records included, grow with the modules paired
     through it and stay bounded: they are keyed by the bimodule's
-    generators and the torus algebra's keys and coefficients.
+    generators and its algebra's keys and coefficients.
     """
-    return BimoduleHalf(dehn_twist_dd(which))
+    _, slide = _letter(which)
+    return BimoduleHalf(underslide_dd(slide) if slide else dehn_twist_dd(which))
 
 
 def twist_inverse(which: str) -> str:
-    return which[:-1] if which.endswith("'") else which + "'"
+    """The inverse letter; the slide of b1 over c1 is undone by b1 over 2 * b1 - c1."""
+    if which in TWIST_NAMES:
+        return which[:-1] if which.endswith("'") else which + "'"
+    head, b1, c1 = which.rsplit(":", 2)
+    return f"{head}:{b1}:{2 * int(b1) - int(c1)}"
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +355,10 @@ def make_arcslide(circle: PointedMatchedCircle, b1: int, c1: int) -> ArcSlide:
     kind = "underslide" if b1 in inner else "overslide"
 
     order: list = [p for p in range(1, n + 1) if p != b1]
-    at = order.index(c2)
-    if b1 == c1 + 1:
-        order.insert(at, "new")  # slide arc reverses: new foot just before c2
-    else:
-        order.insert(at + 1, "new")
-    point_map = {}
-    b1_new = None
-    for pos, label in enumerate(order, start=1):
-        if label == "new":
-            b1_new = pos
-        else:
-            point_map[label] = pos
+    at = order.index(c2)  # the slide arc reverses: the new foot is just before c2 if b1 = c1 + 1
+    order.insert(at if b1 == c1 + 1 else at + 1, "new")
+    point_map = {label: pos for pos, label in enumerate(order, start=1)}
+    b1_new = point_map.pop("new")
 
     pairs = []
     for p in circle.pairs:
@@ -385,17 +383,10 @@ def make_arcslide(circle: PointedMatchedCircle, b1: int, c1: int) -> ArcSlide:
 
 
 def all_underslides(circle: PointedMatchedCircle) -> list[ArcSlide]:
-    out = []
-    for b1 in range(1, circle.n_points + 1):
-        for c1 in (b1 - 1, b1 + 1):
-            if not 1 <= c1 <= circle.n_points:
-                continue
-            if circle.partner(b1) == c1:
-                continue
-            slide = make_arcslide(circle, b1, c1)
-            if slide.kind == "underslide":
-                out.append(slide)
-    return out
+    n = circle.n_points
+    slides = (make_arcslide(circle, b1, c1) for b1 in range(1, n + 1) for c1 in (b1 - 1, b1 + 1)
+              if 1 <= c1 <= n and circle.partner(b1) != c1)
+    return [slide for slide in slides if slide.kind == "underslide"]
 
 
 # ---------------------------------------------------------------------------
@@ -584,18 +575,18 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
 
 
 # ---------------------------------------------------------------------------
-# genus-1 closed-manifold pipeline
+# closed manifolds from words of twists and slides
 
 
 def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
     """Pair the word's bimodules against the module, rightmost letter first.
 
-    Each letter pairs through its twist's prepared half (``twist_half``),
-    which gates the output and is shared by every call in the process; the
-    output is reduced through that half's product records.  Every letter is
-    paired and gated on every call; ``hf_genus1`` steps named solid tori
-    through ``twist_step`` instead, so there each distinct state is paired
-    and gated once per process.
+    Each letter pairs through its prepared half (``twist_half``), which
+    gates the output and is shared by every call in the process; the output
+    is reduced through that half's product records.  Every letter is paired
+    and gated on every call; ``hf_genus1`` steps named sides through
+    ``twist_step`` instead, so there each distinct state is paired and
+    gated once per process.
     """
     out = module
     for token in reversed(_twist_tokens(word)):
@@ -606,12 +597,12 @@ def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
 
 @memo(maxsize=1024)
 def _twisted_torus(name: str, word: tuple[str, ...]) -> TypeDModule:
-    """``apply_twist_word(word, solid_torus(name))``: the first letter paired
-    onto the memoized rest of the word.  A registered memo (``bhf.memo``;
+    """``apply_twist_word(word, _genus1_side(name)[1])``: the first letter
+    paired onto the memoized rest of the word.  A registered memo (``bhf.memo``;
     ``memo.clear()`` resets it) that evicts the least recently used state
     past 1,024: well above the 96-111 states of one genus1 bench pass,
     but a state's generators, and their names, grow with its word."""
-    rest = _twisted_torus(name, word[1:]) if len(word) > 1 else _solid_torus(name)
+    rest = _twisted_torus(name, word[1:]) if len(word) > 1 else _genus1_side(name)[1]
     return apply_twist_word(word[:1], rest)
 
 
@@ -619,11 +610,11 @@ def twist_step(letter: str, key: tuple | None, module: TypeDModule) -> tuple:
     """Pair one letter onto a side of ``hf_genus1``; returns the new (key, module).
 
     A module that the caller passed has key None and is paired on every
-    call.  A named solid torus twisted by a word has key (``torus_name``,
-    word) and module ``_twisted_torus(*key)``, whose memo both sides and
-    every call share.  The side's previous state entered that memo one or
-    two steps earlier, so a miss pairs one letter and is gated once, and a
-    hit returns the very module that passed its gate.
+    call.  A named side twisted by a word has key (side name, word) and
+    module ``_twisted_torus(*key)``, whose memo both sides and every call
+    share.  The side's previous state entered that memo one or two steps
+    earlier, so a miss pairs one letter and is gated once, and a hit
+    returns the very module that passed its gate.
     """
     if key is None:
         return None, apply_twist_word([letter], module)
@@ -632,34 +623,39 @@ def twist_step(letter: str, key: tuple | None, module: TypeDModule) -> tuple:
 
 
 def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "h_0") -> int:
-    """Total homology rank of the closed manifold built from a twist word.
+    """Total homology rank of the closed manifold built from a word.
 
-    The word acts on the ``base`` solid torus (rightmost letter first) and
-    the result is paired against the ``left`` one: the rank of the homology
-    of Mor(left, word * base) is returned.  A twist moves across the
-    pairing as its inverse, Mor(L, T * N) ~ Mor(T^-1 * L, N), so the word is
-    split between the two sides: while letters remain, the module with
-    fewer generators takes the next one, the left module the inverse of the
-    leftmost letter and the base (also on a tie) the rightmost letter.  Both
-    sides pair through the same process-wide half per twist (``twist_half``).
-    A side given by name steps through ``twist_step``'s registered memo
-    (reset by ``bhf.memo.clear()``), so each distinct state is paired and
-    gated once; a side given as a module is paired on every call.
+    The letters (``_letter``) act on the ``base`` side, rightmost first,
+    and the result is paired against the ``left`` one: the rank of the
+    homology of Mor(left, word * base) is returned.  A side is a module, a
+    solid torus (``torus_name``) or ``handlebody:<k>``, k <= 3; the sides
+    and the letters must share one circle, checked before any pairing.  A
+    letter moves across the pairing as its inverse, Mor(L, T * N) ~
+    Mor(T^-1 * L, N), so the word is split between the sides: while
+    letters remain, the module with fewer generators takes the next one,
+    the left module the inverse of the leftmost letter and the base (also
+    on a tie) the rightmost letter.  Both sides pair through one
+    process-wide half per letter (``twist_half``).  A named side steps
+    through ``twist_step``'s registered memo, so each distinct state is
+    paired and gated once; a side given as a module is paired every call.
 
-    Pairing with a twist and then its inverse is homotopy equivalent to the
-    identity, T * T^-1 * N ~ N, so the word is first freely reduced: each
-    letter next to its inverse is dropped, and only the mapping class's
-    reduced spelling is paired.  No torus relation is used, and
-    ``apply_twist_word`` still pairs every letter as spelled.
+    Pairing with a letter and then its inverse is homotopy equivalent to
+    the identity, T * T^-1 * N ~ N, so the word is first freely reduced:
+    each letter next to its inverse is dropped.  No other relation is used,
+    and ``apply_twist_word`` still pairs every letter as spelled.
     """
+    word = _twist_tokens(word)
+    (lkey, lm), (bkey, bm) = _genus1_side(left), _genus1_side(base)
+    circles = {lm.algebra.circle, bm.algebra.circle} | {_letter(t)[0] for t in set(word)}
+    if len(circles) > 1:
+        raise CatalogError(f"sides and letters on different circles: {sorted(map(repr, circles))}")
     reduced: list[str] = []
-    for token in _twist_tokens(word):
+    for token in word:
         if reduced and reduced[-1] == twist_inverse(token):
             reduced.pop()
         else:
             reduced.append(token)
     word = reduced
-    (lkey, lm), (bkey, bm) = _genus1_side(left), _genus1_side(base)
     i, j = 0, len(word)
     while i < j:
         if len(lm.generators) < len(bm.generators):
@@ -673,20 +669,42 @@ def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "
 
 
 def _genus1_side(which: str | TypeDModule) -> tuple:
-    if isinstance(which, str):
-        name = torus_name(which)
-        return (name, ()), solid_torus(name)
-    return None, which
+    """(key, module) of a side: (side name, ()) for a name, None for a module."""
+    if not isinstance(which, str):
+        return None, which
+    if which.startswith("handlebody:"):
+        if which not in ("handlebody:1", "handlebody:2", "handlebody:3"):
+            raise CatalogError(f"unknown side {which!r}; handlebody:<k> takes k = 1, 2 or 3")
+        return (which, ()), handlebody(int(which[-1]))
+    return (torus_name(which), ()), solid_torus(which)
+
+
+def _letter(token: str) -> tuple:
+    """(circle, slide) of a word letter, slide None for a twist; a slide
+    letter is its catalog reference, ``underslide:split:<k>:<b1>:<c1>``,
+    k <= 3.  Checked without building a bimodule: an unknown token, an
+    overslide or feet that are not adjacent raise ``CatalogError``."""
+    if token in TWIST_NAMES:
+        return standard_pmc("torus"), None
+    found = isinstance(token, str) and re.fullmatch(
+        r"underslide:split:([1-3]):([1-9][0-9]?):([1-9][0-9]?)", token)
+    if not found:
+        raise CatalogError(f"unknown twist token {token!r}; use {TWIST_NAMES} "
+                           "or underslide:split:<k>:<b1>:<c1> with k <= 3")
+    slide = make_arcslide(standard_pmc("split", int(found[1])), int(found[2]), int(found[3]))
+    if slide.kind != "underslide":
+        raise OverslideUnsupported(f"{token!r} is an overslide; only underslides are computable")
+    return slide.source, slide
 
 
 def _twist_tokens(word) -> list[str]:
-    """The letters of a twist word, each checked before any work is done."""
+    """The letters of a word, each checked (``_letter``) before any work is done."""
     if isinstance(word, str):
         raise CatalogError(f"twist word {word!r} is a string; split it with parse_twist_word")
     tokens = list(word)
     for token in tokens:
         if token not in TWIST_NAMES:
-            raise CatalogError(f"unknown twist token {token!r}; use {TWIST_NAMES}")
+            _letter(token)
     return tokens
 
 

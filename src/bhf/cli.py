@@ -345,11 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pattern", default="cable21",
                        help=f"the pattern: {', '.join(sorted(PATTERNS))} (default cable21)")
 
-    p = sub.add_parser("hf3m", help="genus-1 closed manifold rank from a twist word")
-    p.add_argument("--word", default="", help="e.g. \"Tm Tm Tl'\" (trailing ' = inverse)")
-    tori = "h_0/0/zero, h_inf/inf/infinity or h_minus1/-1/minus1 (default h_0)"
-    p.add_argument("--left", default="h_0", help=f"the solid torus on the left: {tori}")
-    p.add_argument("--base", default="h_0", help=f"the solid torus the word acts on: {tori}")
+    p = sub.add_parser("hf3m", help="closed manifold rank from a word of twists or underslides")
+    p.add_argument("--word", default="", help="e.g. \"Tm Tm Tl'\" (trailing ' = inverse), or "
+                   "underslides of split:k such as \"underslide:split:2:2:1 underslide:split:2:6:7\"")
+    tori = ("a solid torus, h_0/0/zero, h_inf/inf/infinity or h_minus1/-1/minus1, or "
+            "handlebody:<k> for k <= 3 (default h_0)")
+    p.add_argument("--left", default="h_0", help=f"the side on the left: {tori}")
+    p.add_argument("--base", default="h_0", help=f"the side the word acts on: {tori}")
     p.set_defaults(fn=cmd_hf3m)
 
     p = sub.add_parser("catalog", help="dump built-in objects as JSON fixtures")

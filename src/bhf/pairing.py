@@ -31,7 +31,7 @@ its arrows split into keys, its units and output idempotents, its product
 rows, and the product records (``RawProducts``) that gate its outputs.
 ``mor_dd_d`` and ``mor_d_dd`` build one for their call when given a
 bimodule, or take one prepared by the caller; the catalog keeps one per
-Dehn twist for the life of the process (``twist_half``), and
+word letter for the life of the process (``twist_half``), and
 ``apply_twist_word`` also reduces each output through that half's records;
 such halves sit in registered memos, which ``bhf.memo.clear()`` resets.
 The type D outputs are verified to square to zero on raw-diagram products

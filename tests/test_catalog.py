@@ -649,6 +649,135 @@ def test_genus2_underslide_word_warm_and_cold():
 
 
 # ---------------------------------------------------------------------------
+# underslide words through the word engine of hf_genus1
+
+
+def _slide_token(slide) -> str:
+    """A slide's word letter: its bimodule's catalog reference."""
+    return f"underslide:split:{slide.source.genus}:{slide.b1}:{slide.c1}"
+
+
+def _literal_slide_rank(word, k, built):
+    """The rank of Mor(handlebody(k), word * handlebody(k)), one ``mor_dd_d``
+    per letter, rightmost first, each DD bimodule built once into ``built``."""
+    circle = standard_pmc("split", k)
+    M = handlebody(k)
+    for token in reversed(word):
+        if token not in built:
+            b1, c1 = map(int, token.split(":")[-2:])
+            built[token] = underslide_dd(make_arcslide(circle, b1, c1))
+        M = mor_dd_d(built[token], M).reduce()
+    return mor_d_d(handlebody(k), M).homology_rank(), M
+
+
+def test_split2_words_match_the_literal_loop():
+    tokens = [_slide_token(s) for s in all_underslides(standard_pmc("split", 2))]
+    rng = random.Random(27)
+    built, inserted = {}, 0
+    for i in range(40):
+        word = [rng.choice(tokens) for _ in range(rng.randint(0, 8))]
+        for _ in range(i % 3):  # inverse pairs, which free reduction drops
+            t = rng.choice(tokens)
+            at = rng.randint(0, len(word))
+            word[at:at] = [t, twist_inverse(t)]
+            inserted += 1
+        rank, M = _literal_slide_rank(word, 2, built)
+        assert hf_genus1(word, "handlebody:2", "handlebody:2") == rank, word
+        if i < 8:  # every letter as spelled: the literal loop's very module
+            assert dumps(apply_twist_word(word, handlebody(2))) == dumps(M), word
+    assert inserted >= 20
+
+
+def test_split2_word_of_twenty_underslides_warm_and_cold():
+    # the slides of test_genus2_underslide_word_warm_and_cold, whose first
+    # slide acts first, so it is the word's rightmost letter
+    rng = random.Random(0)
+    slides = [rng.choice(all_underslides(standard_pmc("split", 2))) for _ in range(20)]
+    word = [_slide_token(s) for s in reversed(slides)]
+    for _ in range(2):  # the second call finds every state in the memo
+        assert hf_genus1(word, "handlebody:2", "handlebody:2") == 15
+    memo.clear()
+    assert hf_genus1(word, "handlebody:2", "handlebody:2") == 15
+
+
+def test_split2_slide_then_inverse_is_the_identity():
+    twisted = apply_twist_word(["underslide:split:2:3:2"], handlebody(2))
+    checked = 0
+    for slide in all_underslides(standard_pmc("split", 2)):
+        token = _slide_token(slide)
+        for M in (handlebody(2), twisted):
+            out = apply_twist_word([twist_inverse(token), token], M)
+            assert iso_check(out.reduce(), M.reduce()) is not None, (token, M)
+            checked += 1
+    assert checked == 16
+
+
+def test_slide_inverse_rule_on_split_circles():
+    # no DD bimodule is built: the rule (b1, c1) -> (b1, 2 b1 - c1) is the
+    # slide of the new foot back over the image of c2, an underslide too
+    for k in range(1, 5):
+        circle = standard_pmc("split", k)
+        slides = all_underslides(circle)
+        assert len(slides) == 4 * k
+        for slide in slides:
+            assert slide.target == circle
+            token = _slide_token(slide)
+            inverse = twist_inverse(token)
+            assert twist_inverse(inverse) == token
+            b1, c1 = map(int, inverse.split(":")[-2:])
+            back = make_arcslide(circle, b1, c1)
+            assert back.kind == "underslide" and back.target == circle
+            reverse_slide = make_arcslide(slide.target, slide.b1_new, dict(slide.point_map)[slide.c2])
+            assert (reverse_slide.b1, reverse_slide.c1) == (b1, c1)
+            if k <= 3:
+                assert catalog._letter(token) == (circle, slide)
+
+
+@pytest.mark.parametrize("word, left, base, error", [
+    (["underslide:split:2:2:1", "underslide:split:2:2:9"], "handlebody:2", "handlebody:2",
+     "outside 1..8"),
+    (["underslide:split:2:2:1", "underslide:split:2:4:5"], "handlebody:2", "handlebody:2",
+     "is an overslide"),
+    (["underslide:split:2:2:1", "underslide:split:2:2:5"], "handlebody:2", "handlebody:2",
+     "not adjacent"),
+    (["underslide:split:2:2:1", "underslide:split:2:2:4"], "handlebody:2", "handlebody:2",
+     "same pair"),
+    (["underslide:split:2:2:1", "underslide:split:2:02:1"], "handlebody:2", "handlebody:2",
+     "unknown twist token"),
+    (["underslide:split:2:2:1", "underslide:antipodal:2:2:1"], "handlebody:2", "handlebody:2",
+     "unknown twist token"),
+    (["underslide:split:4:2:1"], "handlebody:2", "handlebody:2", "unknown twist token"),
+    (["underslide:split:2:2:1", "underslide:split:3:2:1"], "handlebody:2", "handlebody:2",
+     "different circles"),
+    (["underslide:split:2:2:1", "Tm"], "handlebody:2", "handlebody:2", "different circles"),
+    (["Tm", "underslide:split:2:2:1"], "h_0", "h_inf", "different circles"),
+    ([], "handlebody:2", "handlebody:3", "different circles"),
+    (["Tm"], "h_0", "handlebody:2", "different circles"),
+    ([], "handlebody:4", "handlebody:4", "k = 1, 2 or 3"),
+    ([], "handlebody:2", "handlebody:x", "k = 1, 2 or 3"),
+])
+def test_slide_words_are_checked_before_any_pairing(monkeypatch, word, left, base, error):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a pairing or a slide build before the word was checked")
+
+    for name in ("mor_dd_d", "mor_d_d", "underslide_dd", "dehn_twist_dd"):
+        monkeypatch.setattr(catalog, name, no_work)
+    with pytest.raises(CatalogError, match=error):
+        hf_genus1(word, left, base)
+
+
+def test_split1_slides_and_twists_share_the_torus():
+    # split:1 is the torus, whose underslides are the twists up to isomorphism
+    # (check_underslides): (2,1) = Tl, (2,3) = Tl', (3,2) = Tm, (3,4) = Tm'
+    as_twist = {"2:1": "Tl", "2:3": "Tl'", "3:2": "Tm", "3:4": "Tm'"}
+    rng = random.Random(5)
+    for _ in range(10):
+        feet = [rng.choice(sorted(as_twist)) for _ in range(rng.randint(1, 8))]
+        word = [f"underslide:split:1:{f}" for f in feet]
+        assert hf_genus1(word) == lattice_rank([as_twist[f] for f in feet]), word
+
+
+# ---------------------------------------------------------------------------
 # near-chords: the moving-strand join and left-factor search against the
 # all-pairs search it replaced
 

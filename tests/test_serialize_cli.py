@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,36 @@ def test_cli_hf3m_names_its_solid_tori(capsys):
         assert code == 0 and json.loads(out)["rank"] == 3
     code, _, err = run_cli(capsys, "hf3m", "--word", "Tm", "--base", "h_1")
     assert code == 1 and "unknown solid torus 'h_1'" in err
+
+
+def test_cli_hf3m_pairs_underslide_words_on_handlebodies(capsys):
+    word = "underslide:split:2:2:1 underslide:split:2:6:7 underslide:split:2:2:1"
+    code, out, _ = run_cli(capsys, "hf3m", "--left", "handlebody:2", "--base", "handlebody:2",
+                           "--word", word)
+    assert code == 0 and json.loads(out)["rank"] == 2
+    with pytest.raises(SystemExit):
+        main(["hf3m", "--help"])
+    assert " ".join(capsys.readouterr().out.split()).count("handlebody:<k> for k <= 3") == 2
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("--word", "underslide:split:2:2:1 underslide:split:2:x:1"), "unknown twist token"),
+    (("--word", "underslide:split:2:2:1 underslide:split:2:4:5"), "overslide"),
+    (("--word", "underslide:split:2:2:1 underslide:split:3:2:1"), "different circles"),
+    (("--word", "underslide:split:2:2:1", "--base", "handlebody:3"), "different circles"),
+    (("--left", "handlebody:4", "--base", "handlebody:4"), "k = 1, 2 or 3"),
+], ids=["bad token", "overslide", "wrong-genus token", "mixed-genus sides", "handlebody:4"])
+def test_cli_hf3m_rejects_bad_words_and_sides_fast(capsys, argv, error):
+    # an exception other than a user error would escape main and fail here
+    if "--left" not in argv:
+        argv = ("--left", "handlebody:2") + argv
+    if "--base" not in argv:
+        argv = argv + ("--base", "handlebody:2")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "hf3m", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err.startswith("error: ") and error in err and "Traceback" not in err
 
 
 def test_cli_satellite(capsys):
