@@ -7,7 +7,7 @@ the closed-manifold invariant of the glued-up three-manifold.
 
 from bhf.catalog import dd_identity, solid_tori, solid_torus
 from bhf.dmodules import iso_check
-from bhf.pairing import homology_f2, mor_d_d, mor_dd_d
+from bhf.pairing import mor_d_d, mor_dd_d
 from bhf.pmc import standard_pmc
 
 tri = solid_tori()
@@ -22,10 +22,9 @@ C = mor_d_d(solid_torus("inf"), solid_torus("minus1"))
 print("Mor(infinity, minus-one) has generators:")
 for g in sorted(C.generators):
     print("  ", g)
-rank, reps = homology_f2(C)
-print("its homology has rank", rank, " -> the three-sphere")
+print("its homology has rank", C.homology_rank(), " -> the three-sphere")
 
-rank2, _ = homology_f2(mor_d_d(solid_torus("zero"), solid_torus("zero")))
+rank2 = mor_d_d(solid_torus("zero"), solid_torus("zero")).homology_rank()
 print("Mor(zero, zero) homology rank:", rank2, " -> S^2 x S^1")
 
 print()

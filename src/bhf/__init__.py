@@ -32,8 +32,8 @@ from .dmodules import (
     UTypeDModule,
     iso_check,
 )
-from .pairing import homology_f2, mor_d_d, mor_d_dd, mor_d_ud, mor_dd_d
-from .f2u import F2UComplex, F2UDecomposition, f2u_homology, specialize_u0
+from .pairing import mor_d_d, mor_d_dd, mor_d_ud, mor_dd_d
+from .f2u import F2UComplex, F2UDecomposition, f2u_homology
 from .gf2 import F2ChainComplex
 from .knots import (
     CFKComplex,
@@ -70,8 +70,8 @@ __all__ = [
     "to_opposite", "torus_algebra", "torus_element",
     "TensorElement", "TypeDDModule", "TypeDModule", "UTypeDModule",
     "iso_check",
-    "homology_f2", "mor_d_d", "mor_d_dd", "mor_d_ud", "mor_dd_d",
-    "F2UComplex", "F2UDecomposition", "f2u_homology", "specialize_u0",
+    "mor_d_d", "mor_d_dd", "mor_d_ud", "mor_dd_d",
+    "F2UComplex", "F2UDecomposition", "f2u_homology",
     "F2ChainComplex",
     "CFKComplex", "alexander_polynomial", "cable21_pattern", "cfk_to_cfd",
     "classify_arrows", "figure8_cfk", "satellite", "simplify_basis", "tau",

@@ -21,7 +21,7 @@ from .strands import AlgebraElement, algebra_of, torus_element
 from .dmodules import (
     TensorElement, TypeDDModule, TypeDModule, mapping_cone, module_f2_basis, right_action,
 )
-from .pairing import BimoduleHalf, mor_d_d, mor_dd_d, homology_f2
+from .pairing import BimoduleHalf, mor_d_d, mor_dd_d
 from .gf2 import gf2_apply, gf2_rank
 
 
@@ -664,8 +664,7 @@ def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "
         else:
             j -= 1
             bkey, bm = twist_step(word[j], bkey, bm)
-    rank, _ = homology_f2(mor_d_d(lm, bm))
-    return rank
+    return mor_d_d(lm, bm).homology_rank()
 
 
 def _genus1_side(which: str | TypeDModule) -> tuple:

@@ -29,7 +29,7 @@ from .dmodules import (
     UTypeDModule,
     iso_check,
 )
-from .pairing import AlgebraMismatch, homology_f2, mor_d_d, mor_dd_d, mor_d_ud
+from .pairing import AlgebraMismatch, mor_d_d, mor_dd_d, mor_d_ud
 from .gf2 import F2ChainComplex, NotAComplex
 from .f2u import F2UComplex, InhomogeneousInput
 from .knots import (
@@ -217,9 +217,8 @@ def cmd_pair(args):
 def cmd_homology(args):
     C = _document(args.input, (F2ChainComplex, F2UComplex), "--in")
     if isinstance(C, F2ChainComplex):
-        rank, reps = homology_f2(C)
-        _emit(args, {"schema": "bhf/result@1", "rank": rank,
-                     "representatives": [sorted(r) for r in reps]})
+        _emit(args, {"schema": "bhf/result@1", "rank": C.homology_rank(),
+                     "representatives": [sorted(r) for r in C.homology_representatives()]})
     else:
         dec = C.homology()
         doc = {

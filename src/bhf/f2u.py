@@ -240,6 +240,7 @@ class F2UComplex:
         return f2u_homology(self)
 
     def specialize_u0(self) -> F2ChainComplex:
+        """Drop every positive-U-power term of the differential."""
         entries = [(s, t) for (s, t), p in self.differential.items() if p & 1]
         return F2ChainComplex(self.generators, entries)
 
@@ -256,11 +257,6 @@ class F2UComplex:
     def __repr__(self):
         g = "graded, " if self.graded else ""
         return f"F2UComplex({g}{len(self.generators)} generators, {len(self.differential)} entries)"
-
-
-def specialize_u0(complex_: F2UComplex) -> F2ChainComplex:
-    """Drop every positive-U-power term of the differential."""
-    return complex_.specialize_u0()
 
 
 def f2u_homology(complex_: F2UComplex) -> F2UDecomposition:

@@ -2,6 +2,11 @@
 
 A vector over F2 is a Python int whose bit i is its i-th coordinate, so
 XOR adds vectors; a matrix is a list of such ints (its rows or columns).
+
+An ``F2ChainComplex`` keeps its differential as columns only: the d^2 gate
+and ``homology_rank`` read nothing else.  ``homology_representatives``, the
+one reader of rows, builds them from the arrows when it is called, so a
+caller that asks for the rank alone never pays for them.
 """
 
 from __future__ import annotations
@@ -63,16 +68,12 @@ class F2ChainComplex:
         for s, t in entries:
             acc ^= {(s, t)}  # arrows are F2 coefficients: duplicates cancel
         self.entries = frozenset(acc)
-        n = len(self.generators)
-        # D[i, j] = 1 iff generator j maps onto generator i
-        self._cols = [0] * n
-        self._rows = [0] * n
+        # column j of d: the bitset of the generators that generator j maps onto
+        self._cols = [0] * len(self.generators)
         for s, t in self.entries:
             if s not in self.index or t not in self.index:
                 raise ValueError(f"entry ({s},{t}) uses unknown generator")
-            i, j = self.index[t], self.index[s]
-            self._cols[j] |= 1 << i
-            self._rows[i] |= 1 << j
+            self._cols[self.index[s]] |= 1 << self.index[t]
         self.validate()
 
     def validate(self):
@@ -99,8 +100,11 @@ class F2ChainComplex:
         own, so a row is reduced by XORing in just the rows of the pivots it
         holds.  The reduced form is unique, whatever the order of the work.
         """
+        rows = [0] * len(self.generators)  # row i of d: the generators that map onto i
+        for s, t in self.entries:
+            rows[self.index[t]] |= 1 << self.index[s]
         rref: dict = {}
-        for row in self._rows:
+        for row in rows:
             _insert(rref, row)
         pivots = 0
         for p in sorted(rref, reverse=True):

@@ -41,6 +41,10 @@ A ``TargetHalf`` does the same for the target of ``mor_d_d`` and
 ``mor_d_ud``.  ``mor_d_ud`` also takes one prepared by the caller, and the
 knot layer keeps one per named pattern for the life of the process
 (``knots.pattern_half``); its F2[U] output checks d^2 = 0 as it is built.
+
+``mor_d_d`` returns an ``F2ChainComplex``, whose constructor checks d^2 = 0.
+A caller asks it for what it needs: ``homology_rank()`` for the rank of
+HF-hat, and ``homology_representatives()`` only where cycles are wanted.
 """
 
 from __future__ import annotations
@@ -212,12 +216,6 @@ def mor_d_d(M: TypeDModule, N: TypeDModule) -> F2ChainComplex:
     """Morphism complex of two type D modules over the same algebra."""
     gens, diff = TargetHalf(N).pair(M)
     return F2ChainComplex(gens, diff)
-
-
-def homology_f2(complex_: F2ChainComplex):
-    """Rank and deterministic representatives of an F2 chain complex (which
-    its constructor has checked to square to zero)."""
-    return complex_.homology_rank(), complex_.homology_representatives()
 
 
 # ---------------------------------------------------------------------------

@@ -288,19 +288,15 @@ class _Diagrams(dict):
 
     Exact types are checked on every read, before the memo is consulted.
     ``read`` reads one diagram; the DD reader in ``_deserialize`` makes the
-    same checks and lookups inline on both diagrams of each term, and counts
-    ``listed`` once per arrow.  Validity is checked elsewhere: in a module
-    document by the module constructor's corner check, which sees every term
-    that survives; in a bare element by ``make_diagram``, because nilCoxeter
-    elements may go down.  ``listed`` counts the terms read, so that
-    ``recheck`` can tell when some cancelled in pairs and so never met the
-    corner check.
+    same checks and lookups inline on both diagrams of each term.  Validity
+    is checked after the reads: in a module document by the module
+    constructor's corner check on every term that survives, and by
+    ``recheck`` on every distinct diagram read, those of terms that
+    cancelled in pairs too; in a bare element by ``make_diagram``, because
+    nilCoxeter elements may go down.
     """
 
-    listed = 0
-
     def read(self, raw) -> Diagram:
-        self.listed += 1
         try:  # as _int_pairs, inline: this runs once per term
             pairs = tuple(map(tuple, raw)) if isinstance(raw, list) else None
             for a, b in pairs or ():
@@ -316,21 +312,18 @@ class _Diagrams(dict):
             diag = self[pairs] = tuple(sorted(pairs))
         return diag
 
-    def recheck(self, module: TypeDModule, algebra: SurfaceAlgebra) -> None:
-        """The corner rule on every diagram read, when some cancelled in pairs."""
-        if self.listed != sum(len(module._terms(c)) for c in module.delta.values()):
-            for diag in self.values():
-                if algebra.admissible_corner(diag) is None:
-                    raise ValidationError(f"diagram {diag} is a term of no basis element")
+    def recheck(self, algebra: SurfaceAlgebra) -> None:
+        """The corner rule on every distinct diagram read."""
+        for diag in self.values():
+            if algebra.admissible_corner(diag) is None:
+                raise ValidationError(f"diagram {diag} is a term of no basis element")
 
 
 def _coeff_from(doc, algebra: SurfaceAlgebra, diagrams: _Diagrams) -> AlgebraElement:
     if isinstance(doc, str):
         if algebra.circle != standard_pmc("torus"):
             raise SchemaError(f"named coefficient {doc!r} needs the torus algebra")
-        elt = torus_element(doc)
-        diagrams.listed += len(elt.terms)
-        return elt
+        return torus_element(doc)
     if not isinstance(doc, dict):
         raise SchemaError(f"bad coefficient {doc!r}")
     n = _field(doc, "n", int, algebra.n)
@@ -410,7 +403,7 @@ def _deserialize(schema: str, doc: dict):
                 cur = delta.setdefault(key, {})
                 cur[m] = cur.get(m, AlgebraElement.zero(alg.n)) + c
         module = (TypeDModule if schema == SCHEMAS["dmodule"] else UTypeDModule)(alg, gens, delta)
-        diagrams.recheck(module, alg)
+        diagrams.recheck(alg)
         return module
     if schema == SCHEMAS["ddmodule"]:
         alg1 = _algebra_from(doc, "algebra1")
@@ -421,13 +414,10 @@ def _deserialize(schema: str, doc: dict):
         }
         delta: dict = {}
         diagrams1, diagrams2 = _Diagrams(), _Diagrams()
-        listed = 0
         for e in _objects(doc, "delta"):
             key = (_field(e, "src", str), _field(e, "dst", str))
-            raw = _field(e, "terms", list)
-            listed += len(raw)
             terms: set = set()
-            for term in raw:
+            for term in _field(e, "terms", list):
                 if not isinstance(term, list) or len(term) != 2:
                     raise SchemaError("a tensor term must be a [left, right] pair of diagrams")
                 left, right = term
@@ -451,10 +441,9 @@ def _deserialize(schema: str, doc: dict):
                     terms.add(pair)
             t = TensorElement(alg1.n, alg2.n, terms)
             delta[key] = delta[key] + t if key in delta else t
-        diagrams1.listed = diagrams2.listed = listed
         module = TypeDDModule(alg1, alg2, gens, delta)
-        diagrams1.recheck(module, alg1)
-        diagrams2.recheck(module, alg2)
+        diagrams1.recheck(alg1)
+        diagrams2.recheck(alg2)
         return module
     if schema == SCHEMAS["cfk"]:
         generators = _objects(doc, "generators")

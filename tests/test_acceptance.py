@@ -6,7 +6,7 @@ lines; every tolerance is exact (integer counts and bit-identical forms).
 
 import time
 
-from bhf.pairing import homology_f2, mor_d_d
+from bhf.pairing import mor_d_d
 from bhf.knots import alexander_polynomial, figure8_cfk, trefoil_cfk
 from bhf import catalog, checks
 
@@ -35,9 +35,7 @@ def test_criterion_03_surgery_triangle():
 
 
 def test_criterion_04_pairing_rank_one():
-    rank, _ = homology_f2(
-        mor_d_d(catalog.solid_torus("inf"), catalog.solid_torus("minus1"))
-    )
+    rank = mor_d_d(catalog.solid_torus("inf"), catalog.solid_torus("minus1")).homology_rank()
     _report(4, rank == 1, f"Mor(infinity-framed, minus-one-framed) homology rank {rank}")
 
 

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -9,10 +10,12 @@ from bhf.pmc import pair_map_to_reverse, standard_pmc
 from bhf.strands import algebra_of, torus_element
 from bhf.dmodules import GateFailure, TensorElement, TypeDModule, iso_check, mapping_cone
 from bhf import catalog, memo
-from bhf.pairing import BimoduleHalf, homology_f2, mor_d_d, mor_dd_d
+from bhf.pairing import BimoduleHalf, mor_d_d, mor_dd_d
 from bhf.knots import cfk_to_cfd, figure8_cfk, trefoil_cfk
 from bhf.serialize import dumps, serialize
 from bhf.checks import lattice_rank
+from bhf.cli import main
+from bhf.gf2 import F2ChainComplex
 from bhf.catalog import (
     CatalogError,
     NotAdjacent,
@@ -130,7 +133,7 @@ def test_genus1_insertion_invariance():
 
 def _unsplit_rank(word, left, base):
     """The rank with the whole word applied to the base, as in Mor(L, w * N)."""
-    return homology_f2(mor_d_d(left, apply_twist_word(word, base)))[0]
+    return mor_d_d(left, apply_twist_word(word, base)).homology_rank()
 
 
 def test_genus1_ranks_match_lattice_oracle():
@@ -598,11 +601,8 @@ def test_genus2_underslides_d2(kind):
 
 
 def test_genus2_identity_action_and_handlebody_double():
-    from bhf.pairing import homology_f2, mor_d_d
-
     H2 = handlebody(2)
-    rank, _ = homology_f2(mor_d_d(H2, H2))
-    assert rank == 4  # the double of the genus-2 handlebody
+    assert mor_d_d(H2, H2).homology_rank() == 4  # the double of the genus-2 handlebody
     B = dd_identity(standard_pmc("split", 2))
     out = mor_dd_d(B, H2).reduce()
     assert iso_check(out, H2.reduce()) is not None
@@ -630,8 +630,8 @@ def test_genus2_underslide_word_warm_and_cold():
     rng = random.Random(0)
     slides = [rng.choice(all_underslides(split2)) for _ in range(20)]
     assert all(s.target == split2 for s in slides)
-    built = {}
-    word = [built.setdefault(s, underslide_dd(s)) for s in slides]
+    built = {s: underslide_dd(s) for s in set(slides)}  # each distinct slide once
+    word = [built[s] for s in slides]
 
     def run():
         M = handlebody(2)
@@ -775,6 +775,23 @@ def test_split1_slides_and_twists_share_the_torus():
         feet = [rng.choice(sorted(as_twist)) for _ in range(rng.randint(1, 8))]
         word = [f"underslide:split:1:{f}" for f in feet]
         assert hf_genus1(word) == lattice_rank([as_twist[f] for f in feet]), word
+
+
+def test_rank_callers_compute_no_representatives(monkeypatch, capsys):
+    # hf_genus1, bhf hf3m and bhf pair --homology ask only for a rank, so
+    # they never reach homology_representatives
+    def no_representatives(self):
+        raise AssertionError("representatives computed where only a rank is asked")
+
+    monkeypatch.setattr(F2ChainComplex, "homology_representatives", no_representatives)
+    for word in (["Tm"] * 5, ["Tm", "Tl'"] * 3, ["Tl", "Tm'", "Tm'", "Tl", "Tm"]):
+        assert hf_genus1(word) == lattice_rank(word), word
+    word = ["underslide:split:2:2:1", "underslide:split:2:6:7", "underslide:split:2:3:2"]
+    assert hf_genus1(word, "handlebody:2", "handlebody:2") == _literal_slide_rank(word, 2, {})[0]
+    assert main(["hf3m", "--word", "Tm Tl' Tm Tl'"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == lattice_rank(["Tm", "Tl'"] * 2)
+    assert main(["pair", "--left", "catalog:h_inf", "--right", "catalog:h_minus1", "--homology"]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -256,11 +256,11 @@ def test_simplify_unequal_length_doubles():
 
 
 def test_surgery_ranks_from_framed_complements():
-    from bhf.pairing import homology_f2, mor_d_d
+    from bhf.pairing import mor_d_d
 
     def row(complex_, filling):
         return [
-            homology_f2(mor_d_d(cfk_to_cfd(complex_, n), solid_torus(filling)))[0]
+            mor_d_d(cfk_to_cfd(complex_, n), solid_torus(filling)).homology_rank()
             for n in range(-4, 5)
         ]
 

@@ -11,7 +11,6 @@ from bhf.pairing import (
     AlgebraMismatch,
     BimoduleHalf,
     TargetHalf,
-    homology_f2,
     key_name,
     mor_d_d,
     mor_d_dd,
@@ -34,8 +33,8 @@ def test_mor_inf_minus1_fixture():
     assert ("r|p2|b", "r|2>4|b") in C.entries
     assert ("r|2>3|a", "r|2>4|b") in C.entries
     assert len(C.entries) == 2
-    rank, reps = homology_f2(C)
-    assert rank == 1
+    assert C.homology_rank() == 1
+    assert C.homology_representatives() == [{"r|p2|b": 1, "r|2>3|a": 1}]
 
 
 def test_mor_basis_counts_match_corner_dimensions():
@@ -74,16 +73,14 @@ def test_identity_morphism_is_a_cycle():
 def test_mor_self_rank_at_least_one():
     for name in ("inf", "minus1", "zero"):
         M = solid_torus(name)
-        rank, _ = homology_f2(mor_d_d(M, M))
-        assert rank >= 1
+        assert mor_d_d(M, M).homology_rank() >= 1
 
 
 def test_mor_self_rank_genus2_handlebody():
     from bhf.catalog import handlebody
 
     H = handlebody(2)
-    rank, _ = homology_f2(mor_d_d(H, H))
-    assert rank >= 1
+    assert mor_d_d(H, H).homology_rank() >= 1
 
 
 def test_algebra_mismatch():
