@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .memo import memo
+from .memo import _nogc, memo
 from .pmc import (
     PMCError, PointedMatchedCircle, make_pmc, pair_map_to_reverse, reverse, standard_pmc,
 )
@@ -39,6 +39,13 @@ class SamePair(CatalogError):
 
 class OverslideUnsupported(CatalogError):
     pass
+
+
+# The largest genus that a name reaches: a circle name (``split:k``,
+# ``antipodal:k``), a slide letter and a ``handlebody:<k>`` side of
+# ``hf_genus1``.  Listing the basis of ``split:4``'s algebra alone takes
+# more than a minute.
+MAX_GENUS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +153,7 @@ def solid_tori() -> SurgeryTriangle:
 
 
 @memo
+@_nogc
 def handlebody(k: int) -> TypeDModule:
     """The standard genus-k handlebody module: one generator, k chord loops.
 
@@ -169,6 +177,7 @@ def handlebody(k: int) -> TypeDModule:
 # the identity DD bimodule
 
 
+@_nogc
 def dd_identity(circle: PointedMatchedCircle) -> TypeDDModule:
     """CFDD of the identity cobordism: one doubled-chord term per chord.
 
@@ -226,6 +235,7 @@ TWIST_NAMES = ("Tm", "Tm'", "Tl", "Tl'")
 
 
 @memo
+@_nogc
 def dehn_twist_dd(which: str) -> TypeDDModule:
     """The four torus Dehn-twist DD bimodules (meridian, longitude, inverses).
 
@@ -410,6 +420,7 @@ def _near_complementary_sets(circle: PointedMatchedCircle, c_pair: int, b_pair: 
     return out
 
 
+@_nogc
 def underslide_dd(slide: ArcSlide) -> TypeDDModule:
     """The DD bimodule of an underslide.
 
@@ -578,6 +589,7 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
 # closed manifolds from words of twists and slides
 
 
+@_nogc
 def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
     """Pair the word's bimodules against the module, rightmost letter first.
 
@@ -622,6 +634,7 @@ def twist_step(letter: str, key: tuple | None, module: TypeDModule) -> tuple:
     return key, _twisted_torus(*key)
 
 
+@_nogc
 def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "h_0") -> int:
     """Total homology rank of the closed manifold built from a word.
 
@@ -672,7 +685,7 @@ def _genus1_side(which: str | TypeDModule) -> tuple:
     if not isinstance(which, str):
         return None, which
     if which.startswith("handlebody:"):
-        if which not in ("handlebody:1", "handlebody:2", "handlebody:3"):
+        if which not in [f"handlebody:{k}" for k in range(1, MAX_GENUS + 1)]:
             raise CatalogError(f"unknown side {which!r}; handlebody:<k> takes k = 1, 2 or 3")
         return (which, ()), handlebody(int(which[-1]))
     return (torus_name(which), ()), solid_torus(which)
@@ -686,7 +699,7 @@ def _letter(token: str) -> tuple:
     if token in TWIST_NAMES:
         return standard_pmc("torus"), None
     found = isinstance(token, str) and re.fullmatch(
-        r"underslide:split:([1-3]):([1-9][0-9]?):([1-9][0-9]?)", token)
+        rf"underslide:split:([1-{MAX_GENUS}]):([1-9][0-9]?):([1-9][0-9]?)", token)
     if not found:
         raise CatalogError(f"unknown twist token {token!r}; use {TWIST_NAMES} "
                            "or underslide:split:<k>:<b1>:<c1> with k <= 3")

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 
+from .memo import _nogc
 from .pmc import PMCError
 from .strands import (
     AlgebraElement, StrandError, algebra_of, torus_algebra, torus_element, torus_element_name,
@@ -364,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@_nogc
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -55,6 +55,7 @@ import operator
 from collections import defaultdict
 
 from .cancel import _adjacency, _cancel_all
+from .memo import _nogc
 from .strands import (
     AlgebraElement,
     AmbientMismatch,
@@ -193,15 +194,18 @@ class TypeDModule:
 
     def _corner_fault(self):
         """A check for one ``validate`` call: (source idempotent, coefficient,
-        target idempotent) -> None, or why the coefficient is off that corner."""
-        corner, n = self.algebra.admissible_corner, self.algebra.n
+        target idempotent) -> None, or why the coefficient is off that corner.
+        A term's corner is read off the algebra's table, and only a diagram
+        the table lacks goes through ``admissible_corner``."""
+        alg = self.algebra
+        known, corner, n = alg._corners.get, alg.admissible_corner, alg.n
 
         def fault(i, coeff, j):
             if coeff.n != n:
                 return f"not idempotent-compatible: ambient {coeff.n} != {n}"
             want = (i, j)
             for d in coeff.terms:
-                if corner(d) != want:
+                if known(d) != want and corner(d) != want:
                     return f"not idempotent-compatible at term {d}"
             return None
 
@@ -256,6 +260,7 @@ class TypeDModule:
         memos = records.coefficients.setdefault((type(self), self.algebra), ({}, {}))
         return records, *memos
 
+    @_nogc
     def verify_d2(self, records: RawProducts | None = None) -> list[tuple]:
         """Nonzero residual terms of the structure equation, per (src, tgt).
 
@@ -305,6 +310,7 @@ class TypeDModule:
 
         return unit
 
+    @_nogc
     def reduce(self, records: RawProducts | None = None):
         mul, terms = self._mul, self._terms
         records, products, _ = self._records(records)
@@ -406,8 +412,10 @@ class TypeDDModule(TypeDModule):
         return (_norm_idem(self.algebra1, i1), _norm_idem(self.algebra2, i2))
 
     def _corner_fault(self):
-        corner1, corner2 = self.algebra1.admissible_corner, self.algebra2.admissible_corner
-        sizes = (self.algebra1.n, self.algebra2.n)
+        alg1, alg2 = self.algebra1, self.algebra2
+        known1, known2 = alg1._corners.get, alg2._corners.get  # as in TypeDModule
+        corner1, corner2 = alg1.admissible_corner, alg2.admissible_corner
+        sizes = (alg1.n, alg2.n)
 
         def fault(i, coeff, j):
             (s1, s2), (t1, t2) = i, j
@@ -415,7 +423,8 @@ class TypeDDModule(TypeDModule):
                 return f"not idempotent-compatible: ambient {(coeff.n1, coeff.n2)} != {sizes}"
             want1, want2 = (s1, t1), (s2, t2)
             for d1, d2 in coeff.terms:
-                if corner1(d1) != want1 or corner2(d2) != want2:
+                if (known1(d1) != want1 and corner1(d1) != want1
+                        or known2(d2) != want2 and corner2(d2) != want2):
                     return f"not idempotent-compatible at term {d1} (x) {d2}"
             return None
 
@@ -450,6 +459,7 @@ def _signatures(module, out, into):
     return {n: (gens[n], ends(out[n]), ends(into[n])) for n in gens}
 
 
+@_nogc
 def iso_check(m1, m2, cap: int = 10**6):
     """Search for a delta-preserving idempotent-respecting generator bijection.
 

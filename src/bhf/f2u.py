@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 from .cancel import _adjacency, _cancel_all
 from .gf2 import F2ChainComplex, NotAComplex
+from .memo import _nogc
 
 
 class InhomogeneousInput(ValueError):
@@ -259,6 +260,7 @@ class F2UComplex:
         return f"F2UComplex({g}{len(self.generators)} generators, {len(self.differential)} entries)"
 
 
+@_nogc
 def f2u_homology(complex_: F2UComplex) -> F2UDecomposition:
     """Decompose ker d / im d into free and U-torsion summands.
 

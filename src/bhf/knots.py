@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .memo import memo
+from .memo import _nogc, memo
 from .f2u import F2UComplex, poly_exponents
 from .strands import AlgebraElement, torus_algebra, torus_element, torus_records
 from .dmodules import TypeDModule, UTypeDModule
@@ -59,6 +59,17 @@ class CannotSimplify(CFKError):
     pass
 
 
+# One bound on the sizes a knot input controls: each U power of a complex,
+# and the chain generators of its translated module (arrow lengths plus
+# |framing - 2 tau|).  A power is stored as a bit and a chain generator costs
+# about 4 KB, so inputs far past it would exhaust memory before failing.
+BUDGET = 10_000
+
+
+class OverBudget(CFKError):
+    """An input size over ``BUDGET``, refused before any work on it."""
+
+
 class CFKComplex:
     """Knot Floer complex data: gradings, optional parities, U-differential."""
 
@@ -69,6 +80,9 @@ class CFKComplex:
         self.differential: dict[tuple[str, str], int] = {}
         for entry in differential:
             src, m, dst = entry
+            if m > BUDGET:
+                raise OverBudget(f"entry {src} -> U^{m} {dst}: U power over the budget "
+                                 f"of {BUDGET:,}")
             key = (src, dst)
             self.differential[key] = self.differential.get(key, 0) ^ (1 << m)
         self.differential = {k: p for k, p in self.differential.items() if p}
@@ -331,6 +345,7 @@ def alexander_polynomial_str(poly: dict[int, int]) -> str:
 # the translation to a torus-algebra type D module
 
 
+@_nogc
 def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
     """Type D module of the framed knot complement.
 
@@ -340,6 +355,8 @@ def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
     Every output is gated on d^2 = 0 through the process-wide torus records
     (``torus_records``): each coefficient is a sum of the named torus
     elements, so only the product memos are shared and they stay bounded.
+    A module with more than ``BUDGET`` chain generators raises ``OverBudget``
+    before any chain is built.
     """
     simple, report = simplify_basis(complex_)
     arrows = classify_arrows(simple)
@@ -347,6 +364,11 @@ def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
     if xi0 is None or eta0 is None:
         raise NotSimplified("no distinguished generators; not a knot complex")
     t = tau(simple)
+    chains = sum(length for _, _, length in arrows.vertical + arrows.horizontal)
+    m = abs(2 * t - framing)
+    if chains + m > BUDGET:
+        raise OverBudget(f"{chains + m:,} chain generators ({chains:,} for the arrows, {m:,} for "
+                         f"framing {framing}), over the budget of {BUDGET:,}")
 
     alg = torus_algebra()
     i0, i1 = (1,), (2,)
@@ -377,7 +399,6 @@ def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
             add(chain[j - 1], chain[j], "rho23")
         add(chain[-1], z, "rho2")
 
-    m = abs(2 * t - framing)
     mus = [f"mu{j}" for j in range(1, m + 1)]
     for name in mus:
         gens[name] = i1
@@ -481,6 +502,7 @@ class SatelliteResult:
     u0_rank: int
 
 
+@_nogc
 def satellite(pattern: UTypeDModule | str, companion: CFKComplex, framing: int) -> SatelliteResult:
     """Pair the companion's framed complement module against a pattern module.
 

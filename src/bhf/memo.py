@@ -14,9 +14,22 @@ algebra shares, and its corner-key table, the basis keys of each corner
 filed one weight at a time (``SurfaceAlgebra.corner_keys``), which every
 Mor builder shares; they go with the algebra, so they need no entry here.
 ``sizes()`` counts the entries of each memo.
+
+``_nogc`` is the package's other piece of process-wide state: the guard
+that pauses CPython's cyclic garbage collector around the public entry
+points that allocate in bulk (parsing and writing documents, building
+catalog bimodules, pairing, cancelling, homology).  The objects they build
+are tuples, frozensets and dicts that hold no reference cycles, so the
+collector finds nothing in them and its passes are pure cost.  The guard
+leaves alone a collector that is already off, which covers nested calls
+and callers that paused it themselves; ``tests/test_nogc.py`` holds the
+pipelines to leaving no cyclic garbage.  The switch is process-wide, so a
+thread running beside a guarded call may lose the pause early or share it;
+that moves when cycles are freed, never what a call returns.
 """
 
 import functools
+import gc
 
 _registry: dict = {}
 
@@ -36,3 +49,22 @@ def clear() -> None:
 
 def sizes() -> dict[str, int]:
     return {name: cached.cache_info().currsize for name, cached in _registry.items()}
+
+
+def _nogc(fn):
+    """``fn`` with the cyclic garbage collector paused for the call, when it
+    is enabled; it is enabled again on return and on a raise."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    # ``__wrapped__`` marks the bench's tracing wrappers (``bench/spans.py``),
+    # which must all be gone after a traced pass; this one stays
+    del paused.__wrapped__
+    return paused

@@ -52,6 +52,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .gf2 import F2ChainComplex
+from .memo import _nogc
 from .f2u import F2UComplex
 from .pmc import pair_map_to_reverse
 from .strands import AlgebraElement, BasisKey, RawProducts, SurfaceAlgebra, algebra_of, to_opposite
@@ -212,6 +213,7 @@ class TargetHalf:
         return [names[b] for b in basis], diff
 
 
+@_nogc
 def mor_d_d(M: TypeDModule, N: TypeDModule) -> F2ChainComplex:
     """Morphism complex of two type D modules over the same algebra."""
     gens, diff = TargetHalf(N).pair(M)
@@ -302,6 +304,7 @@ def _half(B, side: int, into_b: bool) -> BimoduleHalf:
     return B
 
 
+@_nogc
 def mor_dd_d(B: TypeDDModule | BimoduleHalf, M: TypeDModule, side: int = 1) -> TypeDModule:
     """Pair a DD bimodule against a type D module along one action.
 
@@ -313,6 +316,7 @@ def mor_dd_d(B: TypeDDModule | BimoduleHalf, M: TypeDModule, side: int = 1) -> T
     return _half(B, side, into_b=False).pair(M)
 
 
+@_nogc
 def mor_d_dd(M: TypeDModule, B: TypeDDModule | BimoduleHalf, side: int = 1) -> TypeDModule:
     """Morphisms M -> B over the algebra on ``side`` of the bimodule.
 
@@ -323,6 +327,7 @@ def mor_d_dd(M: TypeDModule, B: TypeDDModule | BimoduleHalf, side: int = 1) -> T
     return _half(B, side, into_b=True).pair(M)
 
 
+@_nogc
 def mor_d_ud(M: TypeDModule, P: UTypeDModule | TargetHalf) -> F2UComplex:
     """Morphism complex into a U-weighted type D module, over F2[U].
 

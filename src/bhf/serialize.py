@@ -16,6 +16,7 @@ import json
 import os
 from json.encoder import encode_basestring_ascii as _encode_string
 
+from .memo import _nogc
 from .pmc import PointedMatchedCircle, make_pmc, standard_pmc, PMCError
 from .strands import (
     AlgebraElement,
@@ -57,6 +58,7 @@ SCHEMAS = {
 # serialization
 
 
+@_nogc
 def serialize(obj) -> dict:
     if isinstance(obj, PointedMatchedCircle):
         return {
@@ -147,6 +149,7 @@ def _with_ints(generators: list[dict], key: str, values) -> list[dict]:
     return generators
 
 
+@_nogc
 def dumps(obj) -> str:
     """The text of a document (or of ``serialize(obj)``), byte for byte
     ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``.
@@ -313,9 +316,11 @@ class _Diagrams(dict):
         return diag
 
     def recheck(self, algebra: SurfaceAlgebra) -> None:
-        """The corner rule on every distinct diagram read."""
+        """The corner rule on every distinct diagram read; a diagram in the
+        algebra's corner table passed it already."""
+        known, corner = algebra._corners, algebra.admissible_corner
         for diag in self.values():
-            if algebra.admissible_corner(diag) is None:
+            if diag not in known and corner(diag) is None:
                 raise ValidationError(f"diagram {diag} is a term of no basis element")
 
 
@@ -342,13 +347,17 @@ def _deserialize_pmc(doc) -> PointedMatchedCircle:
 
 
 def parse_circle_name(name: str) -> PointedMatchedCircle:
-    """Named circles: "torus", "split:k", "antipodal:k"; k defaults to 1."""
+    """Named circles: "torus", "split:k", "antipodal:k"; k defaults to 1
+    and is at most ``catalog.MAX_GENUS``."""
     head, *args = name.split(":")
     try:
         if head == "torus" and not args:
             return standard_pmc("torus")
         if head in ("split", "antipodal") and len(args) <= 1:
-            return standard_pmc(head, int(args[0]) if args else 1)
+            k = int(args[0]) if args else 1
+            if k <= _catalog.MAX_GENUS:
+                return standard_pmc(head, k)
+            raise PMCError(f"genus {k} is over the bound of {_catalog.MAX_GENUS} for named circles")
     except (PMCError, ValueError) as e:
         raise ValidationError(f"circle name {name!r}: {e}")
     raise SchemaError(f"unknown circle name {name!r}")
@@ -525,7 +534,11 @@ def catalog_lookup(name: str):
         return _catalog.solid_torus(head.removeprefix("h_"))
     if head == "handlebody":
         shape(len(args) == 1)
-        return _catalog.handlebody(*ints(args))
+        k, = ints(args)
+        if k > _catalog.MAX_GENUS:  # 2^(k-1) terms: genus 16 writes 646 MB
+            raise ValidationError(f"catalog reference {name!r}: genus {k} is over the bound "
+                                  f"of {_catalog.MAX_GENUS}")
+        return _catalog.handlebody(k)
     if head in ("dd_id", "circle"):
         circle = parse_circle_name(":".join(args))
         return circle if head == "circle" else _catalog.dd_identity(circle)
@@ -549,6 +562,7 @@ def catalog_lookup(name: str):
     raise SchemaError(f"unknown catalog reference {name!r}")
 
 
+@_nogc
 def parse_document(text):
     """Typed object from JSON text, a dict, a file path or a catalog name."""
     if isinstance(text, dict):

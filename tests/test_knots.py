@@ -8,6 +8,7 @@ from bhf.knots import (
     CFKError,
     FiltrationViolation,
     NotReduced,
+    OverBudget,
     ParityMissing,
     ParityViolation,
     alexander_polynomial,
@@ -202,6 +203,22 @@ def test_cfk_to_cfd_unstable_chain_lengths():
         m = cfk_to_cfd(trefoil_cfk(), n)
         mus = [g for g in m.generators if g.startswith("mu")]
         assert len(mus) == abs(2 * (-1) - n)
+
+
+def test_budget_bounds_upowers_and_chain_generators(monkeypatch):
+    monkeypatch.setattr(knots, "BUDGET", 10)
+    CFKComplex({"a": 0, "b": 0}, [("a", 10, "b")])
+    with pytest.raises(OverBudget, match="budget of 10"):
+        CFKComplex({"a": 0, "b": 0}, [("a", 11, "b")])
+    # the trefoil's two arrows of length 1 and its |framing - 2 tau| = |n + 2|
+    # unstable chain generators: 10 at n = 6 and n = -10, 11 just past them
+    for n in (6, -10):
+        assert len(cfk_to_cfd(trefoil_cfk(), n).generators) == 3 + 10
+    for n in (7, -11):
+        with pytest.raises(OverBudget, match="11 chain generators"):
+            cfk_to_cfd(trefoil_cfk(), n)
+        with pytest.raises(OverBudget):
+            satellite("cable21", trefoil_cfk(), n)
 
 
 def test_satellite_cable_of_trefoil():

@@ -697,6 +697,47 @@ def test_malformed_document_exits_1_without_traceback(probe, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+_CFK_HUGE_UPOWER = {
+    "schema": "bhf/cfk@1",
+    "generators": [{"name": "a", "alexander": 1}, {"name": "b", "alexander": 0},
+                   {"name": "c", "alexander": -1}],
+    "differential": [{"src": "a", "dst": "b", "upower": 0},
+                     {"src": "c", "dst": "b", "upower": 10**12}],
+}
+
+# inputs whose size alone would exhaust time or memory: each is refused
+# before any work, against a bound that the message names
+OVERSIZED = {
+    "cfk_upower_10_to_the_12": (["knot", "tau", "--in", "DOC"], "budget of 10,000"),
+    "cfd_framing_100000": (["knot", "cfd", "--in", "trefoil", "--framing", "100000"],
+                           "budget of 10,000"),
+    "satellite_framing_minus_100000": (
+        ["knot", "satellite", "--in", "trefoil", "--framing", "-100000"], "budget of 10,000"),
+    "algebra_split_4": (["algebra", "dim", "--circle", "split:4"], "bound of 3"),
+    "dd_id_split_4": (["catalog", "dump", "dd_id:split:4"], "bound of 3"),
+    "circle_antipodal_4": (["catalog", "dump", "circle:antipodal:4"], "bound of 3"),
+    "handlebody_16": (["catalog", "dump", "handlebody:16"], "bound of 3"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(OVERSIZED))
+def test_oversized_input_exits_1_at_once(probe, tmp_path):
+    argv, bound = OVERSIZED[probe]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_CFK_HUGE_UPOWER))
+    argv = [str(path) if a == "DOC" else a for a in argv]
+    src = str(Path(bhf.__file__).resolve().parent.parent)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bhf.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and bound in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("catalog", "dump", "handlebody:x"),
     ("catalog", "dump", "underslide:torus:x:2"),
