@@ -2,8 +2,8 @@
 
 Everything here is given by closed-form data: the three solid-torus modules
 of the surgery triangle, split handlebodies, the identity DD bimodule of an
-arbitrary circle (one doubled chord term per chord), the four genus-1
-Dehn-twist bimodules, arc-slides and their underslide DD bimodules, and the
+arbitrary circle (one doubled chord term per chord), arc-slides and their
+underslide DD bimodules, the torus ones being the four Dehn twists, and the
 closed-manifold pipeline that pairs words of twists or slides.
 """
 
@@ -229,9 +229,14 @@ def _dd_gen_name(s, t) -> str:
 
 
 # ---------------------------------------------------------------------------
-# genus-1 Dehn twist bimodules
+# genus-1 Dehn twists: the torus underslides
 
-TWIST_NAMES = ("Tm", "Tm'", "Tl", "Tl'")
+# The four underslides of the torus circle (1-3, 2-4) are the four Dehn
+# twists (``dehn_twist_dd``): each twist's (b1, c1), and each slide letter's twist.
+TWIST_SLIDES = {"Tm": (3, 2), "Tm'": (3, 4), "Tl": (2, 1), "Tl'": (2, 3)}
+TWIST_NAMES = tuple(TWIST_SLIDES)
+_SLIDE_TWISTS = {f"underslide:split:1:{b1}:{c1}": t for t, (b1, c1) in TWIST_SLIDES.items()}
+_TWIST_GENERATORS = {((1,), (1,)): "p", ((2,), (2,)): "q", ((2,), (1,)): "r", ((1,), (2,)): "s"}
 
 
 @memo
@@ -239,56 +244,17 @@ TWIST_NAMES = ("Tm", "Tm'", "Tl", "Tl'")
 def dehn_twist_dd(which: str) -> TypeDDModule:
     """The four torus Dehn-twist DD bimodules (meridian, longitude, inverses).
 
-    Arrows are given in the two-copies-of-the-torus-algebra presentation;
-    the first tensor slot is the rho action, the second the sigma action.
+    Each is the weight-one summand of a torus underslide (``TWIST_SLIDES``;
+    a twist is an arc-slide, LOT, arXiv:1010.2550): Tm is 3 over 2, Tm' 3
+    over 4, Tl 2 over 1 and Tl' 2 over 3.  Generators are named by
+    idempotent pair: p, q, r and s for (1, 1), (2, 2), (2, 1) and (1, 2).
+    The first tensor slot is the rho action, the second the sigma action.
     """
-    alg = algebra_of(standard_pmc("torus"))
-
-    def te(pair):
-        r, s = pair
-        return TensorElement.from_elements(torus_element(r), torus_element(s))
-
-    i0, i1 = (1,), (2,)
-    if which == "Tm":
-        gens = {"p": (i0, i0), "q": (i1, i1), "r": (i1, i0)}
-        arrows = {
-            ("p", "q"): te(("rho1", "rho3")) + te(("rho123", "rho123")),
-            ("p", "r"): te(("rho3", "rho12")),
-            ("q", "r"): te(("rho23", "rho2")),
-            ("r", "p"): te(("rho2", "iota0")),
-            ("r", "q"): te(("iota1", "rho1")),
-        }
-    elif which == "Tm'":
-        gens = {"p": (i0, i0), "q": (i1, i1), "r": (i1, i0)}
-        arrows = {
-            ("p", "q"): te(("rho1", "rho3")) + te(("rho123", "rho123")),
-            ("p", "r"): te(("rho3", "iota0")),
-            ("q", "r"): te(("iota1", "rho2")),
-            ("r", "p"): te(("rho2", "rho12")),
-            ("r", "q"): te(("rho23", "rho1")),
-        }
-    elif which == "Tl":
-        gens = {"p": (i0, i0), "q": (i1, i1), "s": (i0, i1)}
-        arrows = {
-            ("p", "q"): te(("rho3", "rho1")) + te(("rho123", "rho123")),
-            ("p", "s"): te(("rho12", "rho3")),
-            ("q", "s"): te(("rho2", "rho23")),
-            ("s", "q"): te(("rho1", "iota1")),
-            ("s", "p"): te(("iota0", "rho2")),
-        }
-    elif which == "Tl'":
-        gens = {"p": (i0, i0), "q": (i1, i1), "s": (i0, i1)}
-        arrows = {
-            ("p", "q"): te(("rho3", "rho1")) + te(("rho123", "rho123")),
-            ("p", "s"): te(("iota0", "rho3")),
-            ("q", "s"): te(("rho2", "iota1")),
-            ("s", "q"): te(("rho1", "rho23")),
-            ("s", "p"): te(("rho12", "rho2")),
-        }
-    else:
+    if which not in TWIST_SLIDES:
         raise CatalogError(f"unknown twist {which!r}; use one of {TWIST_NAMES}")
-
-    out = TypeDDModule(alg, alg, gens, arrows, provenance=f"dehn_twist_dd({which})")
+    slide = make_arcslide(standard_pmc("torus"), *TWIST_SLIDES[which])
+    summand = underslide_dd(slide).restrict_weight(1)
+    out = summand.rename(lambda g: _TWIST_GENERATORS[summand.generators[g]])
     return out.gated(f"twist bimodule {which}")
 
 
@@ -654,8 +620,9 @@ def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "
 
     Pairing with a letter and then its inverse is homotopy equivalent to
     the identity, T * T^-1 * N ~ N, so the word is first freely reduced:
-    each letter next to its inverse is dropped.  No other relation is used,
-    and ``apply_twist_word`` still pairs every letter as spelled.
+    each letter next to its inverse, in either spelling of a torus letter
+    (``_twist_tokens``), is dropped.  No other relation is used, and
+    ``apply_twist_word`` still pairs every letter.
     """
     word = _twist_tokens(word)
     (lkey, lm), (bkey, bm) = _genus1_side(left), _genus1_side(base)
@@ -710,14 +677,16 @@ def _letter(token: str) -> tuple:
 
 
 def _twist_tokens(word) -> list[str]:
-    """The letters of a word, each checked (``_letter``) before any work is done."""
+    """The letters of a word, each checked (``_letter``) before any work is
+    done; a torus slide letter is spelled as its twist (``TWIST_SLIDES``), so
+    that a genus-1 mapping class has one spelling, bimodule and half."""
     if isinstance(word, str):
         raise CatalogError(f"twist word {word!r} is a string; split it with parse_twist_word")
     tokens = list(word)
     for token in tokens:
         if token not in TWIST_NAMES:
             _letter(token)
-    return tokens
+    return [_SLIDE_TWISTS.get(token, token) for token in tokens]
 
 
 def parse_twist_word(text: str) -> list[str]:

@@ -275,7 +275,7 @@ def check_genus1_lattice(samples: int = 60, max_length: int = 12, seed: int = 11
     rng = random.Random(seed)
     words = [["Tm"] * 32, ["Tm", "Tl'"] * 5]
     words += [[rng.choice(catalog.TWIST_NAMES) for _ in range(rng.randint(0, max_length))]
-              for _ in range(samples)]
+              for _ in range(150)]
     for word in words:
         rank = catalog.hf_genus1(word)
         if rank != lattice_rank(word):
@@ -343,19 +343,20 @@ def check_satellite_truncation(sizes=(25, 49, 97)):
 
 
 def check_underslides(genus2: bool = True):
+    # the torus slides, each paired literally through its own bimodule and
+    # never through a twist, against the lattice oracle of the word they spell
     problems = []
-    matches = []
-    for slide in catalog.all_underslides(standard_pmc("torus")):
-        B = catalog.underslide_dd(slide).restrict_weight(1).reduce()
-        found = None
-        for t in catalog.TWIST_NAMES:
-            if iso_check(B, catalog.dehn_twist_dd(t).reduce()) is not None:
-                found = t
-                break
-        if found is None:
-            problems.append(f"genus-1 slide ({slide.b1},{slide.c1}) matches no twist")
-        else:
-            matches.append(f"({slide.b1}/{slide.c1})={found}")
+    torus, h0 = standard_pmc("torus"), catalog.solid_torus("zero")
+    slides = {t: catalog.underslide_dd(catalog.make_arcslide(torus, *feet))
+              for t, feet in catalog.TWIST_SLIDES.items()}
+    rng = random.Random(3)
+    words = [list(slides)] + [rng.choices(list(slides), k=rng.randint(1, 8)) for _ in range(12)]
+    for word in words:
+        M = h0
+        for t in reversed(word):
+            M = mor_dd_d(slides[t], M).reduce()
+        if mor_d_d(h0, M).homology_rank() != lattice_rank(word):
+            problems.append(f"the torus slides of {' '.join(word)} miss the lattice oracle")
     if genus2:
         for kind in ("split", "antipodal"):
             circle = standard_pmc(kind, 2)
@@ -364,7 +365,28 @@ def check_underslides(genus2: bool = True):
                     catalog.underslide_dd(slide)  # d^2 = 0 gated inside
                 except Exception as e:
                     problems.append(f"{kind}:2 slide ({slide.b1},{slide.c1}): {e}")
-    return not problems, "; ".join(problems) or "twist matches " + " ".join(matches)
+    return not problems, "; ".join(problems) or f"{len(words)} torus slide words match the lattice"
+
+
+def check_swap_invert():
+    """Gluing the sides the other way round gives the same manifold:
+    hf_genus1(w, L, B) == hf_genus1(w^-1, B, L), w^-1 the reversed word of
+    inverse letters, on genus-1 words in both spellings between solid tori
+    and on split:2 words between handlebody:2 sides."""
+    rng = random.Random(18)
+    letters = [*catalog.TWIST_NAMES,
+               *(f"underslide:split:1:{b1}:{c1}" for b1, c1 in catalog.TWIST_SLIDES.values())]
+    split2 = [f"underslide:split:2:{s.b1}:{s.c1}"
+              for s in catalog.all_underslides(standard_pmc("split", 2))]
+    tori = ("h_0", "h_inf", "h_minus1")
+    cases = [(rng.choices(letters, k=rng.randint(0, 9)), *rng.choices(tori, k=2)) for _ in range(150)]
+    cases += [(rng.choices(split2, k=rng.randint(0, 6)), "handlebody:2", "handlebody:2")
+              for _ in range(20)]
+    for word, left, base in cases:
+        inverse = [catalog.twist_inverse(t) for t in reversed(word)]
+        if catalog.hf_genus1(word, left, base) != catalog.hf_genus1(inverse, base, left):
+            return False, f"{' '.join(word)} between {left} and {base} changes rank when swapped"
+    return True, "150 genus-1 and 20 split:2 words keep their rank when swapped and inverted"
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +523,7 @@ ALL_CHECKS = [
     ("satellite", check_satellite, {}),
     ("satellite_truncation", check_satellite_truncation, {}),
     ("underslides", check_underslides, {}),
+    ("swap_invert", check_swap_invert, {}),
     ("snf_oracle", check_snf_oracle, {"samples": 1000}),
     ("reduce_homology", check_reduce_preserves_homology, {}),
 ]

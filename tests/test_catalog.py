@@ -657,17 +657,18 @@ def _slide_token(slide) -> str:
     return f"underslide:split:{slide.source.genus}:{slide.b1}:{slide.c1}"
 
 
-def _literal_slide_rank(word, k, built):
-    """The rank of Mor(handlebody(k), word * handlebody(k)), one ``mor_dd_d``
-    per letter, rightmost first, each DD bimodule built once into ``built``."""
+def _literal_slide_rank(word, k, built, side=None):
+    """The rank of Mor(side, word * side), side ``handlebody(k)`` unless
+    given, one ``mor_dd_d`` per letter, rightmost first, each DD bimodule
+    built once into ``built``."""
     circle = standard_pmc("split", k)
-    M = handlebody(k)
+    M = side = side or handlebody(k)
     for token in reversed(word):
         if token not in built:
             b1, c1 = map(int, token.split(":")[-2:])
             built[token] = underslide_dd(make_arcslide(circle, b1, c1))
         M = mor_dd_d(built[token], M).reduce()
-    return mor_d_d(handlebody(k), M).homology_rank(), M
+    return mor_d_d(side, M).homology_rank(), M
 
 
 def test_split2_words_match_the_literal_loop():
@@ -767,14 +768,60 @@ def test_slide_words_are_checked_before_any_pairing(monkeypatch, word, left, bas
 
 
 def test_split1_slides_and_twists_share_the_torus():
-    # split:1 is the torus, whose underslides are the twists up to isomorphism
-    # (check_underslides): (2,1) = Tl, (2,3) = Tl', (3,2) = Tm, (3,4) = Tm'
+    # split:1 is the torus, whose underslides are the twists exactly, after
+    # renaming (dehn_twist_dd): (2,1) = Tl, (2,3) = Tl', (3,2) = Tm, (3,4) = Tm'.
+    # hf_genus1 pairs a slide letter through its twist, so the slides' own
+    # bimodules are paired literally here, against the lattice oracle
     as_twist = {"2:1": "Tl", "2:3": "Tl'", "3:2": "Tm", "3:4": "Tm'"}
     rng = random.Random(5)
+    built = {}
     for _ in range(10):
         feet = [rng.choice(sorted(as_twist)) for _ in range(rng.randint(1, 8))]
         word = [f"underslide:split:1:{f}" for f in feet]
-        assert hf_genus1(word) == lattice_rank([as_twist[f] for f in feet]), word
+        want = lattice_rank([as_twist[f] for f in feet])
+        assert _literal_slide_rank(word, 1, built, solid_torus("zero"))[0] == want, word
+        assert hf_genus1(word) == want, word
+    assert len(built) == 4
+
+
+def test_a_torus_slide_letter_is_its_twist_letter(monkeypatch):
+    calls = []
+
+    def counted_mor(*args, **kwargs):
+        calls.append(args)
+        return mor_dd_d(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "mor_dd_d", counted_mor)
+    # Tm and the slide 3 over 4, which is Tm', reduce freely to nothing
+    assert hf_genus1(["Tm", "underslide:split:1:3:4"]) == 2
+    assert calls == []
+    assert parse_twist_word("underslide:split:1:2:1 Tl' underslide:split:1:3:2") == [
+        "Tl", "Tl'", "Tm"]
+    # both spellings of Tm share one half and one family of twisted tori
+    memo.clear()
+    mixed = apply_twist_word(["Tm", "underslide:split:1:3:2"], solid_torus("zero"))
+    assert memo.sizes()["bhf.catalog.twist_half"] == 1
+    assert dumps(mixed) == dumps(apply_twist_word(["Tm", "Tm"], solid_torus("zero")))
+    assert hf_genus1(["Tm"] * 3) == 3
+    held = {name: memo.sizes()[name] for name in ("bhf.catalog._twisted_torus",
+                                                   "bhf.catalog.twist_half")}
+    assert hf_genus1(["Tm", "underslide:split:1:3:2", "Tm"]) == 3
+    assert {name: memo.sizes()[name] for name in held} == held
+
+
+def test_swapped_sides_and_inverted_word_keep_the_rank():
+    # gluing the sides the other way round gives the same manifold
+    rng = random.Random(81)
+    torus = list(TWIST_NAMES) + [f"underslide:split:1:{f}" for f in ("2:1", "2:3", "3:2", "3:4")]
+    split2 = [_slide_token(s) for s in all_underslides(standard_pmc("split", 2))]
+    sides = ("h_0", "h_inf", "h_minus1")
+    cases = [([rng.choice(torus) for _ in range(rng.randint(0, 9))], rng.choice(sides),
+              rng.choice(sides)) for _ in range(40)]
+    cases += [([rng.choice(split2) for _ in range(rng.randint(0, 5))], "handlebody:2",
+               "handlebody:2") for _ in range(4)]
+    for word, left, base in cases:
+        inverse = [twist_inverse(t) for t in reversed(word)]
+        assert hf_genus1(word, left, base) == hf_genus1(inverse, base, left), (word, left, base)
 
 
 def test_rank_callers_compute_no_representatives(monkeypatch, capsys):
