@@ -275,7 +275,7 @@ def check_genus1_lattice(samples: int = 60, max_length: int = 12, seed: int = 11
     rng = random.Random(seed)
     words = [["Tm"] * 32, ["Tm", "Tl'"] * 5]
     words += [[rng.choice(catalog.TWIST_NAMES) for _ in range(rng.randint(0, max_length))]
-              for _ in range(150)]
+              for _ in range(samples)]
     for word in words:
         rank = catalog.hf_genus1(word)
         if rank != lattice_rank(word):
