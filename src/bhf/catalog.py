@@ -63,9 +63,9 @@ def _torus_mod(gens, arrows) -> TypeDModule:
 
 
 _TORUS_NAMES = {
-    "inf": "inf", "infinity": "inf", "h_inf": "inf",
+    "inf": "inf", "infinity": "inf", "h_inf": "inf", "h_infinity": "inf",
     "-1": "minus1", "minus1": "minus1", "h_minus1": "minus1",
-    "0": "zero", "zero": "zero", "h_0": "zero",
+    "0": "zero", "zero": "zero", "h_0": "zero", "h_zero": "zero",
 }
 
 
@@ -218,7 +218,7 @@ def dd_identity(circle: PointedMatchedCircle) -> TypeDDModule:
                     itertools.product(diags1, diags2))
     delta = {key: TensorElement(alg1.n, alg2.n, tt) for key, tt in terms.items()}
 
-    out = TypeDDModule(alg1, alg2, gens, delta, provenance=f"dd_identity({circle!r})")
+    out = TypeDDModule(alg1, alg2, gens, delta)
     return out.gated("identity bimodule")
 
 
@@ -541,13 +541,7 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
         key = (gen_lookup[left], gen_lookup[right])
         delta[key] = delta.get(key, TensorElement(alg1.n, alg2.n)) + term
 
-    out = TypeDDModule(
-        alg1, alg2, gens, delta,
-        provenance=(
-            f"underslide_dd(b1={slide.b1} over c1={slide.c1} on {Z!r}; "
-            "near-chords = irreducible support-matched pairs)"
-        ),
-    )
+    out = TypeDDModule(alg1, alg2, gens, delta)
     return out.gated("underslide bimodule")
 
 

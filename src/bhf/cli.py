@@ -31,7 +31,7 @@ from .dmodules import (
     iso_check,
 )
 from .pairing import AlgebraMismatch, mor_d_d, mor_dd_d, mor_d_ud
-from .gf2 import F2ChainComplex, NotAComplex
+from .gf2 import F2ChainComplex, NotAComplex, RepeatedNames
 from .f2u import F2UComplex, InhomogeneousInput
 from .knots import (
     PATTERNS,
@@ -58,7 +58,7 @@ from . import checks
 
 USER_ERRORS = (
     PMCError, StrandError, SchemaError, ValidationError, ModuleError,
-    CFKError, CatalogError, AlgebraMismatch, NotAComplex, InhomogeneousInput,
+    CFKError, CatalogError, AlgebraMismatch, NotAComplex, RepeatedNames, InhomogeneousInput,
     CapExceeded, FileNotFoundError, KeyError,
 )
 

@@ -169,7 +169,7 @@ class TypeDModule:
     ``_with``, which takes an already valid module's data as given.
     """
 
-    def __init__(self, algebra, generators, delta, provenance: str = ""):
+    def __init__(self, algebra, generators, delta):
         self.algebra = algebra
         normal: dict = {}  # each distinct idempotent is normalised once
 
@@ -184,7 +184,6 @@ class TypeDModule:
 
         self.generators = {name: norm(idem) for name, idem in dict(generators).items()}
         self.delta = {k: coeff for k, coeff in dict(delta).items() if coeff}
-        self.provenance = provenance
         self.validate()
 
     # -- coefficient hooks ---------------------------------------------------
@@ -402,10 +401,10 @@ class TypeDDModule(TypeDModule):
     """
 
     def __init__(self, algebra1: SurfaceAlgebra, algebra2: SurfaceAlgebra,
-                 generators, delta, provenance: str = ""):
+                 generators, delta):
         self.algebra1 = algebra1
         self.algebra2 = algebra2
-        super().__init__((algebra1, algebra2), generators, delta, provenance)
+        super().__init__((algebra1, algebra2), generators, delta)
 
     def _norm(self, idem):
         i1, i2 = idem

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cancel import _adjacency, _cancel_all
-from .gf2 import F2ChainComplex, NotAComplex
+from .gf2 import F2ChainComplex, NotAComplex, RepeatedNames
 from .memo import _nogc
 
 
@@ -200,7 +200,7 @@ class F2UComplex:
         self.generators = list(generators)
         self.index = {g: i for i, g in enumerate(self.generators)}
         if len(self.index) != len(self.generators):
-            raise ValueError("repeated generator names")
+            raise RepeatedNames("repeated generator names")
         self.differential = {}
         for (s, t), p in dict(differential).items():
             if p == 0:

@@ -56,6 +56,10 @@ class NotAComplex(ValueError):
     pass
 
 
+class RepeatedNames(ValueError):
+    """Two generators of one complex or module share a name."""
+
+
 class F2ChainComplex:
     """Chain complex of F2 vector spaces given by generators and arrows."""
 
@@ -63,7 +67,7 @@ class F2ChainComplex:
         self.generators = list(generators)
         self.index = {g: i for i, g in enumerate(self.generators)}
         if len(self.index) != len(self.generators):
-            raise ValueError("repeated generator names")
+            raise RepeatedNames("repeated generator names")
         acc: set = set()
         for s, t in entries:
             acc ^= {(s, t)}  # arrows are F2 coefficients: duplicates cancel

@@ -70,6 +70,15 @@ class OverBudget(CFKError):
     """An input size over ``BUDGET``, refused before any work on it."""
 
 
+def _add(polys, key, p):
+    """polys[key] += p over F2[U], dropping the entry when it becomes zero."""
+    q = polys.get(key, 0) ^ p
+    if q:
+        polys[key] = q
+    else:
+        polys.pop(key, None)
+
+
 class CFKComplex:
     """Knot Floer complex data: gradings, optional parities, U-differential."""
 
@@ -78,14 +87,11 @@ class CFKComplex:
         self.parities: dict[str, int] | None = dict(parities) if parities else None
         # polynomial differential: (src, dst) -> bitmask
         self.differential: dict[tuple[str, str], int] = {}
-        for entry in differential:
-            src, m, dst = entry
+        for src, m, dst in differential:
             if m > BUDGET:
                 raise OverBudget(f"entry {src} -> U^{m} {dst}: U power over the budget "
                                  f"of {BUDGET:,}")
-            key = (src, dst)
-            self.differential[key] = self.differential.get(key, 0) ^ (1 << m)
-        self.differential = {k: p for k, p in self.differential.items() if p}
+            _add(self.differential, (src, dst), 1 << m)
         self.validate()
 
     @property
@@ -117,10 +123,9 @@ class CFKComplex:
         F2UComplex(self.generators, self.differential)  # NotAComplex on d^2 != 0
 
     def is_reduced(self) -> bool:
-        return all(
-            not (m == 0 and self.alexander[s] == self.alexander[t])
-            for (s, m, t) in self.entries()
-        )
+        """No vertical arrow of length 0 (an entry changing neither grading nor U power)."""
+        return all(length for kind, _, length in _arrows(self.alexander, self.differential)
+                   if kind == "v")
 
     def associated_graded(self) -> F2UComplex:
         """Keep exactly the grading-homogeneous part of the differential."""
@@ -146,19 +151,30 @@ class ArrowDecomposition:
     diagonal: tuple[tuple[str, int, str], ...]    # raw remaining entries
 
 
+def _arrows(A, differential):
+    """Yield (kind, entry, length) for each vertical and each horizontal
+    arrow of a differential {(src, dst): U-power poly}, entry being the term
+    (src, m, dst).  A vertical arrow (kind "v") is a constant term, of length
+    A(src) - A(dst); a horizontal one (kind "h") is a term U^m with m >= 1
+    and A(dst) - m = A(src), of length m."""
+    for (s, t), p in differential.items():
+        if p & 1:
+            yield "v", (s, 0, t), A[s] - A[t]
+        m = A[t] - A[s]
+        if m >= 1 and p >> m & 1:
+            yield "h", (s, m, t), m
+
+
 def classify_arrows(complex_: CFKComplex) -> ArrowDecomposition:
     if not complex_.is_reduced():
         raise NotReduced("complex has an entry changing neither grading nor U power")
-    A = complex_.alexander
-    vert, horiz, diag = [], [], []
-    for (s, m, t) in complex_.entries():
-        if m == 0:
-            vert.append((s, t, A[s] - A[t]))
-        elif A[t] - m == A[s]:
-            horiz.append((s, t, m))
-        else:
-            diag.append((s, m, t))
-    return ArrowDecomposition(tuple(vert), tuple(horiz), tuple(diag))
+    arrows = {entry: (kind, length)
+              for kind, entry, length in _arrows(complex_.alexander, complex_.differential)}
+    out = {"v": [], "h": [], None: []}
+    for entry in complex_.entries():
+        kind, length = arrows.get(entry, (None, None))
+        out[kind].append(entry if kind is None else (entry[0], entry[2], length))
+    return ArrowDecomposition(tuple(out["v"]), tuple(out["h"]), tuple(out[None]))
 
 
 # ---------------------------------------------------------------------------
@@ -173,74 +189,39 @@ class SimplifiedBasisReport:
     substitutions: int = 0
 
 
-def _simplify_once(A, delta, kind):
-    """One shortest-arrow cancellation: the substitution (y, x, t) it made,
-    or None when no two arrows of the kind share a head or a tail.
+def _substitute(delta, y, x, t):
+    """Basis change y <- y + U^t x (requires A[x] - t <= A[y])."""
+    # rows: d(new y) = d(y) + U^t d(x)
+    for (s, z), p in list(delta.items()):
+        if s == x:
+            _add(delta, (y, z), p << t)
+    # columns: entries into x pick up U^t * (entries into y)
+    for (w, z), p in list(delta.items()):
+        if z == y:
+            _add(delta, (w, x), p << t)
 
-    kind 'v': vertical arrows (constant terms); kind 'h': horizontal arrows
-    (grading-homogeneous positive-power terms).
+
+def _double(arrows, kind):
+    """The substitution (y, x, t) that cancels the shortest arrow of a
+    double head, else of a double tail, among arrows (src, dst, length) of
+    one kind; None when their heads and their tails are all distinct.
+
+    At a double head the shorter arrow kills the longer; at a double tail
+    the shorter arrow's target is rewritten through the longer's.  Vertical
+    arrows cancel at U^0 (a filtered substitution); horizontal ones need the
+    homogeneous shift by the length difference.
     """
-
-    def arrows():
-        out = []
-        for (s, t), p in delta.items():
-            if kind == "v":
-                if p & 1:
-                    out.append((s, t, A[s] - A[t]))
-            else:
-                m = A[t] - A[s]
-                if m >= 1 and p & (1 << m):
-                    out.append((s, t, m))
-        return out
-
-    def sub(y, x, t):
-        """Basis change y <- y + U^t x (requires A[x] - t <= A[y])."""
-        # rows: d(new y) = d(y) + U^t d(x)
-        for (s, z), p in list(delta.items()):
-            if s == x:
-                key = (y, z)
-                q = delta.get(key, 0) ^ (p << t)
-                if q:
-                    delta[key] = q
-                else:
-                    delta.pop(key, None)
-        # columns: entries into x pick up U^t * (entries into y)
-        for (w, z), p in list(delta.items()):
-            if z == y:
-                key = (w, x)
-                q = delta.get(key, 0) ^ (p << t)
-                if q:
-                    delta[key] = q
-                else:
-                    delta.pop(key, None)
-        return (y, x, t)
-
-    # double heads: two arrows into the same target; the shorter one kills
-    # the longer.  Vertical arrows cancel at U^0 (a filtered substitution);
-    # horizontal ones need the homogeneous shift by the length difference.
-    by_head: dict[str, list] = {}
-    for (s, t, l) in arrows():
-        by_head.setdefault(t, []).append((l, s))
-    for t, incoming in sorted(by_head.items()):
-        if len(incoming) < 2:
-            continue
-        incoming.sort()
-        l0, x0 = incoming[0]
-        l1, w = incoming[1]
-        shift = 0 if kind == "v" else l1 - l0
-        return sub(w, x0, shift)
-    # double tails: rewrite the shorter arrow's target through the longer's
-    by_tail: dict[str, list] = {}
-    for (s, t, l) in arrows():
-        by_tail.setdefault(s, []).append((l, t))
-    for s, outgoing in sorted(by_tail.items()):
-        if len(outgoing) < 2:
-            continue
-        outgoing.sort()
-        l0, z0 = outgoing[0]
-        l1, z1 = outgoing[1]
-        shift = 0 if kind == "v" else l1 - l0
-        return sub(z0, z1, shift)
+    for end in (1, 0):  # heads, then tails
+        by_end: dict[str, list] = {}
+        for arrow in arrows:
+            by_end.setdefault(arrow[end], []).append((arrow[2], arrow[1 - end]))
+        for _, group in sorted(by_end.items()):
+            if len(group) < 2:
+                continue
+            group.sort()
+            (l0, a), (l1, b) = group[:2]
+            shift = 0 if kind == "v" else l1 - l0
+            return (b, a, shift) if end == 1 else (a, b, shift)
     return None
 
 
@@ -255,15 +236,17 @@ def simplify_basis(complex_: CFKComplex):
     total = 0
     cap = 50 * (len(A) + 2) ** 2
     while True:
-        sub = _simplify_once(A, delta, "v") or _simplify_once(A, delta, "h")
+        arrows = {"v": [], "h": []}
+        for kind, (s, _, t), length in _arrows(A, delta):
+            arrows[kind].append((s, t, length))
+        sub = _double(arrows["v"], "v") or _double(arrows["h"], "h")
         if sub is None:
             break
-        # record new y = old y + U^t old x in terms of original basis
         y, x, t = sub
+        _substitute(delta, y, x, t)
+        # record new y = old y + U^t old x in terms of original basis
         for g, p in list(change[x].items()):
-            change[y][g] = change[y].get(g, 0) ^ (p << t)
-            if not change[y][g]:
-                del change[y][g]
+            _add(change[y], g, p << t)
         total += 1
         if total > cap:
             raise CannotSimplify(
@@ -272,20 +255,12 @@ def simplify_basis(complex_: CFKComplex):
 
     # The loop stops only when no two vertical arrows and no two horizontal
     # arrows share a head or a tail, so the output is simplified.
+    # xi0 (eta0) is the least generator on no vertical (horizontal) arrow.
     out = CFKComplex(A, [(s, m, t) for (s, t), p in delta.items() for m in poly_exponents(p)],
                      parities=complex_.parities)
-    arrows = classify_arrows(out)
-    v_touched = {s for (s, _, _) in arrows.vertical} | {t for (_, t, _) in arrows.vertical}
-    h_touched = {s for (s, _, _) in arrows.horizontal} | {t for (_, t, _) in arrows.horizontal}
-    xi_candidates = sorted(g for g in A if g not in v_touched)
-    eta_candidates = sorted(g for g in A if g not in h_touched)
-    report = SimplifiedBasisReport(
-        change_of_basis=change,
-        xi0=xi_candidates[0] if xi_candidates else None,
-        eta0=eta_candidates[0] if eta_candidates else None,
-        substitutions=total,
-    )
-    return out, report
+    touched = {kind: {g for s, t, _ in arrows[kind] for g in (s, t)} for kind in "vh"}
+    xi0, eta0 = (min((g for g in A if g not in touched[kind]), default=None) for kind in "vh")
+    return out, SimplifiedBasisReport(change, xi0, eta0, total)
 
 
 # ---------------------------------------------------------------------------
@@ -381,41 +356,34 @@ def cfk_to_cfd(complex_: CFKComplex, framing: int) -> TypeDModule:
         cur = delta.get(key)
         delta[key] = coeff if cur is None else cur + coeff
 
+    def chain(prefix, suffix, length, start, first, end, last, backward):
+        """iota1 generators prefix<j>suffix, j = 1..length, joined by rho23
+        arrows: start -first-> the first, and the last -last-> end, or end
+        -last-> the last when the chain runs backward (its rho23 arrows from
+        each generator to the one before).  A name in use is refused."""
+        names = [f"{prefix}{j}{suffix}" for j in range(1, length + 1)]
+        for name in names:
+            if name in gens:
+                raise CFKError(f"generator name {name!r} is reserved for a chain of the "
+                               f"translated module")
+            gens[name] = i1
+        add(start, names[0], first)
+        for a, b in zip(names, names[1:]):
+            add(*((b, a) if backward else (a, b)), "rho23")
+        add(*((end, names[-1]) if backward else (names[-1], end)), last)
+
     for idx, (x, z, length) in enumerate(arrows.vertical):
-        chain = [f"k{idx}.{j}[{x}>{z}]" for j in range(1, length + 1)]
-        for name in chain:
-            gens[name] = i1
-        add(x, chain[0], "rho1")
-        for j in range(1, length):
-            add(chain[j], chain[j - 1], "rho23")
-        add(z, chain[-1], "rho123")
-
+        chain(f"k{idx}.", f"[{x}>{z}]", length, x, "rho1", z, "rho123", backward=True)
     for idx, (x, z, length) in enumerate(arrows.horizontal):
-        chain = [f"l{idx}.{j}[{x}>{z}]" for j in range(1, length + 1)]
-        for name in chain:
-            gens[name] = i1
-        add(x, chain[0], "rho3")
-        for j in range(1, length):
-            add(chain[j - 1], chain[j], "rho23")
-        add(chain[-1], z, "rho2")
-
-    mus = [f"mu{j}" for j in range(1, m + 1)]
-    for name in mus:
-        gens[name] = i1
+        chain(f"l{idx}.", f"[{x}>{z}]", length, x, "rho3", z, "rho2", backward=False)
     if framing < 2 * t:
-        add(xi0, mus[0], "rho1")
-        for j in range(1, m):
-            add(mus[j], mus[j - 1], "rho23")
-        add(eta0, mus[-1], "rho3")
+        chain("mu", "", m, xi0, "rho1", eta0, "rho3", backward=True)
     elif framing > 2 * t:
-        add(xi0, mus[0], "rho123")
-        for j in range(1, m):
-            add(mus[j - 1], mus[j], "rho23")
-        add(mus[-1], eta0, "rho2")
+        chain("mu", "", m, xi0, "rho123", eta0, "rho2", backward=False)
     else:
         add(xi0, eta0, "rho12")
 
-    out = TypeDModule(alg, gens, delta, provenance=f"cfk_to_cfd(framing={framing})")
+    out = TypeDModule(alg, gens, delta)
     return out.gated("translated module", torus_records())
 
 

@@ -11,8 +11,7 @@ the unused algebra.  Two variants exist, both built by ``BimoduleHalf``:
 
 * ``mor_dd_d(B, M)``: morphisms out of the bimodule.  The retained action
   is naturally a right action, so the output is written over the opposite
-  algebra, realized as the algebra of the reversed circle; the conversion
-  is recorded on the output's provenance field.
+  algebra, realized as the algebra of the reversed circle.
 * ``mor_d_dd(M, B)``: morphisms into the bimodule.  The retained action is
   already a left action and no conversion occurs.
 
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf2 import F2ChainComplex
+from .gf2 import F2ChainComplex, RepeatedNames
 from .memo import _nogc
 from .f2u import F2UComplex
 from .pmc import pair_map_to_reverse
@@ -228,15 +227,14 @@ class BimoduleHalf:
     """The bimodule's side of ``mor_dd_d`` (B -> M) or ``mor_d_dd`` (M -> B).
 
     Everything here depends on the bimodule alone: the shared and output
-    idempotents, the output algebra and its units, the provenance, the
-    arrows split into keys, a memo of the bimodule-side product rows per
-    (bimodule generator, basis key), and ``records``, the raw-product
-    records that gate every output (and that a caller may reduce the
-    outputs through).  ``pair`` pairs one module against it.  Out of B, the
-    unused action survives as a right action and is rewritten over the
-    opposite algebra (the reversed circle).  The memos live as long as the
-    half, so a caller that pairs many modules against one bimodule builds it
-    once and drops it when done.
+    idempotents, the output algebra and its units, the arrows split into
+    keys, a memo of the bimodule-side product rows per (bimodule generator,
+    basis key), and ``records``, the raw-product records that gate every
+    output (and that a caller may reduce the outputs through).  ``pair``
+    pairs one module against it.  Out of B, the unused action survives as a
+    right action and is rewritten over the opposite algebra (the reversed
+    circle).  The memos live as long as the half, so a caller that pairs
+    many modules against one bimodule builds it once and drops it when done.
     """
 
     def __init__(self, B: TypeDDModule, side: int = 1, into_b: bool = False):
@@ -249,7 +247,6 @@ class BimoduleHalf:
         if into_b:
             out_alg, coeff_of = other, other.expand
             b_out = {b: idems[2 - side] for b, idems in B.generators.items()}
-            self.provenance = f"mor_d_dd(side={side}; no opposite-algebra conversion)"
         else:
             rev_circle, pair_image = pair_map_to_reverse(other.circle)
             out_alg = algebra_of(rev_circle)
@@ -259,10 +256,6 @@ class BimoduleHalf:
 
             b_out = {b: tuple(sorted(pair_image(p) for p in idems[2 - side]))
                      for b, idems in B.generators.items()}
-            self.provenance = (
-                f"mor_dd_d(side={side}; second action rewritten over reversed circle "
-                f"{rev_circle!r} via the opposite-algebra map)"
-            )
         self.out_alg, self.b_out = out_alg, b_out
         self.units = {b: out_alg.idempotent(idem).terms for b, idem in b_out.items()}
         arrows = _keyed_arrows(B, by_target=not into_b,
@@ -290,8 +283,11 @@ class BimoduleHalf:
 
         basis, names, terms = _mor_complex(self.shared, *ends, incoming, outgoing, atoms)
         gens = {names[t]: self.b_out[t[end]] for t in basis}
+        if len(gens) < len(basis):
+            raise RepeatedNames(f"repeated generator names: {len(basis)} Mor triples take "
+                                f"{len(gens)} names; a name with '|' can match another triple's")
         delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items()}
-        out = TypeDModule(out_alg, gens, delta, provenance=self.provenance)
+        out = TypeDModule(out_alg, gens, delta)
         return out.gated("pairing output", self.records)
 
 

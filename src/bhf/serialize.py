@@ -396,10 +396,7 @@ def _deserialize(schema: str, doc: dict):
         return elt
     if schema in (SCHEMAS["dmodule"], SCHEMAS["udmodule"]):
         alg = _algebra_from(doc, "algebra")
-        gens = {
-            _field(g, "name", str): _idempotent(g, "idempotent")
-            for g in _objects(doc, "generators")
-        }
+        gens = _by_name(_objects(doc, "generators"), lambda g: _idempotent(g, "idempotent"))
         delta: dict = {}
         diagrams = _Diagrams()
         for e in _objects(doc, "delta"):
@@ -417,10 +414,8 @@ def _deserialize(schema: str, doc: dict):
     if schema == SCHEMAS["ddmodule"]:
         alg1 = _algebra_from(doc, "algebra1")
         alg2 = _algebra_from(doc, "algebra2")
-        gens = {
-            _field(g, "name", str): (_idempotent(g, "idempotent1"), _idempotent(g, "idempotent2"))
-            for g in _objects(doc, "generators")
-        }
+        gens = _by_name(_objects(doc, "generators"),
+                        lambda g: (_idempotent(g, "idempotent1"), _idempotent(g, "idempotent2")))
         delta: dict = {}
         diagrams1, diagrams2 = _Diagrams(), _Diagrams()
         for e in _objects(doc, "delta"):
@@ -456,7 +451,7 @@ def _deserialize(schema: str, doc: dict):
         return module
     if schema == SCHEMAS["cfk"]:
         generators = _objects(doc, "generators")
-        gens = {_field(g, "name", str): _field(g, "alexander", int) for g in generators}
+        gens = _by_name(generators, lambda g: _field(g, "alexander", int))
         parities = _ints_of(generators, "parity")
         entries = [
             (_field(e, "src", str), _upower(e), _field(e, "dst", str))
@@ -482,6 +477,15 @@ def _deserialize(schema: str, doc: dict):
                    for e in _objects(doc, "differential")]
         return F2ChainComplex(gens, entries)
     raise SchemaError(f"unknown schema {schema!r}")
+
+
+def _by_name(generators: list[dict], value) -> dict:
+    """Name -> value(g) for each generator object g; a repeated name is refused,
+    as the F2 complexes refuse it."""
+    out = {_field(g, "name", str): value(g) for g in generators}
+    if len(out) < len(generators):
+        raise ValidationError("repeated generator names")
+    return out
 
 
 def _ints_of(generators: list[dict], key: str) -> dict | None:
@@ -529,9 +533,9 @@ def catalog_lookup(name: str):
         except ValueError:
             raise ValidationError(f"catalog reference {name!r}: {form!r} takes integers")
 
-    if head in ("h_inf", "h_minus1", "h_0", "h_infinity", "h_zero"):
+    if head in _catalog._TORUS_NAMES:
         shape(not args)
-        return _catalog.solid_torus(head.removeprefix("h_"))
+        return _catalog.solid_torus(head)
     if head == "handlebody":
         shape(len(args) == 1)
         k, = ints(args)

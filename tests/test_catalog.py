@@ -12,7 +12,7 @@ from bhf.dmodules import GateFailure, TensorElement, TypeDModule, iso_check, map
 from bhf import catalog, memo
 from bhf.pairing import BimoduleHalf, mor_d_d, mor_dd_d
 from bhf.knots import cfk_to_cfd, figure8_cfk, trefoil_cfk
-from bhf.serialize import dumps, serialize
+from bhf.serialize import catalog_lookup, dumps, serialize
 from bhf.checks import lattice_rank
 from bhf.cli import main
 from bhf.gf2 import F2ChainComplex
@@ -206,7 +206,7 @@ def test_hf_genus1_gates_each_letter_once(monkeypatch):
     word = ["Tm", "Tl'", "Tm", "Tm", "Tl", "Tm'", "Tl'", "Tm"]
     assert _freely_reduced(word) == word
     left = solid_torus("zero")
-    left = TypeDModule(left.algebra, left.generators, left.delta, provenance="left")
+    left = TypeDModule(left.algebra, left.generators, left.delta)
     want = _unsplit_rank(word, left, solid_torus("minus1"))
     halves = set()
     calls = {"mor_dd_d": 0, "verify_d2": 0, "BimoduleHalf": 0, "left": 0,
@@ -364,9 +364,12 @@ def test_twisted_tori_pair_only_new_states(monkeypatch):
 
 
 def test_solid_torus_aliases_share_twisted_tori(monkeypatch):
-    for group in (("h_0", "0", "zero"), ("h_inf", "inf", "infinity"), ("h_minus1", "-1", "minus1")):
+    for group in (("h_0", "h_zero", "0", "zero"), ("h_inf", "h_infinity", "inf", "infinity"),
+                  ("h_minus1", "-1", "minus1")):
         assert len({catalog.torus_name(a) for a in group}) == 1
         assert len({id(solid_torus(a)) for a in group}) == 1
+        # a catalog reference takes every alias too
+        assert all(catalog_lookup(a) is solid_torus(a) for a in group)
     with pytest.raises(CatalogError, match="unknown solid torus"):
         hf_genus1(["Tm"], left="h_1")
     word = ["Tm", "Tm", "Tl'", "Tm"]

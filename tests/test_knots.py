@@ -30,6 +30,8 @@ from bhf.catalog import solid_torus
 from bhf.f2u import F2UComplex
 from bhf.pairing import TargetHalf
 from bhf.strands import torus_algebra, torus_element, torus_records
+from bhf.serialize import dumps, serialize
+from bhf.cli import main
 
 
 def test_validate_builtins():
@@ -190,6 +192,21 @@ def test_cfk_to_cfd_trefoil_framing1():
     assert coeff("mu1", "mu2") == torus_element("rho23")
     assert coeff("mu2", "mu3") == torus_element("rho23")
     assert coeff("mu3", "a") == torus_element("rho2")
+
+
+@pytest.mark.parametrize("complex_, framing, name", [
+    # the unknot's one unstable chain generator at framing -1
+    (CFKComplex({"mu1": 0}, [], parities={"mu1": 1}), -1, "mu1"),
+    # the trefoil with c renamed: three unstable chain generators at framing -5
+    (CFKComplex({"a": 1, "b": 0, "mu2": -1}, [("a", 0, "b"), ("mu2", 1, "b")],
+                parities={"a": 1, "b": -1, "mu2": 1}), -5, "mu2"),
+], ids=["unknot mu1", "trefoil mu2"])
+def test_cfk_to_cfd_refuses_a_generator_named_like_a_chain(capsys, complex_, framing, name):
+    with pytest.raises(CFKError, match=f"'{name}' is reserved"):
+        cfk_to_cfd(complex_, framing)
+    code = main(["knot", "cfd", "--in", dumps(serialize(complex_)), f"--framing={framing}"])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and repr(name) in err
 
 
 def test_cfk_to_cfd_all_framings_d2():

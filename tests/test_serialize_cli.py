@@ -17,7 +17,7 @@ from bhf.dmodules import (
     GateFailure, TensorElement, TypeDDModule, TypeDModule, UTypeDModule, iso_check,
 )
 from bhf.f2u import F2UComplex
-from bhf.gf2 import F2ChainComplex
+from bhf.gf2 import F2ChainComplex, RepeatedNames
 from bhf.knots import CFKComplex, figure8_cfk, trefoil_cfk, cable21_pattern
 from bhf.catalog import dd_identity, dehn_twist_dd, handlebody, solid_torus, underslide_dd, make_arcslide
 from bhf.serialize import (
@@ -397,6 +397,54 @@ def test_cli_pair_through_dd(capsys):
     )
     assert code == 0
     assert json.loads(out)["rank"] == 1  # one meridian twist glues to S^3
+
+
+def _on_iota0(schema, names, **fields):
+    """A document of the given schema on the torus: each name a generator on
+    iota0 (pair 1), no arrows."""
+    if schema == "ddmodule":
+        gens = [{"name": n, "idempotent1": [1], "idempotent2": [1]} for n in names]
+        doc = {"algebra1": "torus", "algebra2": "torus"}
+    else:
+        gens = [{"name": n, "idempotent": [1]} for n in names]
+        doc = {"algebra": "torus"}
+    return json.dumps({"schema": f"bhf/{schema}@1", **doc, "generators": gens, "delta": []})
+
+
+REPEATED_NAMES = {
+    # Alexander gradings 0 and 3 on one name: the second used to win, tau -3
+    "cfk": (["knot", "tau"], json.dumps({"schema": "bhf/cfk@1", "differential": [], "generators": [
+        {"name": "u", "alexander": 0}, {"name": "u", "alexander": 3}]})),
+    "dmodule": (["dmod", "verify"], _on_iota0("dmodule", ["a", "a"])),
+    "udmodule": (["dmod", "verify"], _on_iota0("udmodule", ["a", "a"])),
+    "ddmodule": (["dmod", "verify"], _on_iota0("ddmodule", ["a", "a"])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_NAMES))
+def test_document_with_a_repeated_generator_name_is_invalid(capsys, kind):
+    argv, doc = REPEATED_NAMES[kind]
+    code, out, err = run_cli(capsys, *argv, "--in", doc)
+    assert code == 1 and out == "" and err == "error: repeated generator names\n"
+
+
+# Mor generators are named x|key|y, so a name holding '|' can take another
+# triple's name: a|p1|p1|b is both (a, p1, p1|b) and (a|p1, p1, b).
+@pytest.mark.parametrize("argv", [
+    ["--left", _on_iota0("dmodule", ["a", "a|p1"]), "--right", _on_iota0("dmodule", ["b", "p1|b"])],
+    ["--left", _on_iota0("dmodule", ["a", "a|p1"]), "--right", _on_iota0("udmodule", ["b", "p1|b"])],
+    ["--left", _on_iota0("dmodule", ["a", "p1|a"]), "--dd", _on_iota0("ddmodule", ["x", "x|p1"])],
+], ids=["mor_d_d", "mor_d_ud", "mor_dd_d"])
+def test_pairing_whose_generator_names_collide_is_invalid(capsys, argv):
+    code, out, err = run_cli(capsys, "pair", *argv)
+    assert code == 1 and out == "" and err.startswith("error: repeated generator names")
+
+
+def test_mor_dd_d_refuses_colliding_names():
+    B = parse_document(_on_iota0("ddmodule", ["x", "x|p1"]))
+    M = parse_document(_on_iota0("dmodule", ["a", "p1|a"]))
+    with pytest.raises(RepeatedNames, match="8 Mor triples take 7 names"):
+        mor_dd_d(B, M)
 
 
 def test_cli_homology_of_dumped_complex(capsys, tmp_path):
