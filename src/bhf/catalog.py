@@ -21,7 +21,7 @@ from .strands import AlgebraElement, algebra_of, torus_element
 from .dmodules import (
     TensorElement, TypeDDModule, TypeDModule, mapping_cone, module_f2_basis, right_action,
 )
-from .pairing import BimoduleHalf, mor_d_d, mor_dd_d
+from .pairing import BimoduleHalf, TargetHalf, mor_d_d, mor_dd_d
 from .gf2 import gf2_apply, gf2_rank
 
 
@@ -550,32 +550,44 @@ def underslide_dd(slide: ArcSlide) -> TypeDDModule:
 
 
 @_nogc
-def apply_twist_word(word, module: TypeDModule) -> TypeDModule:
+def apply_twist_word(word, module: TypeDModule | TargetHalf) -> TypeDModule:
     """Pair the word's bimodules against the module, rightmost letter first.
 
     Each letter pairs through its prepared half (``twist_half``), which
     gates the output and is shared by every call in the process; the output
-    is reduced through that half's product records.  Every letter is paired
-    and gated on every call; ``hf_genus1`` steps named sides through
-    ``twist_step`` instead, so there each distinct state is paired and
-    gated once per process.
+    is reduced through that half's product records.  The module may be a
+    ``TargetHalf`` prepared for it, which the rightmost letter pairs
+    against.  Every letter is paired and gated on every call; ``hf_genus1``
+    steps named sides through ``twist_step`` instead, so there each
+    distinct state is paired and gated once per process.
     """
     out = module
     for token in reversed(_twist_tokens(word)):
         half = twist_half(token)
         out = mor_dd_d(half, out).reduce(half.records)
-    return out
+    return out.module if isinstance(out, TargetHalf) else out
 
 
 @memo(maxsize=1024)
 def _twisted_torus(name: str, word: tuple[str, ...]) -> TypeDModule:
     """``apply_twist_word(word, _genus1_side(name)[1])``: the first letter
-    paired onto the memoized rest of the word.  A registered memo (``bhf.memo``;
-    ``memo.clear()`` resets it) that evicts the least recently used state
-    past 1,024: well above the 96-111 states of one genus1 bench pass,
-    but a state's generators, and their names, grow with its word."""
-    rest = _twisted_torus(name, word[1:]) if len(word) > 1 else _genus1_side(name)[1]
-    return apply_twist_word(word[:1], rest)
+    paired onto the prepared rest of the word (``_side_half``).  A
+    registered memo (``bhf.memo``; ``memo.clear()`` resets it) that evicts
+    the least recently used state past 1,024: well above the 96-111 states
+    of one genus1 bench pass, but a state's generators, and their names,
+    grow with its word."""
+    return apply_twist_word(word[:1], _side_half(name, word[1:]))
+
+
+@memo(maxsize=1024)
+def _side_half(name: str, word: tuple[str, ...]) -> TargetHalf:
+    """The ``TargetHalf`` of a named side twisted by a word: of
+    ``_twisted_torus(name, word)``, or of the side itself for the empty
+    word.  Its rows serve the state as the target of the next letter and of
+    the final pairing of ``hf_genus1``, and its source rows as the source
+    of that pairing, so each is built once per state.  A registered memo,
+    bounded as ``_twisted_torus`` is."""
+    return TargetHalf(_twisted_torus(name, word) if word else _genus1_side(name)[1])
 
 
 def twist_step(letter: str, key: tuple | None, module: TypeDModule) -> tuple:
@@ -610,7 +622,9 @@ def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "
     on a tie) the rightmost letter.  Both sides pair through one
     process-wide half per letter (``twist_half``).  A named side steps
     through ``twist_step``'s registered memo, so each distinct state is
-    paired and gated once; a side given as a module is paired every call.
+    paired and gated once, and the final pairing takes each named state's
+    prepared side (``_side_half``); a side given as a module is paired, and
+    prepared, on every call.
 
     Pairing with a letter and then its inverse is homotopy equivalent to
     the identity, T * T^-1 * N ~ N, so the word is first freely reduced:
@@ -638,7 +652,8 @@ def hf_genus1(word, left: str | TypeDModule = "h_0", base: str | TypeDModule = "
         else:
             j -= 1
             bkey, bm = twist_step(word[j], bkey, bm)
-    return mor_d_d(lm, bm).homology_rank()
+    return mor_d_d(_side_half(*lkey) if lkey else lm,
+                   _side_half(*bkey) if bkey else bm).homology_rank()
 
 
 def _genus1_side(which: str | TypeDModule) -> tuple:

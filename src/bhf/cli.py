@@ -43,7 +43,7 @@ from .knots import (
     satellite,
     tau,
 )
-from .catalog import CatalogError, hf_genus1, parse_twist_word
+from .catalog import _TORUS_NAMES, CatalogError, hf_genus1, parse_twist_word
 from .serialize import (
     SchemaError,
     ValidationError,
@@ -348,8 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hf3m", help="closed manifold rank from a word of twists or underslides")
     p.add_argument("--word", default="", help="e.g. \"Tm Tm Tl'\" (trailing ' = inverse), or "
                    "underslides of split:k such as \"underslide:split:2:2:1 underslide:split:2:6:7\"")
-    tori = ("a solid torus, h_0/0/zero, h_inf/inf/infinity or h_minus1/-1/minus1, or "
-            "handlebody:<k> for k <= 3 (default h_0)")
+    groups: dict[str, list[str]] = {}  # each solid torus and its aliases
+    for alias, name in _TORUS_NAMES.items():
+        groups.setdefault(name, []).append(alias)
+    tori = (f"one of the solid tori {', '.join('/'.join(g) for g in groups.values())}, "
+            "or handlebody:<k> for k <= 3 (default h_0)")
     p.add_argument("--left", default="h_0", help=f"the side on the left: {tori}")
     p.add_argument("--base", default="h_0", help=f"the side the word acts on: {tori}")
     p.set_defaults(fn=cmd_hf3m)

@@ -1,19 +1,25 @@
 """One registry for the process-wide memos of ``bhf``.
 
-Every memo that outlives a call (solid tori and twisted solid tori, twist
-bimodules and their halves, pattern halves, standard circles, their
-algebras and the torus elements) is a ``functools.lru_cache`` made by
-``memo`` and registered by module and qualified name; call-local caches
-and a half's own memos (``TargetHalf.product``) are not.  ``clear()``
-empties every registered memo, circles, algebras (with their own caches)
-and torus elements included: these compare by value, so what was built
-before a clear still works with what is built after it.  An algebra's own
-caches include the corner of each admissible diagram
+Every memo that outlives a call is a ``functools.lru_cache`` made by
+``memo`` and registered by module and qualified name: solid tori
+(``catalog._solid_torus``, ``catalog.handlebody``), twist bimodules and
+their halves (``catalog.dehn_twist_dd``, ``catalog.twist_half``), twisted
+solid tori and the prepared side of each named genus-1 state
+(``catalog._twisted_torus``, ``catalog._side_half``), pattern halves
+(``knots.pattern_half``), standard circles (``pmc.standard_pmc``), their
+algebras (``strands.algebra_of``, ``strands.torus_algebra``), and the torus
+records and elements (``strands.torus_records``, ``strands.torus_element``).
+Call-local caches and a half's own row memos are not.  ``clear()`` empties
+every registered memo, circles, algebras (with their own caches) and torus
+elements included: these compare by value, so what was built before a
+clear still works with what is built after it.  An algebra's own caches
+include the corner of each admissible diagram
 (``SurfaceAlgebra.admissible_corner``), which every module check over that
-algebra shares, and its corner-key table, the basis keys of each corner
-filed one weight at a time (``SurfaceAlgebra.corner_keys``), which every
-Mor builder shares; they go with the algebra, so they need no entry here.
-``sizes()`` counts the entries of each memo.
+algebra shares, its corner-key table (``SurfaceAlgebra.corner_keys``), and
+the tables of the pairing path: the keys of each distinct coefficient
+(``SurfaceAlgebra.coefficient_keys``), each key's name and each key product
+met.  They go with the algebra, so they need no entry here.  ``sizes()``
+counts the entries of each memo.
 
 ``_nogc`` is the package's other piece of process-wide state: the guard
 that pauses CPython's cyclic garbage collector around the public entry

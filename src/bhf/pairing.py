@@ -17,13 +17,14 @@ the unused algebra.  Two variants exist, both built by ``BimoduleHalf``:
 
 Every builder walks the basis triples once and reads each term of the
 differential off ``SurfaceAlgebra.key_d`` and ``key_product`` through the
-arrows at the triple's two ends.  The triples come from the algebra's
-corner-key table (``SurfaceAlgebra.corner_keys``), which goes with the
-algebra.  Arrow coefficients are split into basis keys once per call.
-Within one call, each distinct key is named once, each distinct type D
-coefficient is decomposed once, and each (generator, key) row of key
-products through the generator's arrows is computed once; no such memo
-outlives the call unless a prepared half below holds it.
+arrows at the triple's two ends.  What depends on the algebra alone is
+kept with the algebra, for its life: the triples come from its corner-key
+table (``SurfaceAlgebra.corner_keys``), each distinct type D coefficient is
+decomposed once (``SurfaceAlgebra.coefficient_keys``), and each key's name
+and each key product met are filed in its tables.  What depends on one
+module is kept by a prepared half: each (generator, key) row of key
+products through the generator's arrows is computed once per half, and a
+module passed in place of a half gets one for the call.
 
 A ``BimoduleHalf`` holds everything that depends on the bimodule alone:
 its arrows split into keys, its units and output idempotents, its product
@@ -36,10 +37,15 @@ such halves sit in registered memos, which ``bhf.memo.clear()`` resets.
 The type D outputs are verified to square to zero on raw-diagram products
 before being returned.
 
-A ``TargetHalf`` does the same for the target of ``mor_d_d`` and
-``mor_d_ud``.  ``mor_d_ud`` also takes one prepared by the caller, and the
-knot layer keeps one per named pattern for the life of the process
-(``knots.pattern_half``); its F2[U] output checks d^2 = 0 as it is built.
+A ``TargetHalf`` does the same for a type D module: its rows as the
+target of ``mor_d_d``, ``mor_d_ud`` and ``mor_dd_d``, and as the source of
+``mor_d_d`` and ``mor_d_dd``.  Every builder takes one prepared by the
+caller in place of the module.  The catalog keeps one per named genus-1
+side and per twisted state (``catalog._side_half``), so ``hf_genus1``
+pairs each letter onto a state's prepared rows and pairs two prepared
+states at the end; the knot layer keeps one per named pattern for the life
+of the process (``knots.pattern_half``), whose F2[U] output checks
+d^2 = 0 as it is built.
 
 ``mor_d_d`` returns an ``F2ChainComplex``, whose constructor checks d^2 = 0.
 A caller asks it for what it needs: ``homology_rank()`` for the rank of
@@ -48,7 +54,7 @@ HF-hat, and ``homology_representatives()`` only where cycles are wanted.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property
 
 from .gf2 import F2ChainComplex, RepeatedNames
 from .memo import _nogc
@@ -71,29 +77,21 @@ def key_name(key: BasisKey) -> str:
 def _mor_basis(alg: SurfaceAlgebra, left, right):
     """Sorted triples (x, key, y), key in the corner I(x) * A * I(y); ``left``
     and ``right`` map generator names to idempotents."""
-    out = []
+    out, right = [], sorted(right.items())
     for x, ix in sorted(left.items()):
-        for y, iy in sorted(right.items()):
-            out.extend((x, key, y) for key in alg.corner_keys(ix, iy))
+        for y, iy in right:
+            for key in alg.corner_keys(ix, iy):
+                out.append((x, key, y))
     return out
 
 
-def _keyed_arrows(module, by_target: bool, split=None) -> dict[str, list]:
-    """A module's arrows grouped by one end, coefficients split into keys once.
+def _keyed_arrows(module, by_target: bool, split) -> dict[str, list]:
+    """A module's arrows grouped by one end, coefficients split into keys.
 
-    ``split(coeff)`` yields the (key, tag) pairs of a coefficient, by
-    default (key, None) for each of its keys, decomposing each distinct
-    coefficient once per call.  Grouped by target the result maps
-    dst -> [(src, key, tag)], by source it maps src -> [(dst, key, tag)].
+    ``split(coeff)`` yields the (key, tag) pairs of a coefficient.  Grouped
+    by target the result maps dst -> [(src, key, tag)], by source it maps
+    src -> [(dst, key, tag)].
     """
-    if split is None:
-        alg, keyed = module.algebra, {}
-
-        def split(coeff):
-            if coeff not in keyed:
-                keyed[coeff] = [(key, None) for key in alg.decompose(coeff)]
-            return keyed[coeff]
-
     out: dict[str, list] = {}
     for (s, t), coeff in module.delta.items():
         end, other = (t, s) if by_target else (s, t)
@@ -103,119 +101,169 @@ def _keyed_arrows(module, by_target: bool, split=None) -> dict[str, list]:
 
 
 def _bimodule_split(B: TypeDDModule, side: int, coeff_of):
-    """Split DD coefficients into (shared key, coeff_of(other key)) pairs.
+    """Split DD coefficients into (shared key, terms of coeff_of(other key))
+    pairs.
 
     ``coeff_of`` runs once per distinct key of the other side.
     """
-    coeffs: dict[BasisKey, AlgebraElement] = {}
+    coeffs: dict[BasisKey, frozenset] = {}
 
     def split(tc):
         for k1, k2 in tc.decompose(B.algebra1, B.algebra2):
             k_shared, k_other = (k1, k2) if side == 1 else (k2, k1)
             if k_other not in coeffs:
-                coeffs[k_other] = coeff_of(k_other)
+                coeffs[k_other] = coeff_of(k_other).terms
             yield k_shared, coeffs[k_other]
 
     return split
 
 
-def _product_rows(alg: SurfaceAlgebra, arrows: dict[str, list], key_first: bool,
-                  product=None):
+def _product_rows(alg: SurfaceAlgebra, arrows: dict[str, list], key_first: bool):
     """The row of (other end, product key, tag) for each (end, key a), memoized.
 
     ``arrows`` maps an end to its (other end, key c, tag) arrows, as from
     ``_keyed_arrows``; the row holds the keys of a * c when ``key_first``,
-    else of c * a, in arrow order.  The memo lives as long as the function.
-    ``product`` is ``alg.key_product`` unless the caller memoizes it.
+    else of c * a, in arrow order.  The memo lives as long as the function;
+    each key product is read off the algebra's table, which keeps it for
+    the life of the algebra.
     """
-    rows: dict[tuple, list] = {}
-    product = product or alg.key_product
+    rows: dict[tuple, tuple] = {}
+    products, product = alg._key_products, alg.key_product
 
     def row(end, a):
         out = rows.get((end, a))
         if out is None:
-            out = rows[(end, a)] = [
-                (other, k, tag) for other, c, tag in arrows.get(end, ())
-                for k in (product(a, c) if key_first else product(c, a))
-            ]
+            out = []
+            for other, c, tag in arrows.get(end, ()):
+                pair = (a, c) if key_first else (c, a)
+                keys = products.get(pair)
+                if keys is None:
+                    keys = products[pair] = product(*pair)
+                out.extend([(other, k, tag) for k in keys])
+            out = rows[(end, a)] = tuple(out)  # most rows are empty, and share ()
         return out
 
     return row
 
 
-def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, atoms):
+def _mor_complex(alg: SurfaceAlgebra, left, right, incoming, outgoing, unit):
     """The basis triples of Mor(left, right), their names, and the differential.
 
     For each basis triple (x, a, y) the differential has the keys of d(a),
     the row ``outgoing(y, a)`` of a * c over the arrows y -> y2 of the
     target module, and the row ``incoming(x, a)`` of c * a over the arrows
-    x1 -> x of the source module (see ``_product_rows``).  A term is tagged
-    None for d(a) and with the arrow's tag otherwise; ``atoms(src, tag)``
-    gives the hashable atoms of its coefficient.  Atoms are added mod 2
+    x1 -> x of the source module (see ``_product_rows``).  A term's tag is
+    the arrow's, and a tag is the hashable atoms of the term's coefficient,
+    or None for a unit coefficient, whose atoms ``unit(src)`` gives; the
+    terms of d(a) have unit coefficients.  Atoms are added mod 2
     (``SurfaceAlgebra.key_product`` says why that is exact), and the
-    differential maps (src name, dst name) to its nonempty atom set.
+    differential maps (src name, dst name) to its nonempty atom set.  Two
+    triples that take one name raise ``RepeatedNames``.
     """
     basis = _mor_basis(alg, left, right)
-    key_names, names = {}, {}
+    key_names, names = alg._key_names, {}
     for t in basis:
         x, a, y = t
         name = key_names.get(a)
         if name is None:
             name = key_names[a] = key_name(a)
         names[t] = f"{x}|{name}|{y}"
+    taken = len(set(names.values()))
+    if taken < len(basis):
+        raise RepeatedNames(f"repeated generator names: {len(basis)} Mor triples take {taken} "
+                            "names; a name with '|' can match another triple's")
     acc: dict[tuple[str, str], set] = {}
-
-    def add(src, dst, tag):
-        acc.setdefault((names[src], names[dst]), set()).symmetric_difference_update(atoms(src, tag))
-
+    key_d = alg.key_d
     for src in basis:
         x, a, y = src
-        for k in alg.key_d(a):
-            add(src, (x, k, y), None)
+        ends = []  # appended in loops: on rows this short, comprehensions cost more
+        for k in key_d(a):
+            ends.append(((x, k, y), None))
         for y2, k, tag in outgoing(y, a):
-            add(src, (x, k, y2), tag)
+            ends.append(((x, k, y2), tag))
         for x1, k, tag in incoming(x, a):
-            add(src, (x1, k, y), tag)
+            ends.append(((x1, k, y), tag))
+        name, atoms = names[src], unit(src)
+        for dst, tag in ends:
+            pair = (name, names[dst])
+            terms = acc.get(pair)
+            if terms is None:
+                terms = acc[pair] = set()
+            terms.symmetric_difference_update(atoms if tag is None else tag)
     return basis, names, {k: v for k, v in acc.items() if v}
 
 
-class TargetHalf:
-    """The target's side of ``mor_d_d(M, N)`` or ``mor_d_ud(M, P)``.
+def _target_rows(N: TypeDModule | TargetHalf):
+    """The rows of N as a Mor target: per (generator y, basis key a), the
+    keys of a * c over its arrows y -> y2, each tagged (m,) with the
+    arrow's U power m, or None (a unit) on a plain type D module; a
+    prepared half's own."""
+    if isinstance(N, TargetHalf):
+        return N.rows
+    keys = N.algebra.coefficient_keys
+    if type(N) is UTypeDModule:
+        def split(coeff):
+            return [(key, (m,)) for m, e in coeff.items() for key in keys(e)]
+    else:
+        def split(coeff):
+            return [(key, None) for key in keys(coeff)]
+    return _product_rows(N.algebra, _keyed_arrows(N, by_target=False, split=split), key_first=True)
 
-    Everything here depends on the target alone: its arrows split into
-    (key, U power) pairs (the power is None on a plain type D module), the
-    rows of key products through them per (target generator, basis key),
-    and a memo of the key products on the source side.  ``pair`` builds the
-    Mor complex of one source module against it.  The memos live as long as
-    the half; corner keys live with the algebra.
+
+def _source_rows(M: TypeDModule | TargetHalf):
+    """The rows of a plain module as a Mor source: per (generator x, basis
+    key a), the keys of c * a over its arrows x1 -> x, tagged None; a
+    prepared half's own."""
+    if isinstance(M, TargetHalf):
+        return M.source_rows
+    keys = M.algebra.coefficient_keys
+    arrows = _keyed_arrows(M, by_target=True, split=lambda c: [(key, None) for key in keys(c)])
+    return _product_rows(M.algebra, arrows, key_first=False)
+
+
+class TargetHalf:
+    """A type D module's side of a pairing, prepared for many.
+
+    Everything here depends on the module alone.  ``rows`` serve it as the
+    target of ``mor_d_d``, ``mor_d_ud`` and ``mor_dd_d``: per (generator y,
+    basis key a), the key products a * c through its arrows y -> y2, each
+    tagged with the arrow's U power.  ``source_rows`` serve a plain module
+    as the source of ``mor_d_d`` and ``mor_d_dd``: the products c * a
+    through its arrows x1 -> x.  Each is
+    built on first use and memoizes its rows for the life of the half;
+    coefficient keys, key names, key products and corner keys live with
+    the algebra.  ``pair`` builds the Mor complex of a source against it.
     """
 
     def __init__(self, N: TypeDModule):
-        alg = self.algebra = N.algebra
-        self.generators, split = N.generators, None
-        if type(N) is UTypeDModule:
-            def split(coeff):
-                return [(key, m) for m, e in coeff.items() for key in alg.decompose(e)]
-        arrows = _keyed_arrows(N, by_target=False, split=split)
-        self.rows = _product_rows(alg, arrows, key_first=True)
-        self.product = lru_cache(maxsize=None)(alg.key_product)
+        self.module, self.algebra, self.generators = N, N.algebra, N.generators
 
-    def pair(self, M: TypeDModule):
+    @cached_property
+    def rows(self):
+        return _target_rows(self.module)
+
+    @cached_property
+    def source_rows(self):
+        return _source_rows(self.module)
+
+    def pair(self, M: TypeDModule | TargetHalf):
         """Generator names and differential of Mor(M, target); the
-        differential maps (src, dst) to the U powers of its terms."""
+        differential maps (src, dst) to the U powers of its terms.  ``M``
+        may be a half prepared for it."""
         if M.algebra != self.algebra:
             raise AlgebraMismatch("modules over different algebras")
-        incoming = _product_rows(self.algebra, _keyed_arrows(M, by_target=True),
-                                 key_first=False, product=self.product)
-        basis, names, diff = _mor_complex(self.algebra, M.generators, self.generators, incoming,
-                                          self.rows, lambda src, upower: (upower or 0,))
+        basis, names, diff = _mor_complex(self.algebra, M.generators, self.generators,
+                                          _source_rows(M), self.rows, lambda src: (0,))
         return [names[b] for b in basis], diff
 
 
 @_nogc
-def mor_d_d(M: TypeDModule, N: TypeDModule) -> F2ChainComplex:
-    """Morphism complex of two type D modules over the same algebra."""
-    gens, diff = TargetHalf(N).pair(M)
+def mor_d_d(M: TypeDModule | TargetHalf, N: TypeDModule | TargetHalf) -> F2ChainComplex:
+    """Morphism complex of two type D modules over the same algebra.
+
+    Either side may be a ``TargetHalf`` prepared for many pairings.
+    """
+    gens, diff = (N if isinstance(N, TargetHalf) else TargetHalf(N)).pair(M)
     return F2ChainComplex(gens, diff)
 
 
@@ -258,34 +306,31 @@ class BimoduleHalf:
                      for b, idems in B.generators.items()}
         self.out_alg, self.b_out = out_alg, b_out
         self.units = {b: out_alg.idempotent(idem).terms for b, idem in b_out.items()}
-        arrows = _keyed_arrows(B, by_target=not into_b,
-                               split=_bimodule_split(B, side, coeff_of))
+        arrows = _keyed_arrows(B, by_target=not into_b, split=_bimodule_split(B, side, coeff_of))
         self.rows = _product_rows(shared, arrows, key_first=into_b)
         self.records = RawProducts()
 
-    def pair(self, M: TypeDModule) -> TypeDModule:
+    def pair(self, M: TypeDModule | TargetHalf) -> TypeDModule:
         """Morphisms M -> B or B -> M, a type D module over the unused
-        algebra, gated on d^2 = 0.  A term of the differential tagged None
-        carries the idempotent of its source triple's bimodule generator;
-        any other tag is the term's coefficient."""
+        algebra, gated on d^2 = 0.  ``M`` may be a half prepared for it.  A
+        term of the differential tagged None carries the idempotent of its
+        source triple's bimodule generator; any other tag is the terms of
+        its coefficient."""
         if self.shared != M.algebra:
             raise AlgebraMismatch("bimodule side does not match module algebra")
-        m_rows = _product_rows(self.shared, _keyed_arrows(M, by_target=self.into_b),
-                               key_first=not self.into_b)
         if self.into_b:
-            ends, incoming, outgoing, end = (M.generators, self.b_shared), m_rows, self.rows, 2
+            ends, end = (M.generators, self.b_shared), 2
+            incoming, outgoing = _source_rows(M), self.rows
         else:
-            ends, incoming, outgoing, end = (self.b_shared, M.generators), self.rows, m_rows, 0
+            ends, end = (self.b_shared, M.generators), 0
+            incoming, outgoing = self.rows, _target_rows(M)
         units, out_alg = self.units, self.out_alg
 
-        def atoms(src, coeff):
-            return units[src[end]] if coeff is None else coeff.terms
+        def unit(src):
+            return units[src[end]]
 
-        basis, names, terms = _mor_complex(self.shared, *ends, incoming, outgoing, atoms)
+        basis, names, terms = _mor_complex(self.shared, *ends, incoming, outgoing, unit)
         gens = {names[t]: self.b_out[t[end]] for t in basis}
-        if len(gens) < len(basis):
-            raise RepeatedNames(f"repeated generator names: {len(basis)} Mor triples take "
-                                f"{len(gens)} names; a name with '|' can match another triple's")
         delta = {k: AlgebraElement(out_alg.n, t) for k, t in terms.items()}
         out = TypeDModule(out_alg, gens, delta)
         return out.gated("pairing output", self.records)
@@ -301,13 +346,15 @@ def _half(B, side: int, into_b: bool) -> BimoduleHalf:
 
 
 @_nogc
-def mor_dd_d(B: TypeDDModule | BimoduleHalf, M: TypeDModule, side: int = 1) -> TypeDModule:
+def mor_dd_d(B: TypeDDModule | BimoduleHalf, M: TypeDModule | TargetHalf,
+             side: int = 1) -> TypeDModule:
     """Pair a DD bimodule against a type D module along one action.
 
     Morphisms B -> M over the algebra on ``side``; the other action
     survives as a right action and is rewritten over the opposite algebra
     (the reversed circle), so the result is again a left type D module.
-    ``B`` may be a ``BimoduleHalf(B, side)`` prepared for many modules.
+    ``B`` may be a ``BimoduleHalf(B, side)`` prepared for many modules, and
+    ``M`` a ``TargetHalf(M)`` prepared for many bimodules.
     """
     return _half(B, side, into_b=False).pair(M)
 

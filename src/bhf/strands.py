@@ -269,6 +269,12 @@ class SurfaceAlgebra:
         self._corners: dict[Diagram, tuple] = {}  # admissible diagram -> its corner
         self._d_cache: dict[BasisKey, tuple[BasisKey, ...]] = {}
         self._corner_table: dict[int, dict[tuple, tuple[BasisKey, ...]]] = {}  # weight -> corners
+        # the pairing path's tables (``bhf.pairing``): the keys of each
+        # distinct coefficient, by its terms; each key's name in Mor
+        # generator names; each key product that a product row met
+        self._coefficient_keys: dict[frozenset, tuple[BasisKey, ...]] = {}
+        self._key_names: dict[BasisKey, str] = {}
+        self._key_products: dict[tuple[BasisKey, BasisKey], tuple[BasisKey, ...]] = {}
         self._partner = circle.partners
         self._pair_of = circle.pair_names
         self._pairs = circle.pairs
@@ -409,6 +415,16 @@ class SurfaceAlgebra:
             partial = min(k for k in keys if not self.expand(k).terms <= element.terms)
             raise NotInSpan(f"element holds only some placements of basis element {partial}")
         return sorted(keys)
+
+    def coefficient_keys(self, element: AlgebraElement) -> tuple[BasisKey, ...]:
+        """``decompose(element)`` as a tuple, found once per distinct element
+        for the life of the algebra; a hit checks the ambient size alone."""
+        keys = self._coefficient_keys.get(element.terms)
+        if keys is None:
+            keys = self._coefficient_keys[element.terms] = tuple(self.decompose(element))
+        elif element.n != self.n:
+            raise AmbientMismatch(f"ambient {element.n} != {self.n}")
+        return keys
 
     def contains(self, element: AlgebraElement) -> bool:
         try:

@@ -13,7 +13,7 @@ from bhf import catalog, memo
 from bhf.pairing import BimoduleHalf, mor_d_d, mor_dd_d
 from bhf.knots import cfk_to_cfd, figure8_cfk, trefoil_cfk
 from bhf.serialize import catalog_lookup, dumps, serialize
-from bhf.checks import lattice_rank
+from bhf.checks import lattice_rank, twist_word_matrix
 from bhf.cli import main
 from bhf.gf2 import F2ChainComplex
 from bhf.catalog import (
@@ -414,6 +414,58 @@ def test_twisted_tori_stay_within_their_bound(monkeypatch):
     assert calls["mor_dd_d"] == 0
     catalog._twisted_torus("zero", ("Tm",))
     assert calls["mor_dd_d"] == 1
+
+
+# The meridian slopes of the three solid tori in the lattice basis of
+# ``checks.twist_word_matrix``: gluing sides u and v through a word W gives
+# rank |det(u, W v)|, or 2 (S1 x S2) when it is 0; h_0 on both sides is
+# ``lattice_rank``.
+SLOPES = {"h_0": (1, 0), "h_inf": (0, 1), "h_minus1": (1, 1)}
+
+
+def _slope_rank(word, left: str, base: str) -> int:
+    a, b, c, d = twist_word_matrix(word)
+    (u1, u2), (v1, v2) = SLOPES[left], SLOPES[base]
+    det = u1 * (c * v1 + d * v2) - u2 * (a * v1 + b * v2)
+    return abs(det) if det else 2
+
+
+def test_prepared_sides_never_change_a_rank():
+    rng = random.Random(34)
+    slide = {t: f"underslide:split:1:{b1}:{c1}" for t, (b1, c1) in catalog.TWIST_SLIDES.items()}
+    names = tuple(SLOPES)
+    cases = []
+    for i in range(60):
+        word = [rng.choice(TWIST_NAMES) for _ in range(rng.randint(0, 10))]
+        cases.append((word, names[i % 3], names[i // 3 % 3]))
+    assert all(_slope_rank(w, "h_0", "h_0") == lattice_rank(w) for w, _, _ in cases)
+    memo.clear()
+    # warm: each word in both spellings, through the states and prepared
+    # sides that the words before it left in the memos
+    for word, left, base in cases:
+        want = _slope_rank(word, left, base)
+        assert hf_genus1(word, left, base) == want, (word, left, base)
+        assert hf_genus1([slide[t] for t in word], left, base) == want, (word, left, base)
+    assert memo.sizes()["bhf.catalog._side_half"] > 0
+    # cold: every memo and every algebra table cleared before each call
+    for i, (word, left, base) in enumerate(cases):
+        memo.clear()
+        spelled = [slide[t] for t in word] if i % 2 else word
+        assert hf_genus1(spelled, left, base) == _slope_rank(word, left, base), (word, left, base)
+
+
+def test_a_side_passed_as_a_module_is_prepared_on_each_call():
+    # two module objects with the same generator name, on different
+    # idempotents and arrows: neither may answer with the other's prepared side
+    zero = solid_torus("zero")
+    zero = TypeDModule(zero.algebra, zero.generators, zero.delta)
+    inf = solid_torus("inf").rename(lambda g: "n")
+    assert set(zero.generators) == set(inf.generators) == {"n"}
+    word = ["Tm", "Tl'", "Tm", "Tm"]
+    for module, name in ((zero, "h_0"), (inf, "h_inf"), (zero, "h_0"), (inf, "h_inf")):
+        assert hf_genus1(word, module, "h_minus1") == _slope_rank(word, name, "h_minus1")
+        assert hf_genus1(word, "h_minus1", module) == _slope_rank(word, "h_minus1", name)
+        assert hf_genus1(word, module, module) == _slope_rank(word, name, name)
 
 
 def test_hf_genus1_rejects_unknown_token_as_given(monkeypatch):

@@ -18,11 +18,11 @@ from bhf.checks import lattice_rank
 from bhf.knots import cfk_to_cfd, satellite, staircase_cfk, tau, trefoil_cfk
 from bhf.pmc import standard_pmc
 from bhf.serialize import ValidationError, dumps, parse_document, serialize
-from bhf.strands import algebra_of
+from bhf.strands import algebra_of, torus_algebra
 
 MEMOS = {
     "bhf.catalog._solid_torus", "bhf.catalog.handlebody", "bhf.catalog.dehn_twist_dd",
-    "bhf.catalog.twist_half", "bhf.catalog._twisted_torus",
+    "bhf.catalog.twist_half", "bhf.catalog._twisted_torus", "bhf.catalog._side_half",
     "bhf.knots.pattern_half",
     "bhf.pmc.standard_pmc",
     "bhf.strands.algebra_of", "bhf.strands.torus_algebra", "bhf.strands.torus_records",
@@ -59,10 +59,19 @@ def test_sizes_name_every_memo_and_clear_empties_them():
     assert set(sizes) == MEMOS
     assert all(n > 0 for name, n in sizes.items() if name != "bhf.strands.torus_records")
     assert catalog._twisted_torus.cache_info().maxsize == 1024
+    assert catalog._side_half.cache_info().maxsize == 1024
     half = catalog.twist_half("Tm")
+    assert all(_pairing_tables(torus_algebra()))
     memo.clear()
     assert set(memo.sizes()) == MEMOS and set(memo.sizes().values()) == {0}
     assert catalog.twist_half("Tm") is not half
+    # the pairing tables go with the algebra, which the clear dropped
+    assert not any(_pairing_tables(torus_algebra()))
+
+
+def _pairing_tables(alg) -> list:
+    """The tables that an algebra keeps for the pairing path."""
+    return [alg._coefficient_keys, alg._key_names, alg._key_products]
 
 
 def _sweep(kept):

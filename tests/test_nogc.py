@@ -170,6 +170,11 @@ def no_cycles():
 
 def test_genus1_words_leave_no_cyclic_garbage(no_cycles):
     assert no_cycles(lambda: hf_genus1(["Tm", "Tl'"] * 3)) == lattice_rank(["Tm", "Tl'"] * 3)
+    # named sides, cold and then through the prepared sides the first call
+    # left, and a side passed as a module, prepared for its call
+    for _ in range(2):
+        assert no_cycles(lambda: hf_genus1(["Tm", "Tl'", "Tm"], "h_inf", "h_minus1")) == 3
+    assert no_cycles(lambda: hf_genus1(["Tm", "Tl'", "Tm"], solid_torus("inf"), "h_minus1")) == 3
     word = ["underslide:split:2:2:1", "underslide:split:2:2:3", "underslide:split:2:3:2"]
     assert no_cycles(lambda: hf_genus1(word, "handlebody:2", "handlebody:2")) == 4
 
